@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from .errors import (
-    CorpusEmpty,
+    CorpusError,
     EmptyDocument,
     EmptySource,
     EmptyVocabulary,
@@ -193,10 +193,7 @@ def main(argv=None) -> int:
     except (MissingDictionary, ValueError) as exc:
         logger.error("%s", exc)
         return 1
-    except CorpusEmpty as exc:
-        logger.error("%s", exc)
-        return 2
-    except (OSError, UnicodeDecodeError) as exc:
+    except (CorpusError, OSError, UnicodeDecodeError) as exc:
         logger.error("%s", exc)
         return 2
     except (EmptyDocument, EmptyVocabulary, EmptySource) as exc:

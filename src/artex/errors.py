@@ -21,5 +21,9 @@ class EmptySource(ArtexError):
     """The source n-gram profile is empty; divergence is undefined."""
 
 
-class CorpusEmpty(ArtexError):
+class CorpusError(ArtexError):
+    """The corpus cannot be read as a set of documents, e.g. two files share an ID."""
+
+
+class CorpusEmpty(CorpusError):
     """The corpus root contains no admissible documents."""

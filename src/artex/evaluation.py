@@ -7,16 +7,36 @@ within a sentence), and each profile pair is scored with a smoothed
 absolute log-difference divergence. Divergences are normalized against the
 empty summary so that 0 means "summary shares nothing with the source" and
 values near 1 mean "summary matches the source distribution".
+
+A source evaluated against several summaries is prepared once
+(prepare_source): one split-and-clean pass shared with the summarizer
+(preprocess.clean_document), each distinct word stemmed once (stem_types),
+one stem stream per sentence, and the three source profiles with their
+per-unit log terms and empty-summary divergences (prepare_profile). Batch
+evaluation then derives an extract's streams from the source's own
+sentences instead of re-reading its text: the streams of sentences
+``selected`` are ``[segments[i] for i in selected]``, except that an extract
+in which no selected sentence has an alphabetic character has no streams
+at all, as evaluation_tokens gives for its text (for example "2024.").
+fresa_report and divergence go through the same prepared profiles and the
+same summation loop, so every path gives the same floats, bit for bit.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .errors import EmptyDocument, EmptySource
-from .preprocess import RawDocument, StopList, clean_token, split_sentences
+from .preprocess import (
+    CleanedDocument,
+    RawDocument,
+    Sentence,
+    StopList,
+    clean_document,
+)
 from .stemming import stemmer_for
 
 
@@ -94,24 +114,73 @@ def ngram_profile(tokens: Sequence, order: NgramOrder) -> NgramProfile:
     skip-bigrams never cross a segment boundary. Fewer tokens than the unit
     needs yields an empty profile.
     """
-    counts: dict[tuple[str, ...], int] = {}
+    counts: Counter[tuple[str, ...]] = Counter()
     total = 0
     for segment in _segments(tokens):
         if isinstance(order, Unigram):
             units = [(token,) for token in segment]
         elif isinstance(order, Bigram):
-            units = [(segment[i], segment[i + 1]) for i in range(len(segment) - 1)]
+            units = list(zip(segment, segment[1:]))
         else:
+            gap = order.max_gap
             units = [
-                (segment[i], segment[i + g])
-                for i in range(len(segment))
-                for g in range(1, order.max_gap + 1)
-                if i + g < len(segment)
+                (first, second)
+                for i, first in enumerate(segment)
+                for second in segment[i + 1 : i + 1 + gap]
             ]
-        for unit in units:
-            counts[unit] = counts.get(unit, 0) + 1
+        counts.update(units)
         total += len(units)
     return NgramProfile(order=order, counts=counts, total=total)
+
+
+@dataclass(frozen=True)
+class SourceProfile:
+    """A source profile with each unit's term log(1 + C_t/|T|) computed once.
+
+    ``units`` are the source's n-gram types in profile order and ``terms``
+    their log terms; ``empty_divergence`` is the divergence of the empty
+    summary, the anchor of the normalized score. It is always positive,
+    because a source is only accepted with at least one unit.
+    """
+
+    order: NgramOrder
+    units: tuple[tuple[str, ...], ...]
+    terms: tuple[float, ...]
+    empty_divergence: float
+
+    def divergence(self, summary: NgramProfile) -> float:
+        """Divergence of a summary profile of the same order from this source."""
+        total = summary.total
+        summary_terms = (
+            {unit: math.log1p(count / total) for unit, count in summary.counts.items()}
+            if total
+            else {}
+        )
+        return _summed(self.units, self.terms, summary_terms)
+
+
+def _summed(units, terms, summary_terms: Mapping) -> float:
+    """Sum |source term - summary term| over the source units, in profile order.
+
+    A unit missing from ``summary_terms`` has summary term 0 (= log(1 + 0)).
+    Every divergence goes through this one loop, so the same profiles always
+    give the same float, whichever entry point computed it.
+    """
+    result = 0.0
+    for unit, term in zip(units, terms):
+        result += abs(term - summary_terms.get(unit, 0.0))
+    return result
+
+
+def prepare_profile(source: NgramProfile) -> SourceProfile:
+    """Compute a source profile's log terms and empty-summary divergence once."""
+    if source.total == 0:
+        raise EmptySource("source profile has no n-gram units")
+    units = tuple(source.counts)
+    terms = tuple(math.log1p(count / source.total) for count in source.counts.values())
+    return SourceProfile(
+        order=source.order, units=units, terms=terms, empty_divergence=_summed(units, terms, {})
+    )
 
 
 def divergence(source: NgramProfile, summary: NgramProfile) -> float:
@@ -126,45 +195,37 @@ def divergence(source: NgramProfile, summary: NgramProfile) -> float:
         raise ValueError(
             f"profile orders differ: {source.order!r} vs {summary.order!r}"
         )
-    if source.total == 0:
-        raise EmptySource("source profile has no n-gram units")
-    summary_total = summary.total
-    result = 0.0
-    for unit, count in source.counts.items():
-        source_term = math.log1p(count / source.total)
-        summary_count = summary.counts.get(unit, 0)
-        summary_term = math.log1p(summary_count / summary_total) if summary_total else 0.0
-        result += abs(source_term - summary_term)
-    return result
+    return prepare_profile(source).divergence(summary)
 
 
-def _empty_profile(order: NgramOrder) -> NgramProfile:
-    return NgramProfile(order=order, counts={}, total=0)
+_ORDERS: tuple[NgramOrder, ...] = (Unigram(), Bigram(), SkipBigram(4))
+
+
+def _source_profiles(source_tokens: Sequence) -> tuple[SourceProfile, ...]:
+    """The prepared unigram, bigram and skip-bigram profiles of a source stream."""
+    return tuple(prepare_profile(ngram_profile(source_tokens, order)) for order in _ORDERS)
 
 
 def _clamp01(value: float) -> float:
     return min(1.0, max(0.0, value))
 
 
-def fresa_report(source_tokens: Sequence, summary_tokens: Sequence) -> DivergenceReport:
-    """Evaluate a summary token stream against its source token stream.
+def _report(
+    profiles: Sequence[SourceProfile], summary_tokens: Sequence
+) -> DivergenceReport:
+    """Evaluate a summary token stream against prepared source profiles.
 
-    Computes the divergence for unigrams, bigrams, and skip-bigrams, then
-    normalizes each as f = 1 - d/d_empty where d_empty is the divergence of
-    the empty summary: an empty summary scores exactly 0 and a summary
-    reproducing the source distribution approaches 1. Values are clamped to
-    [0,1] and averaged into f_avg.
+    Each order's divergence d is normalized as f = 1 - d/d_empty, where
+    d_empty is the divergence of the empty summary: an empty summary scores
+    exactly 0 and a summary reproducing the source distribution approaches
+    1. Values are clamped to [0,1] and averaged into f_avg.
     """
-    orders: list[NgramOrder] = [Unigram(), Bigram(), SkipBigram(4)]
     raw: list[float] = []
     normalized: list[float] = []
-    for order in orders:
-        source = ngram_profile(source_tokens, order)
-        summary = ngram_profile(summary_tokens, order)
-        d = divergence(source, summary)
-        d_empty = divergence(source, _empty_profile(order))
+    for source in profiles:
+        d = source.divergence(ngram_profile(summary_tokens, source.order))
         raw.append(d)
-        normalized.append(_clamp01(1.0 - d / d_empty) if d_empty > 0.0 else 1.0)
+        normalized.append(_clamp01(1.0 - d / source.empty_divergence))
     f1, f2, f_su4 = normalized
     return DivergenceReport(
         d1=raw[0],
@@ -177,6 +238,15 @@ def fresa_report(source_tokens: Sequence, summary_tokens: Sequence) -> Divergenc
     )
 
 
+def fresa_report(source_tokens: Sequence, summary_tokens: Sequence) -> DivergenceReport:
+    """Evaluate a summary token stream against its source token stream.
+
+    Computes the divergence for unigrams, bigrams, and skip-bigrams and
+    normalizes each against the empty summary (see _report).
+    """
+    return _report(_source_profiles(source_tokens), summary_tokens)
+
+
 def evaluation_tokens(
     text: str,
     language: str,
@@ -186,26 +256,71 @@ def evaluation_tokens(
 
     Evaluation always stems, whatever normalization the summarizer used, so
     that systems are compared on a common footing; document-frequency
-    filtering is not applied here. Text with no sentences (for example an
-    empty summary file) yields an empty list.
+    filtering is not applied here. Text with no alphabetic sentence (for
+    example an empty summary file, or one holding only "2024.") yields an
+    empty list.
     """
     if stoplist is None:
         stoplist = StopList.bundled(language)
     try:
-        sentences = split_sentences(RawDocument(id="evaluation", text=text, language=language))
+        cleaned = clean_document(
+            RawDocument(id="evaluation", text=text, language=language), stoplist
+        )
     except EmptyDocument:
         return []
-    stemmer = stemmer_for(language)
-    cache: dict[str, str] = {}
-    segments = []
-    for sentence in sentences:
-        stems = []
-        for token in sentence.tokens:
-            cleaned = clean_token(token)
-            if not cleaned or cleaned in stoplist:
-                continue
-            if cleaned not in cache:
-                cache[cleaned] = stemmer(cleaned)
-            stems.append(cache[cleaned])
-        segments.append(stems)
-    return segments
+    return _stem_segments(cleaned, stem_types(cleaned))
+
+
+def stem_types(cleaned: CleanedDocument) -> dict[str, str]:
+    """Stem each distinct token of ``cleaned`` once, in first-occurrence order."""
+    stemmer = stemmer_for(cleaned.language)
+    return {token: stemmer(token) for token in cleaned.frequencies}
+
+
+def _stem_segments(cleaned: CleanedDocument, stems: Mapping[str, str]) -> list[list[str]]:
+    return [[stems[token] for token in sentence.tokens] for sentence in cleaned.sentences]
+
+
+@dataclass(frozen=True)
+class PreparedSource:
+    """A source document prepared once to evaluate any number of its extracts.
+
+    ``segments`` holds one stem stream per source sentence, as
+    evaluation_tokens gives for the source text, and ``profiles`` the three
+    prepared source profiles.
+    """
+
+    sentences: tuple[Sentence, ...]
+    segments: tuple[list[str], ...]
+    profiles: tuple[SourceProfile, ...]
+
+    def extract_segments(self, selected: Sequence[int]) -> list[list[str]]:
+        """The evaluation streams of the extract made of sentences ``selected``.
+
+        Joined with spaces, the selected surfaces split back into exactly
+        those sentences, so their streams are the source's own. The one
+        exception: an extract with no alphabetic character is no sentence at
+        all to evaluation_tokens, so its streams are empty.
+        """
+        sentences = self.sentences
+        if not any(char.isalpha() for i in selected for char in sentences[i].surface):
+            return []
+        return [self.segments[i] for i in selected]
+
+    def evaluate(self, selected: Sequence[int]) -> DivergenceReport:
+        """The report of the extract made of sentences ``selected`` (ascending)."""
+        return _report(self.profiles, self.extract_segments(selected))
+
+
+def prepare_source(cleaned: CleanedDocument, stems: Mapping[str, str]) -> PreparedSource:
+    """Build a document's stem streams and source profiles once.
+
+    ``stems`` maps every token of ``cleaned`` to its stem (stem_types).
+    Raises EmptySource when an n-gram order has no unit in the source.
+    """
+    segments = _stem_segments(cleaned, stems)
+    return PreparedSource(
+        sentences=cleaned.sentences,
+        segments=tuple(segments),
+        profiles=_source_profiles(segments),
+    )

@@ -260,6 +260,85 @@ def normalize_token(token: str, mode: NormalizationMode, language: str = "en") -
     raise TypeError(f"unknown normalization mode: {mode!r}")
 
 
+@dataclass(frozen=True)
+class CleanedDocument:
+    """A document after the one split-and-clean pass shared by every consumer.
+
+    Each sentence keeps its index and surface, and its tokens are the
+    cleaned, stop-word-free tokens in order. ``frequencies`` counts those
+    tokens over the whole document, keyed in first-occurrence order. The
+    summarizer filters hapaxes and normalizes from here; the evaluator stems
+    from here.
+    """
+
+    id: str
+    language: str
+    sentences: tuple[Sentence, ...]
+    frequencies: Mapping[str, int]
+
+
+def clean_document(raw: RawDocument, stoplist: StopList) -> CleanedDocument:
+    """Split ``raw`` once, clean each token once, and drop stop-words once.
+
+    Raises EmptyDocument like split_sentences. Stop-words are dropped
+    before counting; the hapax filter only ever looks up non-stop tokens,
+    so this gives it the counts document_frequencies would.
+    """
+    stopwords = stoplist.words
+    frequencies: Counter[str] = Counter()
+    sentences = []
+    for sentence in split_sentences(raw):
+        kept = []
+        for token in sentence.tokens:
+            cleaned = clean_token(token)
+            if cleaned and cleaned not in stopwords:
+                kept.append(cleaned)
+        frequencies.update(kept)
+        sentences.append(
+            Sentence(index=sentence.index, surface=sentence.surface, tokens=tuple(kept))
+        )
+    return CleanedDocument(
+        id=raw.id, language=raw.language, sentences=tuple(sentences), frequencies=frequencies
+    )
+
+
+def normalize_document(
+    cleaned: CleanedDocument,
+    mode: NormalizationMode,
+    stems: Mapping[str, str] | None = None,
+) -> Document:
+    """Drop document hapaxes, then normalize each surviving type once.
+
+    A token survives when it occurs at least twice in the document; an
+    all-filtered sentence keeps an empty token stream. In Stem mode,
+    ``stems`` (evaluation.stem_types of the same document), when given,
+    supplies the stems in place of calling the stemmer again.
+    """
+    language = cleaned.language
+    if stems is not None and isinstance(mode, Stem):
+        normalize = stems.__getitem__
+    else:
+
+        def normalize(token: str) -> str:
+            return normalize_token(token, mode, language)
+
+    frequencies = cleaned.frequencies
+    cache: dict[str, str] = {}
+    normalized = []
+    for sentence in cleaned.sentences:
+        tokens = []
+        for token in sentence.tokens:
+            if frequencies[token] < 2:
+                continue
+            if token not in cache:
+                cache[token] = normalize(token)
+            tokens.append(cache[token])
+        normalized.append(
+            Sentence(index=sentence.index, surface=sentence.surface, tokens=tuple(tokens))
+        )
+    return Document(id=cleaned.id, language=language, sentences=tuple(normalized))
+
+
 def preprocess_document(
     raw: RawDocument,
     stoplist: StopList | None = None,
@@ -268,23 +347,11 @@ def preprocess_document(
     """Run the full pipeline: split, filter, normalize.
 
     When ``stoplist`` is None the bundled stop-list for the document
-    language is used. Normalization is memoized per token type, so each
-    distinct surviving word is stemmed or looked up once per document.
+    language is used. The document is split and cleaned in one pass
+    (clean_document), and each distinct word that survives the hapax filter
+    is stemmed or looked up once (normalize_document). The result equals
+    filter_sentence over document_frequencies, then normalize_token.
     """
     if stoplist is None:
         stoplist = StopList.bundled(raw.language)
-    sentences = split_sentences(raw)
-    frequencies = document_frequencies(sentences)
-    cache: dict[str, str] = {}
-    normalized = []
-    for sentence in sentences:
-        filtered = filter_sentence(sentence, stoplist, frequencies)
-        tokens = []
-        for token in filtered.tokens:
-            if token not in cache:
-                cache[token] = normalize_token(token, mode, raw.language)
-            tokens.append(cache[token])
-        normalized.append(
-            Sentence(index=sentence.index, surface=sentence.surface, tokens=tuple(tokens))
-        )
-    return Document(id=raw.id, language=raw.language, sentences=tuple(normalized))
+    return normalize_document(clean_document(raw, stoplist), mode)

@@ -23,8 +23,8 @@ from statistics import median
 from typing import Sequence
 
 from .baselines import lead_baseline, random_baseline
-from .errors import ArtexError, CorpusEmpty, MissingDictionary
-from .evaluation import DivergenceReport, evaluation_tokens, fresa_report
+from .errors import ArtexError, CorpusEmpty, CorpusError, MissingDictionary
+from .evaluation import DivergenceReport, prepare_source, stem_types
 from .preprocess import (
     Lemmatize,
     NormalizationMode,
@@ -33,7 +33,9 @@ from .preprocess import (
     Stem,
     StopList,
     UltraStem,
+    clean_document,
     load_lemma_dictionary,
+    normalize_document,
     preprocess_document,
 )
 from .scorer import (
@@ -160,9 +162,10 @@ class TimingRecord:
     """Wall-clock phase timings for one processed unit (monotonic clock).
 
     The preprocessing phase covers splitting, filtering, normalization, and
-    matrix construction, plus per-repetition resource loading in benchmark
-    mode; the scoring phase covers pseudo-vector computation, scoring, and
-    selection. The total is measured around both phases.
+    matrix construction, plus stemming every word for the evaluator in batch
+    mode and per-repetition resource loading in benchmark mode; the scoring
+    phase covers pseudo-vector computation, scoring, and selection. The
+    total is measured around both phases.
     """
 
     system: str
@@ -211,15 +214,26 @@ class RunResult:
 
 
 def load_corpus(spec: CorpusSpec) -> list[RawDocument]:
-    """Read the corpus into documents; unreadable or empty files are skipped."""
+    """Read the corpus into documents; unreadable or empty files are skipped.
+
+    A flat file's document ID is its name without the extension. Two files
+    with the same ID (``b.txt`` and ``b.md``) raise CorpusError, since
+    their outputs and random-baseline seeds would collide.
+    """
     root = Path(spec.root)
     if not root.is_dir():
         raise CorpusEmpty(f"corpus root is not a directory: {root}")
     documents: list[RawDocument] = []
     if spec.layout == FLAT:
+        claimed: dict[str, Path] = {}
         for path in sorted(root.iterdir()):
             if not path.is_file() or path.name.startswith("."):
                 continue
+            if path.stem in claimed:
+                raise CorpusError(
+                    f"{claimed[path.stem]} and {path} both have document ID {path.stem!r}"
+                )
+            claimed[path.stem] = path
             text = _read_text(path)
             if text:
                 documents.append(RawDocument(id=path.stem, text=text, language=spec.language))
@@ -266,17 +280,24 @@ def _process_document(
     cfg: RunConfig,
     stoplist: StopList,
 ) -> list[RunResult]:
-    """Summarize one document with every configured system and evaluate."""
+    """Summarize one document with every configured system and evaluate.
+
+    The source is split and cleaned once, each distinct word is stemmed
+    once (the summarizer reuses the stems in Stem mode), and the source
+    profiles are prepared once for every system's evaluation.
+    """
     label = mode_label(cfg.normalization)
     clock = time.perf_counter
 
     t0 = clock()
-    doc = preprocess_document(raw, stoplist, cfg.normalization)
+    cleaned = clean_document(raw, stoplist)
+    stems = stem_types(cleaned)
+    doc = normalize_document(cleaned, cfg.normalization, stems)
     _, matrix = vectorize(doc.sentences)
     t1 = clock()
     preprocess_seconds = t1 - t0
 
-    source_segments = evaluation_tokens(raw.text, raw.language, stoplist)
+    source = prepare_source(cleaned, stems)
     results = []
     for system in SYSTEMS:
         if system not in cfg.systems:
@@ -292,9 +313,7 @@ def _process_document(
                 doc.sentences, cfg.budget, document_seed(cfg.seed, raw.id)
             )
         s1 = clock()
-        report = fresa_report(
-            source_segments, evaluation_tokens(summary.text, raw.language, stoplist)
-        )
+        report = source.evaluate(summary.selected)
         timing = None
         if cfg.timing:
             timing = TimingRecord(
@@ -420,12 +439,13 @@ def benchmark(
 ) -> list[TimingRecord]:
     """Time the full pipeline per normalization mode, repeated for stability.
 
-    Every repetition re-acquires the mode's resources (dictionary load,
-    stemmer lookup table) inside the timed preprocessing phase, so modes
-    backed by heavy resources are charged their real cost. Documents are
-    processed sequentially: benchmark mode forces a single worker so
-    measurements are uncontended. Corpus file reading happens once, outside
-    the timed region, because it is identical for every mode.
+    Each repetition runs every mode in the given order and re-acquires the
+    mode's resources (dictionary load, stemmer lookup table) inside the
+    timed preprocessing phase, so modes backed by heavy resources are
+    charged their real cost. Documents are processed sequentially: benchmark
+    mode forces a single worker so measurements are uncontended. Corpus file
+    reading happens once, outside the timed region, because it is identical
+    for every mode.
     """
     if repetitions < 3:
         raise ValueError(f"need at least 3 repetitions, got {repetitions}")
@@ -434,22 +454,24 @@ def benchmark(
     corpus_id = Path(corpus.root).name
     clock = time.perf_counter
     records: list[TimingRecord] = []
-    for spec in modes:
-        vocabulary_size: int | None = None
-        failed: set[str] = set()
-        for repetition in range(repetitions):
+    vocabulary_sizes: list[int | None] = [None] * len(modes)
+    failed: list[set[str]] = [set() for _ in modes]
+    # Every repetition runs every mode, so background load that comes and
+    # goes during the run hits all modes alike.
+    for repetition in range(repetitions):
+        for position, spec in enumerate(modes):
             t0 = clock()
             mode = spec.load()
             matrices = []
             sizes = []
             for raw in documents:
-                if raw.id in failed:
+                if raw.id in failed[position]:
                     continue
                 try:
                     doc = preprocess_document(raw, stoplist, mode)
                     vocabulary, matrix = vectorize(doc.sentences)
                 except ArtexError as exc:
-                    failed.add(raw.id)
+                    failed[position].add(raw.id)
                     logger.warning("benchmark skips document %s: %s", raw.id, exc)
                     continue
                 matrices.append((matrix, doc))
@@ -459,8 +481,8 @@ def benchmark(
                 scores = score(matrix, pseudo_vectors(matrix))
                 select(scores, doc.sentences, DEFAULT_BUDGET)
             t2 = clock()
-            if vocabulary_size is None:
-                vocabulary_size = sum(sizes)
+            if vocabulary_sizes[position] is None:
+                vocabulary_sizes[position] = sum(sizes)
             records.append(
                 TimingRecord(
                     system="artex",
@@ -470,7 +492,7 @@ def benchmark(
                     score_seconds=t2 - t1,
                     total_seconds=t2 - t0,
                     repetition=repetition,
-                    vocabulary_size=vocabulary_size,
+                    vocabulary_size=vocabulary_sizes[position],
                 )
             )
     if out_dir is not None:

@@ -136,6 +136,15 @@ def test_batch_all_documents_failing_is_empty_result(tmp_path):
     assert main(["batch", str(root), "--out", str(tmp_path / "out")]) == 3
 
 
+@pytest.mark.parametrize("command", ["batch", "bench"])
+def test_duplicate_document_ids_are_corpus_errors(corpus_dir, tmp_path, caplog, command):
+    (corpus_dir / "doc_1.md").write_text("A second doc one.", encoding="utf-8")
+    out = tmp_path / "out"
+    assert main([command, str(corpus_dir), "--out", str(out)]) == 2
+    assert "doc_1.md" in caplog.text and "doc_1.txt" in caplog.text
+    assert not (out / "report.jsonl").exists()
+
+
 # --- eval ------------------------------------------------------------------------
 
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from artex.baselines import lead_baseline, random_baseline
 from artex.errors import EmptySource
 from artex.evaluation import (
     Bigram,
@@ -17,10 +18,25 @@ from artex.evaluation import (
     evaluation_tokens,
     fresa_report,
     ngram_profile,
+    prepare_profile,
+    prepare_source,
+    stem_types,
 )
+from artex.preprocess import (
+    RawDocument,
+    Stem,
+    clean_document,
+    normalize_document,
+    preprocess_document,
+)
+from artex.scorer import SentenceCount, WordRatio, pseudo_vectors, score, select
 from artex.stemming import stem
+from artex.synthetic import generate_document
+from artex.vsm import vectorize
 
 token_lists = st.lists(st.sampled_from("abcd"), max_size=8)
+segment_lists = st.lists(st.lists(st.sampled_from("abcde"), max_size=7), max_size=6)
+source_segments = segment_lists.filter(lambda segments: any(len(s) >= 2 for s in segments))
 
 
 def _profile(counts: dict, order) -> NgramProfile:
@@ -277,3 +293,129 @@ def test_evaluation_tokens_default_stoplist(small_doc_text, stoplist_en):
 def test_evaluation_tokens_segment_per_sentence(small_doc_text, stoplist_en):
     segments = evaluation_tokens(small_doc_text, "en", stoplist_en)
     assert len(segments) == 6
+
+
+# --- independent oracle for the evaluator ----------------------------------------
+
+_UNIT_MAKERS = {"1": _unigrams, "2": _bigrams, "_su4": _skip_bigrams}
+
+
+@given(source_segments, segment_lists)
+def test_report_matches_counter_reference(source, summary):
+    report = fresa_report(source, summary)
+    for name, make_units in _UNIT_MAKERS.items():
+        d, f = _naive_metric(source, summary, make_units)
+        assert getattr(report, f"d{name}") == pytest.approx(d, rel=1e-12, abs=1e-15)
+        assert getattr(report, f"f{name}") == pytest.approx(f, rel=1e-12, abs=1e-15)
+
+
+@given(source_segments, segment_lists)
+def test_report_scores_stay_in_unit_interval(source, summary):
+    report = fresa_report(source, summary)
+    for value in (report.f1, report.f2, report.f_su4, report.f_avg):
+        assert 0.0 <= value <= 1.0
+
+
+@given(source_segments, segment_lists, st.randoms(use_true_random=False))
+def test_reordering_summary_sentences_keeps_f1(source, summary, rng):
+    shuffled = list(summary)
+    rng.shuffle(shuffled)
+    assert fresa_report(source, shuffled).f1 == fresa_report(source, summary).f1
+
+
+def _direct_divergence(source: NgramProfile, summary: NgramProfile) -> float:
+    # The divergence loop as written before source profiles were prepared.
+    result = 0.0
+    for unit, count in source.counts.items():
+        source_term = math.log1p(count / source.total)
+        summary_count = summary.counts.get(unit, 0)
+        summary_term = math.log1p(summary_count / summary.total) if summary.total else 0.0
+        result += abs(source_term - summary_term)
+    return result
+
+
+def _direct_report(source_tokens, summary_tokens) -> DivergenceReport:
+    raw, normalized = [], []
+    for order in (Unigram(), Bigram(), SkipBigram(4)):
+        source = ngram_profile(source_tokens, order)
+        summary = ngram_profile(summary_tokens, order)
+        d = _direct_divergence(source, summary)
+        d_empty = _direct_divergence(source, NgramProfile(order=order, counts={}, total=0))
+        raw.append(d)
+        normalized.append(min(1.0, max(0.0, 1.0 - d / d_empty)))
+    f1, f2, f_su4 = normalized
+    return DivergenceReport(raw[0], raw[1], raw[2], f1, f2, f_su4, (f1 + f2 + f_su4) / 3.0)
+
+
+@given(source_segments, segment_lists)
+def test_prepared_path_equals_direct_formula_bit_for_bit(source, summary):
+    assert fresa_report(source, summary) == _direct_report(source, summary)
+    for order in (Unigram(), Bigram(), SkipBigram(4)):
+        source_profile = ngram_profile(source, order)
+        summary_profile = ngram_profile(summary, order)
+        expected = _direct_divergence(source_profile, summary_profile)
+        assert divergence(source_profile, summary_profile) == expected
+        prepared = prepare_profile(source_profile)
+        assert prepared.divergence(summary_profile) == expected
+        empty = NgramProfile(order=order, counts={}, total=0)
+        assert prepared.empty_divergence == _direct_divergence(source_profile, empty)
+
+
+def test_prepare_profile_rejects_empty_source():
+    with pytest.raises(EmptySource):
+        prepare_profile(ngram_profile([["a"]], Bigram()))
+
+
+# --- prepared sources --------------------------------------------------------------
+
+
+def _prepared(text: str, stoplist):
+    cleaned = clean_document(RawDocument(id="d", text=text, language="en"), stoplist)
+    stems = stem_types(cleaned)
+    return cleaned, stems, prepare_source(cleaned, stems)
+
+
+def test_extract_segments_equal_evaluation_tokens_of_summaries(stoplist_en):
+    # Every (document, system) of a synthetic corpus, as the batch runs them.
+    for number in range(12):
+        text = generate_document(31, number, words=300)
+        cleaned, stems, source = _prepared(text, stoplist_en)
+        assert [list(s) for s in source.segments] == evaluation_tokens(text, "en", stoplist_en)
+        doc = normalize_document(cleaned, Stem(), stems)
+        _, matrix = vectorize(doc.sentences)
+        for budget in (WordRatio(0.2), SentenceCount(1), SentenceCount(4)):
+            summaries = [
+                select(score(matrix, pseudo_vectors(matrix)), doc.sentences, budget),
+                lead_baseline(doc.sentences, budget),
+                random_baseline(doc.sentences, budget, number),
+            ]
+            for summary in summaries:
+                expected = evaluation_tokens(summary.text, "en", stoplist_en)
+                assert source.extract_segments(summary.selected) == expected
+                assert source.evaluate(summary.selected) == fresa_report(
+                    evaluation_tokens(text, "en", stoplist_en), expected
+                )
+
+
+def test_extract_without_letters_has_no_segments(stoplist_en):
+    # "2024." is a sentence of the source, but alone it is no sentence at all.
+    text = "2024. Solar panels store power. Solar panels feed power grids."
+    _, _, source = _prepared(text, stoplist_en)
+    assert source.segments[0] == ["2024"]
+    lead = lead_baseline(source.sentences, SentenceCount(1))
+    assert lead.text == "2024."
+    assert evaluation_tokens(lead.text, "en", stoplist_en) == []
+    assert source.extract_segments(lead.selected) == []
+    assert source.extract_segments((0, 1)) == evaluation_tokens(
+        "2024. Solar panels store power.", "en", stoplist_en
+    )
+    assert source.evaluate(()).f_avg == 0.0
+
+
+def test_stem_mode_reads_the_shared_stems(small_doc_text, stoplist_en):
+    raw = RawDocument(id="d", text=small_doc_text, language="en")
+    cleaned = clean_document(raw, stoplist_en)
+    stems = {token: token.upper() for token in cleaned.frequencies}
+    doc = normalize_document(cleaned, Stem(), stems)
+    assert "PANELS" in doc.sentences[0].tokens
+    assert normalize_document(cleaned, Stem()) == preprocess_document(raw, stoplist_en, Stem())

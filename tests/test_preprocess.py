@@ -282,3 +282,34 @@ def test_preprocess_normalization_memoized(small_doc_text, stoplist_en):
     raw = RawDocument(id="d", text=small_doc_text, language="en")
     preprocess_document(raw, stoplist_en, Lemmatize(CountingDict()))
     assert len(lookups) == len(set(lookups))  # one lookup per distinct type
+
+
+@settings(max_examples=60)
+@given(
+    st.lists(
+        st.sampled_from(["The", "cat", "cat.", "Cats", "sat", "-", "Dog!", "dog", "3.5", "of"]),
+        min_size=1,
+        max_size=30,
+    ),
+    st.lists(st.sampled_from([".", "!", "?", " "]), min_size=30, max_size=30),
+    st.sampled_from([Raw(), Stem(), UltraStem(2), Lemmatize({"cat": "feline", "dog": "hound"})]),
+)
+def test_single_pass_equals_two_pass_reference(words, separators, mode):
+    # preprocess_document cleans each token once; the reference pipeline
+    # counts frequencies and filters in two passes over the split sentences.
+    text = " ".join(word + sep for word, sep in zip(words, separators))
+    raw = _raw(text)
+    stoplist = StopList(language="en", words=frozenset({"the", "of"}))
+    try:
+        sentences = split_sentences(raw)
+    except EmptyDocument:
+        with pytest.raises(EmptyDocument):
+            preprocess_document(raw, stoplist, mode)
+        return
+    frequencies = document_frequencies(sentences)
+    expected = []
+    for sentence in sentences:
+        filtered = filter_sentence(sentence, stoplist, frequencies)
+        tokens = tuple(normalize_token(token, mode, "en") for token in filtered.tokens)
+        expected.append(Sentence(index=sentence.index, surface=sentence.surface, tokens=tokens))
+    assert preprocess_document(raw, stoplist, mode).sentences == tuple(expected)

@@ -4,8 +4,19 @@ import json
 
 import pytest
 
-from artex.errors import CorpusEmpty, MissingDictionary
-from artex.preprocess import Lemmatize, Raw, Stem, UltraStem
+import artex.evaluation
+import artex.preprocess
+import artex.stemming
+from artex.errors import CorpusEmpty, CorpusError, MissingDictionary
+from artex.preprocess import (
+    Lemmatize,
+    Raw,
+    Stem,
+    StopList,
+    UltraStem,
+    clean_token,
+    split_sentences,
+)
 from artex.runner import (
     CorpusSpec,
     ModeSpec,
@@ -98,6 +109,13 @@ def test_load_corpus_skips_unusable_files(flat_corpus, caplog):
     (flat_corpus / ".hidden.txt").write_text("Hidden.", encoding="utf-8")
     documents = load_corpus(CorpusSpec(root=flat_corpus))
     assert [d.id for d in documents] == ["doc_0", "doc_1", "doc_2"]
+
+
+def test_load_corpus_rejects_duplicate_ids(flat_corpus):
+    (flat_corpus / "doc_1.md").write_text("Another doc one.", encoding="utf-8")
+    with pytest.raises(CorpusError, match=r"doc_1\.md") as caught:
+        load_corpus(CorpusSpec(root=flat_corpus))
+    assert "doc_1.txt" in str(caught.value)
 
 
 def test_load_corpus_clusters_concatenate_in_filename_order(tmp_path):
@@ -221,6 +239,63 @@ def test_run_corpus_parallel_matches_sequential(flat_corpus):
     ]
 
 
+@pytest.mark.parametrize("systems", [("artex",), ("artex", "lead", "random")])
+def test_run_corpus_prepares_each_document_once(flat_corpus, monkeypatch, systems):
+    stoplist = StopList.bundled("en")
+    documents = load_corpus(CorpusSpec(root=flat_corpus))
+    tokens = [t for raw in documents for s in split_sentences(raw) for t in s.tokens]
+    types = [
+        {
+            cleaned
+            for sentence in split_sentences(raw)
+            for token in sentence.tokens
+            if (cleaned := clean_token(token)) and cleaned not in stoplist
+        }
+        for raw in documents
+    ]
+    calls = {"split": 0, "clean": 0, "profiles": 0, "summarizer stems": 0}
+    stemmed: list[str] = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    def recording_stemmer_for(language):
+        stemmer = artex.stemming.stemmer_for(language)
+
+        def recording(token):
+            stemmed.append(token)
+            return stemmer(token)
+
+        return recording
+
+    monkeypatch.setattr(artex.preprocess, "split_sentences", counted("split", split_sentences))
+    monkeypatch.setattr(artex.preprocess, "clean_token", counted("clean", clean_token))
+    monkeypatch.setattr(
+        artex.preprocess, "stemmer_for", counted("summarizer stems", artex.stemming.stemmer_for)
+    )
+    monkeypatch.setattr(artex.evaluation, "stemmer_for", recording_stemmer_for)
+    monkeypatch.setattr(
+        artex.evaluation, "prepare_profile", counted("profiles", artex.evaluation.prepare_profile)
+    )
+    results = run_corpus(CorpusSpec(root=flat_corpus), RunConfig(systems=systems))
+    assert len(results) == len(documents) * len(systems)
+    assert calls == {
+        "split": len(documents),
+        "clean": len(tokens),
+        "profiles": 3 * len(documents),
+        "summarizer stems": 0,
+    }
+    assert len(stemmed) == sum(len(distinct) for distinct in types)
+    position = 0
+    for distinct in types:
+        assert sorted(stemmed[position : position + len(distinct)]) == sorted(distinct)
+        position += len(distinct)
+
+
 def test_write_reports_csv(flat_corpus, tmp_path):
     results = run_corpus(CorpusSpec(root=flat_corpus), RunConfig())
     path = tmp_path / "report.csv"
@@ -246,6 +321,14 @@ def test_benchmark_cardinality_and_summary(flat_corpus, tmp_path):
     assert medians == sorted(medians)
     by_label = {row["normalization"]: row["vocabulary_size"] for row in summary}
     assert by_label["fix1"] <= by_label["fix2"] <= by_label["raw"]
+
+
+def test_benchmark_runs_every_mode_in_each_repetition(flat_corpus):
+    modes = [ModeSpec("fix", 1), ModeSpec("raw")]
+    records = benchmark(CorpusSpec(root=flat_corpus), modes, repetitions=3)
+    assert [(r.repetition, r.normalization) for r in records] == [
+        (repetition, label) for repetition in range(3) for label in ("fix1", "raw")
+    ]
 
 
 def test_benchmark_requires_three_repetitions(flat_corpus):
