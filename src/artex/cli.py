@@ -155,9 +155,12 @@ def cmd_batch(args) -> int:
 def cmd_eval(args) -> int:
     source_text = Path(args.source).read_text(encoding="utf-8")
     summary_text = Path(args.summary).read_text(encoding="utf-8")
+    # Nearly every word of a summary is a source word: stem each once.
+    stoplist = StopList.bundled(args.lang)
+    stems: dict[str, str] = {}
     report = fresa_report(
-        evaluation_tokens(source_text, args.lang),
-        evaluation_tokens(summary_text, args.lang),
+        evaluation_tokens(source_text, args.lang, stoplist, stems),
+        evaluation_tokens(summary_text, args.lang, stoplist, stems),
     )
     print(json.dumps(report.as_dict()))
     return 0
@@ -190,12 +193,13 @@ def main(argv=None) -> int:
     )
     try:
         return args.func(args)
+    except (CorpusError, OSError, UnicodeDecodeError) as exc:
+        # Before ValueError: UnicodeDecodeError is one.
+        logger.error("%s", exc)
+        return 2
     except (MissingDictionary, ValueError) as exc:
         logger.error("%s", exc)
         return 1
-    except (CorpusError, OSError, UnicodeDecodeError) as exc:
-        logger.error("%s", exc)
-        return 2
     except (EmptyDocument, EmptyVocabulary, EmptySource) as exc:
         logger.error("%s", exc)
         return 3

@@ -251,6 +251,7 @@ def evaluation_tokens(
     text: str,
     language: str,
     stoplist: StopList | None = None,
+    stems: dict[str, str] | None = None,
 ) -> list[list[str]]:
     """Reduce text to per-sentence streams of stop-word-free stems.
 
@@ -259,6 +260,10 @@ def evaluation_tokens(
     filtering is not applied here. Text with no alphabetic sentence (for
     example an empty summary file, or one holding only "2024.") yields an
     empty list.
+
+    ``stems``, when given, is a stem table shared by texts evaluated
+    together, such as a source and its summary: only the words not yet in
+    it are stemmed, and they are added to it.
     """
     if stoplist is None:
         stoplist = StopList.bundled(language)
@@ -268,13 +273,23 @@ def evaluation_tokens(
         )
     except EmptyDocument:
         return []
-    return _stem_segments(cleaned, stem_types(cleaned))
+    return _stem_segments(cleaned, stem_types(cleaned, stems))
 
 
-def stem_types(cleaned: CleanedDocument) -> dict[str, str]:
-    """Stem each distinct token of ``cleaned`` once, in first-occurrence order."""
+def stem_types(
+    cleaned: CleanedDocument, stems: dict[str, str] | None = None
+) -> dict[str, str]:
+    """Stem each distinct token of ``cleaned`` once, in first-occurrence order.
+
+    The stems go into ``stems`` when it is given (a token already there is
+    not stemmed again), else into a new table; the table is returned.
+    """
     stemmer = stemmer_for(cleaned.language)
-    return {token: stemmer(token) for token in cleaned.frequencies}
+    stems = {} if stems is None else stems
+    for token in cleaned.frequencies:
+        if token not in stems:
+            stems[token] = stemmer(token)
+    return stems
 
 
 def _stem_segments(cleaned: CleanedDocument, stems: Mapping[str, str]) -> list[list[str]]:

@@ -9,6 +9,7 @@ statistical sentence-boundary model.
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 from dataclasses import dataclass, field
 from importlib import resources
@@ -18,7 +19,7 @@ from typing import Mapping
 from .errors import EmptyDocument, MissingDictionary
 from .stemming import SUPPORTED_LANGUAGES, stemmer_for
 
-_TERMINATORS = ".!?"
+_TERMINATOR = re.compile("[.!?]")
 
 
 @dataclass(frozen=True)
@@ -163,11 +164,11 @@ def split_sentences(doc: RawDocument) -> list[Sentence]:
     text = doc.text
     pieces: list[str] = []
     start = 0
-    for pos, char in enumerate(text):
-        if char not in _TERMINATORS:
-            continue
+    for match in _TERMINATOR.finditer(text):
+        pos = match.start()
+        # str.isdigit, not the regex \d: it also accepts digits such as '²'.
         if (
-            char == "."
+            text[pos] == "."
             and 0 < pos < len(text) - 1
             and text[pos - 1].isdigit()
             and text[pos + 1].isdigit()

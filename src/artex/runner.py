@@ -165,7 +165,7 @@ class TimingRecord:
     matrix construction, plus stemming every word for the evaluator in batch
     mode and per-repetition resource loading in benchmark mode; the scoring
     phase covers pseudo-vector computation, scoring, and selection. The
-    total is measured around both phases.
+    total is the sum of both phases.
     """
 
     system: str
@@ -439,58 +439,42 @@ def benchmark(
 ) -> list[TimingRecord]:
     """Time the full pipeline per normalization mode, repeated for stability.
 
-    Each repetition runs every mode in the given order and re-acquires the
-    mode's resources (dictionary load, stemmer lookup table) inside the
-    timed preprocessing phase, so modes backed by heavy resources are
-    charged their real cost. Documents are processed sequentially: benchmark
-    mode forces a single worker so measurements are uncontended. Corpus file
-    reading happens once, outside the timed region, because it is identical
-    for every mode.
+    Each repetition first re-acquires every mode's resources (dictionary
+    load, stemmer lookup table) inside that mode's timed preprocessing
+    phase, so modes backed by heavy resources are charged their real cost.
+    Then each document goes through every mode in turn, and each mode's
+    phases are summed over the documents: a machine that speeds up or slows
+    down during the run weighs on all modes alike. The resources are freed
+    after the repetition, outside every timed region. Documents are
+    processed sequentially: benchmark mode forces a single worker so
+    measurements are uncontended. Corpus file reading happens once, outside
+    the timed regions, because it is identical for every mode.
     """
     if repetitions < 3:
         raise ValueError(f"need at least 3 repetitions, got {repetitions}")
     documents = load_corpus(corpus)
     stoplist = StopList.bundled(corpus.language)
     corpus_id = Path(corpus.root).name
-    clock = time.perf_counter
     records: list[TimingRecord] = []
     vocabulary_sizes: list[int | None] = [None] * len(modes)
     failed: list[set[str]] = [set() for _ in modes]
-    # Every repetition runs every mode, so background load that comes and
-    # goes during the run hits all modes alike.
     for repetition in range(repetitions):
+        # The modes' resources are freed when this call returns, outside
+        # the timed regions and before the next repetition loads them again.
+        preprocess_seconds, score_seconds, sizes = _timed_repetition(
+            documents, stoplist, modes, failed
+        )
         for position, spec in enumerate(modes):
-            t0 = clock()
-            mode = spec.load()
-            matrices = []
-            sizes = []
-            for raw in documents:
-                if raw.id in failed[position]:
-                    continue
-                try:
-                    doc = preprocess_document(raw, stoplist, mode)
-                    vocabulary, matrix = vectorize(doc.sentences)
-                except ArtexError as exc:
-                    failed[position].add(raw.id)
-                    logger.warning("benchmark skips document %s: %s", raw.id, exc)
-                    continue
-                matrices.append((matrix, doc))
-                sizes.append(len(vocabulary))
-            t1 = clock()
-            for matrix, doc in matrices:
-                scores = score(matrix, pseudo_vectors(matrix))
-                select(scores, doc.sentences, DEFAULT_BUDGET)
-            t2 = clock()
             if vocabulary_sizes[position] is None:
-                vocabulary_sizes[position] = sum(sizes)
+                vocabulary_sizes[position] = sizes[position]
             records.append(
                 TimingRecord(
                     system="artex",
                     normalization=spec.label,
                     corpus_id=corpus_id,
-                    preprocess_seconds=t1 - t0,
-                    score_seconds=t2 - t1,
-                    total_seconds=t2 - t0,
+                    preprocess_seconds=preprocess_seconds[position],
+                    score_seconds=score_seconds[position],
+                    total_seconds=preprocess_seconds[position] + score_seconds[position],
                     repetition=repetition,
                     vocabulary_size=vocabulary_sizes[position],
                 )
@@ -500,6 +484,51 @@ def benchmark(
         out_dir.mkdir(parents=True, exist_ok=True)
         write_timings(records, out_dir / "timings.csv")
     return records
+
+
+def _timed_repetition(
+    documents: Sequence[RawDocument],
+    stoplist: StopList,
+    modes: Sequence[ModeSpec],
+    failed: list[set[str]],
+) -> tuple[list[float], list[float], list[int]]:
+    """Run every mode over every document once, document by document.
+
+    Returns, per mode, the preprocessing seconds, the scoring seconds and
+    the vocabulary size summed over the documents it did not skip. A
+    document that fails in a mode is added to that mode's ``failed`` set
+    and skipped by it from then on.
+    """
+    clock = time.perf_counter
+    loaded = []
+    preprocess_seconds = []
+    for spec in modes:
+        t0 = clock()
+        loaded.append(spec.load())
+        preprocess_seconds.append(clock() - t0)
+    score_seconds = [0.0] * len(modes)
+    sizes = [0] * len(modes)
+    for raw in documents:
+        for position, mode in enumerate(loaded):
+            if raw.id in failed[position]:
+                continue
+            t0 = clock()
+            try:
+                doc = preprocess_document(raw, stoplist, mode)
+                vocabulary, matrix = vectorize(doc.sentences)
+            except ArtexError as exc:
+                preprocess_seconds[position] += clock() - t0
+                failed[position].add(raw.id)
+                logger.warning("benchmark skips document %s: %s", raw.id, exc)
+                continue
+            t1 = clock()
+            scores = score(matrix, pseudo_vectors(matrix))
+            select(scores, doc.sentences, DEFAULT_BUDGET)
+            t2 = clock()
+            preprocess_seconds[position] += t1 - t0
+            score_seconds[position] += t2 - t1
+            sizes[position] += len(vocabulary)
+    return preprocess_seconds, score_seconds, sizes
 
 
 def benchmark_summary(records: Sequence[TimingRecord]) -> list[dict]:

@@ -1,10 +1,17 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import artex.evaluation
+import artex.stemming
 from artex.cli import main, parse_budget
+from artex.errors import EmptySource
+from artex.evaluation import evaluation_tokens, fresa_report
+from artex.preprocess import RawDocument, StopList, clean_document
 from artex.scorer import SentenceCount, WordRatio
 from artex.synthetic import generate_document
 
@@ -55,6 +62,22 @@ def test_summarize_scores_table_goes_to_stderr(doc_file, capsys):
 
 def test_summarize_missing_file_is_io_error(tmp_path):
     assert main(["summarize", str(tmp_path / "absent.txt")]) == 2
+
+
+@pytest.fixture()
+def undecodable_file(tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"\xff\xfe")
+    return path
+
+
+def test_summarize_undecodable_file_is_io_error(undecodable_file, caplog):
+    assert main(["summarize", str(undecodable_file)]) == 2
+    assert "can't decode" in caplog.text
+
+
+def test_summarize_undecodable_stoplist_is_io_error(doc_file, undecodable_file):
+    assert main(["summarize", str(doc_file), "--stoplist", str(undecodable_file)]) == 2
 
 
 def test_summarize_bad_normalization_is_usage_error(doc_file):
@@ -170,6 +193,75 @@ def test_eval_empty_source_is_empty_result(tmp_path, doc_file):
     assert main(["eval", str(empty), str(doc_file)]) == 3
 
 
+def test_eval_undecodable_file_is_io_error(undecodable_file, doc_file):
+    assert main(["eval", str(undecodable_file), str(undecodable_file)]) == 2
+    assert main(["eval", str(doc_file), str(undecodable_file)]) == 2
+
+
+@pytest.mark.parametrize(
+    "make_summary",
+    [
+        lambda source: ". ".join(source.split(". ")[:3]) + ".",
+        lambda source: "2024.",
+        lambda source: "",
+        lambda source: "Completely unrelated words appear here. Nothing else!",
+    ],
+    ids=["extract", "numeric-only", "empty", "unrelated"],
+)
+def test_eval_equals_report_of_evaluation_tokens(doc_file, tmp_path, capsys, make_summary):
+    text = doc_file.read_text(encoding="utf-8")
+    summary_text = make_summary(text)
+    summary = tmp_path / "summary.txt"
+    summary.write_text(summary_text, encoding="utf-8")
+    expected = fresa_report(evaluation_tokens(text, "en"), evaluation_tokens(summary_text, "en"))
+    assert main(["eval", str(doc_file), str(summary)]) == 0
+    assert json.loads(capsys.readouterr().out) == expected.as_dict()
+
+
+def test_eval_empty_source_matches_reference_error(tmp_path, doc_file):
+    source = tmp_path / "source.txt"
+    source.write_text("2024. 2025!", encoding="utf-8")
+    with pytest.raises(EmptySource):
+        fresa_report(evaluation_tokens("2024. 2025!", "en"), [["anything"]])
+    assert main(["eval", str(source), str(doc_file)]) == 3
+
+
+def test_eval_loads_one_stoplist_and_stems_each_word_once(doc_file, tmp_path, monkeypatch):
+    source_text = doc_file.read_text(encoding="utf-8")
+    summary_text = ". ".join(source_text.split(". ")[:4]) + ". Brandnew wording appears."
+    summary = tmp_path / "summary.txt"
+    summary.write_text(summary_text, encoding="utf-8")
+    stoplist = StopList.bundled("en")
+    distinct = {
+        token
+        for text in (source_text, summary_text)
+        for token in clean_document(RawDocument("t", text, "en"), stoplist).frequencies
+    }
+    loads: list[str] = []
+    stemmed: list[str] = []
+    bundled = StopList.bundled
+
+    def counted_bundled(language):
+        loads.append(language)
+        return bundled(language)
+
+    def recording_stemmer_for(language):
+        stemmer = artex.stemming.stemmer_for(language)
+
+        def recording(token):
+            stemmed.append(token)
+            return stemmer(token)
+
+        return recording
+
+    monkeypatch.setattr(StopList, "bundled", staticmethod(counted_bundled))
+    monkeypatch.setattr(artex.evaluation, "stemmer_for", recording_stemmer_for)
+    assert main(["eval", str(doc_file), str(summary)]) == 0
+    assert loads == ["en"]
+    assert len(stemmed) == len(distinct)
+    assert set(stemmed) == distinct
+
+
 # --- bench -------------------------------------------------------------------------
 
 
@@ -205,8 +297,10 @@ def test_unknown_flag_is_usage_error(doc_file):
 
 
 def test_module_entry_point_help():
+    # Run the same artex that the tests import, however they found it.
+    env = dict(os.environ, PYTHONPATH=str(Path(artex.__file__).parents[1]))
     result = subprocess.run(
-        [sys.executable, "-m", "artex", "--help"], capture_output=True, text=True
+        [sys.executable, "-m", "artex", "--help"], capture_output=True, text=True, env=env
     )
     assert result.returncode == 0
     assert "summarize" in result.stdout

@@ -1,7 +1,7 @@
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from artex.errors import EmptyDocument, MissingDictionary
@@ -85,6 +85,43 @@ def test_split_count_bounded_by_terminator_runs(text):
     for sentence in sentences:
         assert sentence.surface == sentence.surface.strip()
         assert any(c.isalnum() for c in sentence.surface)
+
+
+def _reference_pieces(text):
+    """split_sentences' pieces, found by walking every character."""
+    pieces = []
+    start = 0
+    for pos, char in enumerate(text):
+        if char not in ".!?":
+            continue
+        if (
+            char == "."
+            and 0 < pos < len(text) - 1
+            and text[pos - 1].isdigit()
+            and text[pos + 1].isdigit()
+        ):
+            continue
+        pieces.append(text[start : pos + 1])
+        start = pos + 1
+    if start < len(text):
+        pieces.append(text[start:])
+    return [p.strip() for p in pieces if any(c.isalnum() for c in p)]
+
+
+@given(st.text(alphabet="ab Z.!?.. 19²٣\n", max_size=80))
+@example("Area 5.² here. Ratio ٣.٣ ok. Pi 3.14!")
+@settings(max_examples=500)
+def test_split_equals_character_walk(text):
+    # '²' is a digit to str.isdigit but not to the regex \d; '٣' is to both.
+    expected = _reference_pieces(text)
+    if not any(c.isalpha() for piece in expected for c in piece):
+        with pytest.raises(EmptyDocument):
+            split_sentences(_raw(text))
+        return
+    sentences = split_sentences(_raw(text))
+    assert [s.surface for s in sentences] == expected
+    assert [s.index for s in sentences] == list(range(len(expected)))
+    assert [s.tokens for s in sentences] == [tuple(p.split()) for p in expected]
 
 
 def test_raw_document_rejects_unknown_language():

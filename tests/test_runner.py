@@ -1,11 +1,13 @@
 import csv
 import hashlib
 import json
+from types import SimpleNamespace
 
 import pytest
 
 import artex.evaluation
 import artex.preprocess
+import artex.runner
 import artex.stemming
 from artex.errors import CorpusEmpty, CorpusError, MissingDictionary
 from artex.preprocess import (
@@ -15,6 +17,7 @@ from artex.preprocess import (
     StopList,
     UltraStem,
     clean_token,
+    preprocess_document,
     split_sentences,
 )
 from artex.runner import (
@@ -329,6 +332,53 @@ def test_benchmark_runs_every_mode_in_each_repetition(flat_corpus):
     assert [(r.repetition, r.normalization) for r in records] == [
         (repetition, label) for repetition in range(3) for label in ("fix1", "raw")
     ]
+
+
+def test_benchmark_frees_mode_resources_outside_timed_regions(flat_corpus, monkeypatch):
+    # Each clock reading advances the fake clock by 1 s, and freeing a
+    # dictionary by 1000 s: a free inside a timed region shows in a record.
+    now = [0.0]
+    live = []
+    most_live = []
+
+    class TrackedDictionary(dict):
+        def __del__(self):
+            live.remove(id(self))
+            now[0] += 1000.0
+
+    def load(path):
+        dictionary = TrackedDictionary(cats="cat")
+        live.append(id(dictionary))
+        most_live.append(len(live))
+        return dictionary
+
+    def clock():
+        now[0] += 1.0
+        return now[0]
+
+    monkeypatch.setattr(artex.runner, "load_lemma_dictionary", load)
+    monkeypatch.setattr(artex.runner, "time", SimpleNamespace(perf_counter=clock))
+    modes = [ModeSpec("raw"), ModeSpec("lemma", dictionary_path="lemmas.tsv"), ModeSpec("raw")]
+    records = benchmark(CorpusSpec(root=flat_corpus), modes, repetitions=3)
+    assert live == []
+    assert most_live == [1, 1, 1]
+    assert max(record.total_seconds for record in records) < 1000.0
+
+
+def test_benchmark_interleaves_modes_per_document(flat_corpus, monkeypatch):
+    seen = []
+
+    def recording_preprocess(raw, stoplist, mode):
+        seen.append((raw.id, mode))
+        return preprocess_document(raw, stoplist, mode)
+
+    monkeypatch.setattr(artex.runner, "preprocess_document", recording_preprocess)
+    benchmark(CorpusSpec(root=flat_corpus), [ModeSpec("fix", 1), ModeSpec("raw")], repetitions=3)
+    order = [(raw_id, type(mode).__name__) for raw_id, mode in seen]
+    per_repetition = [
+        (f"doc_{number}", name) for number in range(3) for name in ("UltraStem", "Raw")
+    ]
+    assert order == per_repetition * 3
 
 
 def test_benchmark_requires_three_repetitions(flat_corpus):

@@ -5,11 +5,14 @@ implementation of the same algorithms and pasted in as literals, so these
 tests do not depend on any external stemming package at run time.
 """
 
+import hashlib
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from artex.stemming import SUPPORTED_LANGUAGES, stem, stemmer_for
+from artex.stemming import SUPPORTED_LANGUAGES, english, stem, stemmer_for
 
 EN_VECTORS = {
     "abilities": "abil",
@@ -236,3 +239,54 @@ def test_total_and_deterministic(word):
 def test_ascii_never_lengthens(word):
     for language in SUPPORTED_LANGUAGES:
         assert len(stem(word, language)) <= len(word)
+
+
+def _suffix_combination_words(count: int, seed: int) -> list[str]:
+    """Seeded words built to reach every branch of the English stemmer.
+
+    Each word is a special word or a short random stem (sometimes behind
+    'gener', 'commun', 'arsen', 'y' or an apostrophe), followed by up to
+    three suffixes drawn from the step tables, with an apostrophe or a 'y'
+    sometimes inserted anywhere.
+    """
+    rng = random.Random(seed)
+    tables = (
+        english.STEP0_SUFFIXES,
+        english.STEP1A_SUFFIXES,
+        english.STEP1B_SUFFIXES,
+        english.STEP2_SUFFIXES,
+        english.STEP3_SUFFIXES,
+        english.STEP4_SUFFIXES,
+        ("y", "e", "l", "ll", "ly", "li", "at", "bl", "iz", "ee"),
+    )
+    letters = "aeiouyaeiouybcdfghjklmnpqrstvwxzbcdglmnrst"
+    heads = ("", "", "", "", "gener", "commun", "arsen", "y", "'", "’", "‘")
+    specials = sorted(english.SPECIAL_WORDS)
+    words = []
+    for _ in range(count):
+        if rng.random() < 0.05:
+            word = rng.choice(specials)
+        else:
+            word = rng.choice(heads) + "".join(
+                rng.choice(letters) for _ in range(rng.randint(0, 6))
+            )
+        for _ in range(rng.randint(0, 3)):
+            word += rng.choice(rng.choice(tables))
+        if rng.random() < 0.1:
+            cut = rng.randint(0, len(word))
+            word = word[:cut] + rng.choice("'’‘‛y") + word[cut:]
+        words.append(word)
+    return words
+
+
+# sha256 of the newline-joined stems of those words: a change to any one of
+# the 200,000 stems changes it.
+EN_SUFFIX_COMBINATION_DIGEST = (
+    "66501edddc495c76905e25e09a3177cd609db1d1ab1ec34057e9b855d731597d"
+)
+
+
+def test_english_stems_of_suffix_combinations_are_pinned():
+    words = _suffix_combination_words(200_000, seed=2012)
+    stems = "\n".join(english.stem(word) for word in words)
+    assert hashlib.sha256(stems.encode("utf-8")).hexdigest() == EN_SUFFIX_COMBINATION_DIGEST
