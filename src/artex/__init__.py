@@ -42,20 +42,17 @@ from .preprocess import (
     document_frequencies,
     filter_sentence,
     load_lemma_dictionary,
-    normalize_token,
     preprocess_document,
     split_sentences,
 )
 from .runner import (
     CorpusSpec,
-    ModeSpec,
     RunConfig,
     RunResult,
     TimingRecord,
     benchmark,
     benchmark_summary,
     load_corpus,
-    mode_label,
     parse_mode,
     run_corpus,
 )
@@ -74,7 +71,7 @@ from .scorer import (
     select,
 )
 from .stemming import stem, stemmer_for
-from .vsm import SentenceTermMatrix, Vocabulary, binarize, vectorize
+from .vsm import SentenceTermMatrix, Vocabulary, vectorize
 
 __version__ = "0.1.0"
 
@@ -93,7 +90,6 @@ __all__ = [
     "EmptyVocabulary",
     "Lemmatize",
     "MissingDictionary",
-    "ModeSpec",
     "NgramProfile",
     "NormalizationMode",
     "PseudoVectors",
@@ -116,7 +112,6 @@ __all__ = [
     "WordRatio",
     "benchmark",
     "benchmark_summary",
-    "binarize",
     "clean_token",
     "divergence",
     "document_frequencies",
@@ -126,9 +121,7 @@ __all__ = [
     "lead_baseline",
     "load_corpus",
     "load_lemma_dictionary",
-    "mode_label",
     "ngram_profile",
-    "normalize_token",
     "parse_mode",
     "preprocess_document",
     "pseudo_vectors",

@@ -32,7 +32,7 @@ from .runner import (
     parse_mode,
     run_corpus,
 )
-from .scorer import SentenceCount, WordRatio, pseudo_vectors, score, score_table, select
+from .scorer import SentenceCount, WordRatio, score, score_table, select
 from .vsm import vectorize
 
 logger = logging.getLogger(__name__)
@@ -111,17 +111,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_summarize(args) -> int:
     path = Path(args.file)
-    text = path.read_text(encoding="utf-8")
-    mode = parse_mode(args.norm, args.lemma_dict).load()
+    text = path.read_text(encoding="utf-8-sig")
+    normalize = parse_mode(args.norm, args.lemma_dict).normalizer(args.lang)
     if args.stoplist is not None:
         stoplist = StopList.from_file(args.stoplist, args.lang)
     else:
         stoplist = StopList.bundled(args.lang)
     budget = parse_budget(args.budget)
     raw = RawDocument(id=path.stem, text=text, language=args.lang)
-    doc = preprocess_document(raw, stoplist, mode)
+    doc = preprocess_document(raw, stoplist, normalize)
     _, matrix = vectorize(doc.sentences)
-    scores = score(matrix, pseudo_vectors(matrix))
+    scores = score(matrix)
     summary = select(scores, doc.sentences, budget)
     print(summary.text)
     if args.scores:
@@ -135,7 +135,7 @@ def cmd_batch(args) -> int:
     )
     systems = tuple(name.strip() for name in args.systems.split(",") if name.strip())
     cfg = RunConfig(
-        normalization=parse_mode(args.norm, args.lemma_dict).load(),
+        normalization=parse_mode(args.norm, args.lemma_dict),
         budget=parse_budget(args.budget),
         systems=systems,
         seed=args.seed,
@@ -153,8 +153,8 @@ def cmd_batch(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    source_text = Path(args.source).read_text(encoding="utf-8")
-    summary_text = Path(args.summary).read_text(encoding="utf-8")
+    source_text = Path(args.source).read_text(encoding="utf-8-sig")
+    summary_text = Path(args.summary).read_text(encoding="utf-8-sig")
     # Nearly every word of a summary is a source word: stem each once.
     stoplist = StopList.bundled(args.lang)
     stems: dict[str, str] = {}

@@ -12,9 +12,10 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import partial
 from importlib import resources
 from pathlib import Path
-from typing import Mapping
+from typing import Callable, ClassVar, Mapping
 
 from .errors import EmptyDocument, MissingDictionary
 from .stemming import SUPPORTED_LANGUAGES, stemmer_for
@@ -62,31 +63,44 @@ class Document:
         return len(self.sentences)
 
 
-class NormalizationMode:
-    """Marker base class for the word normalization strategies."""
+# Each normalizer() returns a module-level function or a partial of one, so
+# that a loaded normalizer can be sent to worker processes.
 
-    __slots__ = ()
+
+def _unchanged(token: str) -> str:
+    return token
+
+
+def _truncated(n: int, token: str) -> str:
+    return token[:n]
+
+
+def _looked_up(dictionary: Mapping[str, str], token: str) -> str:
+    return dictionary.get(token, token)
 
 
 @dataclass(frozen=True)
-class Raw(NormalizationMode):
+class Raw:
     """Identity normalization: tokens are kept as they are."""
 
+    label: ClassVar[str] = "raw"
 
-@dataclass(frozen=True)
-class Lemmatize(NormalizationMode):
-    """Dictionary lookup; a token missing from the dictionary maps to itself."""
-
-    dictionary: Mapping[str, str] | None = None
+    def normalizer(self, language: str) -> Callable[[str], str]:
+        return _unchanged
 
 
 @dataclass(frozen=True)
-class Stem(NormalizationMode):
+class Stem:
     """Suffix-stripping with the bundled stemmer for the document language."""
 
+    label: ClassVar[str] = "stem"
+
+    def normalizer(self, language: str) -> Callable[[str], str]:
+        return stemmer_for(language)
+
 
 @dataclass(frozen=True)
-class UltraStem(NormalizationMode):
+class UltraStem:
     """Truncation to the first ``n`` characters (the whole token if shorter)."""
 
     n: int
@@ -94,6 +108,36 @@ class UltraStem(NormalizationMode):
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError(f"truncation length must be >= 1, got {self.n}")
+
+    @property
+    def label(self) -> str:
+        return f"fix{self.n}"
+
+    def normalizer(self, language: str) -> Callable[[str], str]:
+        return partial(_truncated, self.n)
+
+
+@dataclass(frozen=True)
+class Lemmatize:
+    """Dictionary lookup; a token missing from the dictionary maps to itself.
+
+    The dictionary is read from ``dictionary_path`` by each normalizer()
+    call, so the mode itself stays a small description that can be loaded
+    again.
+    """
+
+    label: ClassVar[str] = "lemma"
+
+    dictionary_path: str | Path | None = None
+
+    def normalizer(self, language: str) -> Callable[[str], str]:
+        if self.dictionary_path is None:
+            raise MissingDictionary("lemma normalization requires a dictionary path")
+        return partial(_looked_up, load_lemma_dictionary(self.dictionary_path))
+
+
+# A word normalization strategy: a ``label`` and a ``normalizer(language)``.
+NormalizationMode = Raw | Stem | UltraStem | Lemmatize
 
 
 @dataclass(frozen=True)
@@ -108,13 +152,11 @@ class StopList:
 
     @classmethod
     def from_file(cls, path: str | Path, language: str) -> "StopList":
-        """Load a stop-list: UTF-8, one word per line, '#' comments ignored."""
-        words = set()
-        for line in Path(path).read_text(encoding="utf-8").splitlines():
-            line = line.strip()
-            if line and not line.startswith("#"):
-                words.add(line.casefold())
-        return cls(language=language, words=frozenset(words))
+        """Load a stop-list: UTF-8, one word per line, '#' comments ignored.
+
+        A leading byte-order mark is dropped.
+        """
+        return cls(language=language, words=_read_words(Path(path)))
 
     @classmethod
     def bundled(cls, language: str) -> "StopList":
@@ -122,22 +164,28 @@ class StopList:
         if language not in SUPPORTED_LANGUAGES:
             raise ValueError(f"no bundled stop-list for language: {language!r}")
         ref = resources.files("artex").joinpath(f"data/stopwords/{language}.txt")
-        words = set()
-        for line in ref.read_text(encoding="utf-8").splitlines():
-            line = line.strip()
-            if line and not line.startswith("#"):
-                words.add(line.casefold())
-        return cls(language=language, words=frozenset(words))
+        return cls(language=language, words=_read_words(ref))
+
+
+def _read_words(source) -> frozenset[str]:
+    """The casefolded words of a stop-list file (a Path or a package resource)."""
+    words = set()
+    for line in source.read_text(encoding="utf-8-sig").splitlines():
+        line = line.strip()
+        if line and not line.startswith("#"):
+            words.add(line.casefold())
+    return frozenset(words)
 
 
 def load_lemma_dictionary(path: str | Path) -> dict[str, str]:
     """Load a word-to-lemma dictionary: UTF-8, ``word<TAB>lemma`` per line.
 
     Entries are lowercased; on duplicate words the last entry wins. Lines
-    without a tab separator are ignored.
+    without a tab separator are ignored, and a leading byte-order mark is
+    dropped.
     """
     mapping: dict[str, str] = {}
-    with open(path, encoding="utf-8") as handle:
+    with open(path, encoding="utf-8-sig") as handle:
         for line in handle:
             word, sep, lemma = line.rstrip("\n").partition("\t")
             if not sep:
@@ -246,21 +294,6 @@ def filter_sentence(
     return Sentence(index=sentence.index, surface=sentence.surface, tokens=tuple(kept))
 
 
-def normalize_token(token: str, mode: NormalizationMode, language: str = "en") -> str:
-    """Map one lowercase token through the chosen normalization strategy."""
-    if isinstance(mode, Raw):
-        return token
-    if isinstance(mode, Lemmatize):
-        if mode.dictionary is None:
-            raise MissingDictionary("lemmatization requested but no dictionary loaded")
-        return mode.dictionary.get(token, token)
-    if isinstance(mode, Stem):
-        return stemmer_for(language)(token)
-    if isinstance(mode, UltraStem):
-        return token[: mode.n]
-    raise TypeError(f"unknown normalization mode: {mode!r}")
-
-
 @dataclass(frozen=True)
 class CleanedDocument:
     """A document after the one split-and-clean pass shared by every consumer.
@@ -305,24 +338,15 @@ def clean_document(raw: RawDocument, stoplist: StopList) -> CleanedDocument:
 
 def normalize_document(
     cleaned: CleanedDocument,
-    mode: NormalizationMode,
-    stems: Mapping[str, str] | None = None,
+    normalize: Callable[[str], str],
 ) -> Document:
     """Drop document hapaxes, then normalize each surviving type once.
 
     A token survives when it occurs at least twice in the document; an
-    all-filtered sentence keeps an empty token stream. In Stem mode,
-    ``stems`` (evaluation.stem_types of the same document), when given,
-    supplies the stems in place of calling the stemmer again.
+    all-filtered sentence keeps an empty token stream. ``normalize`` is a
+    mode's normalizer, or any other map from a cleaned token to its term,
+    such as the evaluator's stem table of the same document.
     """
-    language = cleaned.language
-    if stems is not None and isinstance(mode, Stem):
-        normalize = stems.__getitem__
-    else:
-
-        def normalize(token: str) -> str:
-            return normalize_token(token, mode, language)
-
     frequencies = cleaned.frequencies
     cache: dict[str, str] = {}
     normalized = []
@@ -337,22 +361,23 @@ def normalize_document(
         normalized.append(
             Sentence(index=sentence.index, surface=sentence.surface, tokens=tuple(tokens))
         )
-    return Document(id=cleaned.id, language=language, sentences=tuple(normalized))
+    return Document(id=cleaned.id, language=cleaned.language, sentences=tuple(normalized))
 
 
 def preprocess_document(
     raw: RawDocument,
     stoplist: StopList | None = None,
-    mode: NormalizationMode = Raw(),
+    normalize: Callable[[str], str] = _unchanged,
 ) -> Document:
     """Run the full pipeline: split, filter, normalize.
 
     When ``stoplist`` is None the bundled stop-list for the document
-    language is used. The document is split and cleaned in one pass
-    (clean_document), and each distinct word that survives the hapax filter
-    is stemmed or looked up once (normalize_document). The result equals
-    filter_sentence over document_frequencies, then normalize_token.
+    language is used; ``normalize`` is a mode's normalizer for that
+    language and defaults to Raw's. The document is split and cleaned in
+    one pass (clean_document), and each distinct word that survives the
+    hapax filter is normalized once (normalize_document). The result equals
+    filter_sentence over document_frequencies, then ``normalize``.
     """
     if stoplist is None:
         stoplist = StopList.bundled(raw.language)
-    return normalize_document(clean_document(raw, stoplist), mode)
+    return normalize_document(clean_document(raw, stoplist), normalize)

@@ -20,10 +20,10 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from statistics import median
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .baselines import lead_baseline, random_baseline
-from .errors import ArtexError, CorpusEmpty, CorpusError, MissingDictionary
+from .errors import ArtexError, CorpusEmpty, CorpusError
 from .evaluation import DivergenceReport, prepare_source, stem_types
 from .preprocess import (
     Lemmatize,
@@ -34,18 +34,10 @@ from .preprocess import (
     StopList,
     UltraStem,
     clean_document,
-    load_lemma_dictionary,
     normalize_document,
     preprocess_document,
 )
-from .scorer import (
-    DEFAULT_BUDGET,
-    CompressionSpec,
-    Summary,
-    pseudo_vectors,
-    score,
-    select,
-)
+from .scorer import DEFAULT_BUDGET, CompressionSpec, Summary, score, select
 from .vsm import vectorize
 
 logger = logging.getLogger(__name__)
@@ -56,69 +48,24 @@ FLAT = "flat"
 CLUSTERS = "clusters"
 
 
-def mode_label(mode: NormalizationMode) -> str:
-    """Short filesystem-safe label: raw, lemma, stem, or fixN."""
-    if isinstance(mode, Raw):
-        return "raw"
-    if isinstance(mode, Lemmatize):
-        return "lemma"
-    if isinstance(mode, Stem):
-        return "stem"
-    if isinstance(mode, UltraStem):
-        return f"fix{mode.n}"
-    raise TypeError(f"unknown normalization mode: {mode!r}")
+def parse_mode(label: str, dictionary_path: str | Path | None = None) -> NormalizationMode:
+    """Parse a normalization label: raw | lemma | stem | fix:N.
 
-
-@dataclass(frozen=True)
-class ModeSpec:
-    """A loadable description of a normalization mode.
-
-    The benchmark re-acquires per-mode resources (most importantly the
-    lemma dictionary) on every repetition so their cost is measured, which
-    requires a description that can be loaded again, not an already-loaded
-    mode object.
+    ``dictionary_path`` is kept by lemma and ignored by the other modes.
     """
-
-    kind: str
-    n: int | None = None
-    dictionary_path: str | None = None
-
-    @property
-    def label(self) -> str:
-        return f"fix{self.n}" if self.kind == "fix" else self.kind
-
-    def load(self) -> NormalizationMode:
-        if self.kind == "raw":
-            return Raw()
-        if self.kind == "stem":
-            return Stem()
-        if self.kind == "fix":
-            return UltraStem(self.n)
-        if self.kind == "lemma":
-            if self.dictionary_path is None:
-                raise MissingDictionary(
-                    "lemma normalization requires a dictionary path"
-                )
-            return Lemmatize(load_lemma_dictionary(self.dictionary_path))
-        raise ValueError(f"unknown normalization kind: {self.kind!r}")
-
-
-def parse_mode(label: str, dictionary_path: str | Path | None = None) -> ModeSpec:
-    """Parse a normalization label: raw | lemma | stem | fix:N."""
     label = label.strip().lower()
-    if label in ("raw", "stem"):
-        return ModeSpec(kind=label)
+    if label == "raw":
+        return Raw()
+    if label == "stem":
+        return Stem()
     if label == "lemma":
-        path = str(dictionary_path) if dictionary_path is not None else None
-        return ModeSpec(kind="lemma", dictionary_path=path)
+        return Lemmatize(dictionary_path)
     if label.startswith("fix:"):
         try:
             n = int(label.split(":", 1)[1])
         except ValueError:
             raise ValueError(f"bad truncation length in {label!r}") from None
-        if n < 1:
-            raise ValueError(f"truncation length must be >= 1, got {n}")
-        return ModeSpec(kind="fix", n=n)
+        return UltraStem(n)
     raise ValueError(f"unknown normalization: {label!r} (want raw|lemma|stem|fix:N)")
 
 
@@ -164,8 +111,8 @@ class TimingRecord:
     The preprocessing phase covers splitting, filtering, normalization, and
     matrix construction, plus stemming every word for the evaluator in batch
     mode and per-repetition resource loading in benchmark mode; the scoring
-    phase covers pseudo-vector computation, scoring, and selection. The
-    total is the sum of both phases.
+    phase covers scoring and selection. The total is the sum of both
+    phases.
     """
 
     system: str
@@ -259,7 +206,7 @@ def load_corpus(spec: CorpusSpec) -> list[RawDocument]:
 
 def _read_text(path: Path) -> str | None:
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         logger.warning("skipping %s: %s", path, exc)
         return None
@@ -279,20 +226,22 @@ def _process_document(
     raw: RawDocument,
     cfg: RunConfig,
     stoplist: StopList,
+    normalize: Callable[[str], str] | None,
 ) -> list[RunResult]:
     """Summarize one document with every configured system and evaluate.
 
     The source is split and cleaned once, each distinct word is stemmed
-    once (the summarizer reuses the stems in Stem mode), and the source
-    profiles are prepared once for every system's evaluation.
+    once, and the source profiles are prepared once for every system's
+    evaluation. ``normalize`` is the mode's normalizer, or None in Stem
+    mode, where the summarizer takes the evaluator's stems.
     """
-    label = mode_label(cfg.normalization)
+    label = cfg.normalization.label
     clock = time.perf_counter
 
     t0 = clock()
     cleaned = clean_document(raw, stoplist)
     stems = stem_types(cleaned)
-    doc = normalize_document(cleaned, cfg.normalization, stems)
+    doc = normalize_document(cleaned, normalize or stems.__getitem__)
     _, matrix = vectorize(doc.sentences)
     t1 = clock()
     preprocess_seconds = t1 - t0
@@ -304,8 +253,7 @@ def _process_document(
             continue
         s0 = clock()
         if system == "artex":
-            scores = score(matrix, pseudo_vectors(matrix))
-            summary = select(scores, doc.sentences, cfg.budget)
+            summary = select(score(matrix), doc.sentences, cfg.budget)
         elif system == "lead":
             summary = lead_baseline(doc.sentences, cfg.budget)
         else:
@@ -337,18 +285,20 @@ def _process_document(
     return results
 
 
-_WORKER_STATE: tuple[RunConfig, StopList] | None = None
+_WORKER_STATE: tuple[RunConfig, StopList, Callable[[str], str] | None] | None = None
 
 
-def _worker_init(cfg: RunConfig, stoplist: StopList) -> None:
+def _worker_init(
+    cfg: RunConfig, stoplist: StopList, normalize: Callable[[str], str] | None
+) -> None:
     global _WORKER_STATE
-    _WORKER_STATE = (cfg, stoplist)
+    _WORKER_STATE = (cfg, stoplist, normalize)
 
 
 def _worker_run(raw: RawDocument) -> tuple[str, list[RunResult], str | None]:
-    cfg, stoplist = _WORKER_STATE
+    cfg, stoplist, normalize = _WORKER_STATE
     try:
-        return raw.id, _process_document(raw, cfg, stoplist), None
+        return raw.id, _process_document(raw, cfg, stoplist, normalize), None
     except ArtexError as exc:
         return raw.id, [], f"{type(exc).__name__}: {exc}"
 
@@ -360,7 +310,13 @@ def run_corpus(corpus: CorpusSpec, cfg: RunConfig) -> list[RunResult]:
     processed in a process pool, and all file writes happen afterwards in
     deterministic document order either way. A document that fails (for
     example because filtering removed every token) is logged and skipped.
+    The mode's normalizer (with its lemma dictionary) is loaded once, here,
+    before the corpus, so that a missing or unreadable dictionary fails the
+    run rather than each document or worker.
     """
+    mode = cfg.normalization
+    # In Stem mode the summarizer reads the evaluator's stems of each document.
+    normalize = None if isinstance(mode, Stem) else mode.normalizer(corpus.language)
     documents = load_corpus(corpus)
     stoplist = StopList.bundled(corpus.language)
     results: list[RunResult] = []
@@ -368,14 +324,16 @@ def run_corpus(corpus: CorpusSpec, cfg: RunConfig) -> list[RunResult]:
         outcomes = []
         for raw in documents:
             try:
-                outcomes.append((raw.id, _process_document(raw, cfg, stoplist), None))
+                outcomes.append(
+                    (raw.id, _process_document(raw, cfg, stoplist, normalize), None)
+                )
             except ArtexError as exc:
                 outcomes.append((raw.id, [], f"{type(exc).__name__}: {exc}"))
     else:
         with ProcessPoolExecutor(
             max_workers=cfg.workers,
             initializer=_worker_init,
-            initargs=(cfg, stoplist),
+            initargs=(cfg, stoplist, normalize),
         ) as pool:
             outcomes = list(pool.map(_worker_run, documents))
     for doc_id, doc_results, error in outcomes:
@@ -418,22 +376,9 @@ def write_timings(records: Sequence[TimingRecord], path: Path) -> None:
             writer.writerow(record.as_row())
 
 
-def write_reports_csv(results: Sequence[RunResult], path: Path) -> None:
-    """CSV export with the same columns as the JSONL report."""
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(("doc_id", "system", "normalization") + DivergenceReport.FIELDS)
-        for result in results:
-            report = result.report.as_dict()
-            writer.writerow(
-                [result.doc_id, result.system, result.normalization]
-                + [repr(report[name]) for name in DivergenceReport.FIELDS]
-            )
-
-
 def benchmark(
     corpus: CorpusSpec,
-    modes: Sequence[ModeSpec],
+    modes: Sequence[NormalizationMode],
     repetitions: int,
     out_dir: Path | None = None,
 ) -> list[TimingRecord]:
@@ -462,15 +407,15 @@ def benchmark(
         # The modes' resources are freed when this call returns, outside
         # the timed regions and before the next repetition loads them again.
         preprocess_seconds, score_seconds, sizes = _timed_repetition(
-            documents, stoplist, modes, failed
+            documents, corpus.language, stoplist, modes, failed
         )
-        for position, spec in enumerate(modes):
+        for position, mode in enumerate(modes):
             if vocabulary_sizes[position] is None:
                 vocabulary_sizes[position] = sizes[position]
             records.append(
                 TimingRecord(
                     system="artex",
-                    normalization=spec.label,
+                    normalization=mode.label,
                     corpus_id=corpus_id,
                     preprocess_seconds=preprocess_seconds[position],
                     score_seconds=score_seconds[position],
@@ -488,8 +433,9 @@ def benchmark(
 
 def _timed_repetition(
     documents: Sequence[RawDocument],
+    language: str,
     stoplist: StopList,
-    modes: Sequence[ModeSpec],
+    modes: Sequence[NormalizationMode],
     failed: list[set[str]],
 ) -> tuple[list[float], list[float], list[int]]:
     """Run every mode over every document once, document by document.
@@ -500,21 +446,21 @@ def _timed_repetition(
     and skipped by it from then on.
     """
     clock = time.perf_counter
-    loaded = []
+    normalizers = []
     preprocess_seconds = []
-    for spec in modes:
+    for mode in modes:
         t0 = clock()
-        loaded.append(spec.load())
+        normalizers.append(mode.normalizer(language))
         preprocess_seconds.append(clock() - t0)
     score_seconds = [0.0] * len(modes)
     sizes = [0] * len(modes)
     for raw in documents:
-        for position, mode in enumerate(loaded):
+        for position, normalize in enumerate(normalizers):
             if raw.id in failed[position]:
                 continue
             t0 = clock()
             try:
-                doc = preprocess_document(raw, stoplist, mode)
+                doc = preprocess_document(raw, stoplist, normalize)
                 vocabulary, matrix = vectorize(doc.sentences)
             except ArtexError as exc:
                 preprocess_seconds[position] += clock() - t0
@@ -522,8 +468,7 @@ def _timed_repetition(
                 logger.warning("benchmark skips document %s: %s", raw.id, exc)
                 continue
             t1 = clock()
-            scores = score(matrix, pseudo_vectors(matrix))
-            select(scores, doc.sentences, DEFAULT_BUDGET)
+            select(score(matrix), doc.sentences, DEFAULT_BUDGET)
             t2 = clock()
             preprocess_seconds[position] += t1 - t0
             score_seconds[position] += t2 - t1

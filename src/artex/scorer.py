@@ -87,61 +87,55 @@ class Summary:
 
 
 def pseudo_vectors(matrix: SentenceTermMatrix) -> PseudoVectors:
-    """Compute row means (lexical weight) and column means (global topic)."""
+    """Compute row means (lexical weight) and column means (global topic).
+
+    This is the paper's formulation of the two pseudo-vectors; :func:`score`
+    reaches the same values from the matrix's integer totals and does not
+    call it.
+    """
     n, p = matrix.N, matrix.P
     lexical = tuple(matrix.row_sum(i) / n for i in range(p))
     topic = tuple(total / p for total in matrix.column_sums())
     return PseudoVectors(lexical_weight=lexical, global_topic=topic)
 
 
-def _sentence_products(matrix: SentenceTermMatrix) -> list[int]:
-    """Exact integer score numerators: (row x column totals) x row total.
+def _scores(matrix: SentenceTermMatrix, denominator: float) -> ScoreVector:
+    """Scores from exact integer numerators: (row x column totals) x row total.
 
     The mean-based product (sum_j s_ij * b_j) * a_i equals this integer
-    divided by N*P, so computing the integer first and dividing once leaves
-    each score a single correctly rounded float. Ranking is then provably
-    the same under any positive scale constant: equal numerators stay equal
-    and distinct numerators keep a relative gap of at least 1/numerator,
-    far above one rounding error for any realistic document, so no scaling
-    can merge or reorder them. Summing rounded column means instead admits
-    one-ulp drift between mathematically tied sentences, and a later scale
-    constant can then collapse the pair into a tie in one scaling but not
-    the other, reordering the tie-broken sort.
+    divided by N*P, so computing the integer first and dividing once (by
+    ``denominator``) leaves each score a single correctly rounded float.
+    Ranking is then provably the same under any positive scale constant:
+    equal numerators stay equal and distinct numerators keep a relative gap
+    of at least 1/numerator, far above one rounding error for any realistic
+    document, so no scaling can merge or reorder them. Summing rounded
+    column means instead admits one-ulp drift between mathematically tied
+    sentences, and a later scale constant can then collapse the pair into a
+    tie in one scaling but not the other, reordering the tie-broken sort.
+
+    The normalized copy divides by the maximum raw score (all zeros when
+    every raw score is zero), which keeps ranks and puts values in [0, 1].
     """
     totals = matrix.column_sums()
-    products = []
+    raw = []
     for i in range(matrix.P):
         dot = sum(count * totals[j] for j, count in matrix.rows[i].items())
-        products.append(dot * matrix.row_sum(i))
-    return products
-
-
-def _check_dimensions(matrix: SentenceTermMatrix, pv: PseudoVectors) -> None:
-    if len(pv.lexical_weight) != matrix.P or len(pv.global_topic) != matrix.N:
-        raise ValueError("pseudo-vectors do not match the matrix dimensions")
-
-
-def _normalize(raw: Sequence[float]) -> tuple[float, ...]:
+        raw.append(dot * matrix.row_sum(i) / denominator)
     peak = max(raw, default=0.0)
     if peak <= 0.0:
-        return tuple(0.0 for _ in raw)
-    return tuple(value / peak for value in raw)
+        return ScoreVector(raw=tuple(raw), normalized=tuple(0.0 for _ in raw))
+    return ScoreVector(raw=tuple(raw), normalized=tuple(value / peak for value in raw))
 
 
-def score(matrix: SentenceTermMatrix, pv: PseudoVectors) -> ScoreVector:
+def score(matrix: SentenceTermMatrix) -> ScoreVector:
     """Raw sentence scores: (topic inner product) x (lexical weight) / (N*P).
 
-    An empty sentence row has lexical weight 0 and scores exactly 0. The
-    normalized copy divides by the maximum raw score (all zeros when every
-    raw score is zero), which keeps ranks and puts values in [0, 1].
+    An empty sentence row has lexical weight 0 and scores exactly 0.
     """
-    _check_dimensions(matrix, pv)
-    denominator = (matrix.N * matrix.P) ** 2
-    raw = tuple(value / denominator for value in _sentence_products(matrix))
-    return ScoreVector(raw=raw, normalized=_normalize(raw))
+    return _scores(matrix, (matrix.N * matrix.P) ** 2)
 
 
-def score_normalized(matrix: SentenceTermMatrix, pv: PseudoVectors) -> ScoreVector:
+def score_normalized(matrix: SentenceTermMatrix) -> ScoreVector:
     """Hypersphere-normalized scores: same products over sqrt(N^5 * P^3).
 
     The divisor is the product of the norm bounds of the three vectors
@@ -150,10 +144,7 @@ def score_normalized(matrix: SentenceTermMatrix, pv: PseudoVectors) -> ScoreVect
     :func:`score` by the constant positive factor sqrt(N^5 * P^3) / (N*P)
     and ranks sentences identically.
     """
-    _check_dimensions(matrix, pv)
-    denominator = matrix.N * matrix.P * math.sqrt(matrix.N**5 * matrix.P**3)
-    raw = tuple(value / denominator for value in _sentence_products(matrix))
-    return ScoreVector(raw=raw, normalized=_normalize(raw))
+    return _scores(matrix, matrix.N * matrix.P * math.sqrt(matrix.N**5 * matrix.P**3))
 
 
 def ranked_indices(scores: ScoreVector) -> list[int]:

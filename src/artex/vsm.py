@@ -58,16 +58,6 @@ class SentenceTermMatrix:
     N: int
     rows: tuple[Mapping[int, int], ...]
 
-    def count(self, i: int, j: int) -> int:
-        return self.rows[i].get(j, 0)
-
-    def nonzero_entries(self) -> int:
-        return sum(len(row) for row in self.rows)
-
-    def total(self) -> int:
-        """Sum of all entries, i.e. the total retained token count."""
-        return sum(sum(row.values()) for row in self.rows)
-
     def row_sum(self, i: int) -> int:
         return sum(self.rows[i].values())
 
@@ -88,14 +78,6 @@ class SentenceTermMatrix:
                 raise ValueError("ragged count matrix")
             rows.append({j: int(c) for j, c in enumerate(dense_row) if c})
         return cls(P=len(counts), N=n, rows=tuple(rows))
-
-    def to_coordinate_text(self) -> str:
-        """Dump as coordinate-list text, one ``i j count`` line per entry."""
-        lines = []
-        for i, row in enumerate(self.rows):
-            for j in sorted(row):
-                lines.append(f"{i} {j} {row[j]}")
-        return "\n".join(lines)
 
 
 def vectorize(sentences: Sequence[Sentence]) -> tuple[Vocabulary, SentenceTermMatrix]:
@@ -118,8 +100,3 @@ def vectorize(sentences: Sequence[Sentence]) -> tuple[Vocabulary, SentenceTermMa
     matrix = SentenceTermMatrix(P=len(sentences), N=len(vocabulary), rows=tuple(rows))
     return vocabulary, matrix
 
-
-def binarize(matrix: SentenceTermMatrix) -> SentenceTermMatrix:
-    """Clamp every positive entry to 1; dimensions and sparsity unchanged."""
-    rows = tuple({j: 1 for j in row} for row in matrix.rows)
-    return SentenceTermMatrix(P=matrix.P, N=matrix.N, rows=rows)

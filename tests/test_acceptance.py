@@ -27,6 +27,7 @@ from artex.evaluation import (
     fresa_report,
 )
 from artex.preprocess import (
+    Lemmatize,
     Raw,
     RawDocument,
     Stem,
@@ -36,12 +37,11 @@ from artex.preprocess import (
     preprocess_document,
     split_sentences,
 )
-from artex.runner import CorpusSpec, ModeSpec, benchmark, benchmark_summary, load_corpus
+from artex.runner import CorpusSpec, benchmark, benchmark_summary, load_corpus
 from artex.scorer import (
     ScoreVector,
     SentenceCount,
     WordRatio,
-    pseudo_vectors,
     ranked_indices,
     score,
     score_normalized,
@@ -76,9 +76,8 @@ def synthetic_corpus(tmp_path_factory):
 def test_criterion_1_rank_equivalence(random_matrices):
     started = time.perf_counter()
     for dense, matrix in random_matrices:
-        pv = pseudo_vectors(matrix)
-        plain = score(matrix, pv)
-        normalized = score_normalized(matrix, pv)
+        plain = score(matrix)
+        normalized = score_normalized(matrix)
         assert ranked_indices(plain) == ranked_indices(normalized)
         factor = math.sqrt(matrix.N**5 * matrix.P**3) / (matrix.N * matrix.P)
         for a, b in zip(plain.raw, normalized.raw):
@@ -98,7 +97,7 @@ def test_criterion_2_dense_oracle_equivalence(random_matrices):
         a = dense.sum(axis=1) / n
         b = dense.sum(axis=0) / p
         want = (dense @ b) * a / (n * p)
-        got = score(matrix, pseudo_vectors(matrix)).raw
+        got = score(matrix).raw
         for x, y in zip(got, want):
             if y == 0.0:
                 assert x == 0.0
@@ -111,9 +110,8 @@ def test_criterion_2_dense_oracle_equivalence(random_matrices):
 
 def test_criterion_3_hand_check():
     matrix = SentenceTermMatrix.from_dense([[1, 0], [0, 1]])
-    pv = pseudo_vectors(matrix)
-    assert score(matrix, pv).raw == (0.0625, 0.0625)
-    assert score_normalized(matrix, pv).raw == (0.015625, 0.015625)
+    assert score(matrix).raw == (0.0625, 0.0625)
+    assert score_normalized(matrix).raw == (0.015625, 0.015625)
     print("\nPASS criterion 3: hand-check raw=[0.0625,0.0625], score'=[0.015625,0.015625]")
 
 
@@ -132,11 +130,7 @@ def test_criterion_4_divergence_identities():
 def test_criterion_5_normalization_timing_trend(synthetic_corpus):
     spec, dictionary = synthetic_corpus
     started = time.perf_counter()
-    modes = [
-        ModeSpec("fix", 1),
-        ModeSpec("stem"),
-        ModeSpec("lemma", dictionary_path=str(dictionary)),
-    ]
+    modes = [UltraStem(1), Stem(), Lemmatize(dictionary)]
     records = benchmark(spec, modes, repetitions=5)
     medians = {
         row["normalization"]: row["median_seconds"] for row in benchmark_summary(records)
@@ -158,9 +152,9 @@ def test_criterion_6_beats_random_baseline(synthetic_corpus):
     artex_scores = []
     random_scores = []
     for raw in load_corpus(spec):
-        doc = preprocess_document(raw, stoplist, Stem())
+        doc = preprocess_document(raw, stoplist, Stem().normalizer("en"))
         _, matrix = vectorize_sentences(doc.sentences)
-        summary = select(score(matrix, pseudo_vectors(matrix)), doc.sentences, budget)
+        summary = select(score(matrix), doc.sentences, budget)
         source = evaluation_tokens(raw.text, "en", stoplist)
         artex_scores.append(
             fresa_report(source, evaluation_tokens(summary.text, "en", stoplist)).f_avg
@@ -209,7 +203,7 @@ def test_criterion_7_preprocessing_invariants(synthetic_corpus):
             ("fix2", UltraStem(2)),
             ("stem", Stem()),
         ):
-            doc = preprocess_document(raw, stoplist, mode)
+            doc = preprocess_document(raw, stoplist, mode.normalizer(raw.language))
             vocabulary[label] = len(vectorize(doc.sentences)[0])
             if label == "raw":
                 for sentence in doc.sentences:

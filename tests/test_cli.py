@@ -119,6 +119,46 @@ def test_summarize_with_lemma_dictionary(doc_file, tmp_path, capsys):
     assert capsys.readouterr().out.strip()
 
 
+def test_summarize_drops_byte_order_mark(tmp_path, capsys):
+    path = tmp_path / "bom.txt"
+    path.write_bytes(b"\xef\xbb\xbfSolar panels shine. Solar panels hum!")
+    assert main(["summarize", str(path), "--budget", "ratio:1.0"]) == 0
+    assert capsys.readouterr().out == "Solar panels shine. Solar panels hum!\n"
+
+
+def test_summarize_stoplist_first_word_survives_byte_order_mark(tmp_path):
+    # With "solar" and "panels" stopped, every other word is a hapax.
+    path = tmp_path / "doc.txt"
+    path.write_text("Solar panels shine. Solar panels hum!", encoding="utf-8")
+    stoplist = tmp_path / "stop.txt"
+    stoplist.write_bytes(b"\xef\xbb\xbfsolar\npanels\n")
+    assert main(["summarize", str(path), "--stoplist", str(stoplist)]) == 3
+
+
+# Lemma without --lemma-dict is a usage error (1) and an unreadable
+# dictionary a file error (2), in every subcommand and at every worker
+# count (summarize without a dictionary has its own test above).
+@pytest.mark.parametrize(
+    "command,dictionary,code",
+    [
+        (["summarize", "{doc}", "--norm", "lemma"], "absent.tsv", 2),
+        (["batch", "{corpus}", "--norm", "lemma", "--workers", "1"], None, 1),
+        (["batch", "{corpus}", "--norm", "lemma", "--workers", "1"], "absent.tsv", 2),
+        (["batch", "{corpus}", "--norm", "lemma", "--workers", "2"], None, 1),
+        (["batch", "{corpus}", "--norm", "lemma", "--workers", "2"], "absent.tsv", 2),
+        (["bench", "{corpus}", "--modes", "lemma", "--reps", "3"], None, 1),
+        (["bench", "{corpus}", "--modes", "lemma", "--reps", "3"], "absent.tsv", 2),
+    ],
+)
+def test_lemma_dictionary_errors(doc_file, corpus_dir, tmp_path, command, dictionary, code):
+    args = [part.format(doc=doc_file, corpus=corpus_dir) for part in command]
+    if command[0] != "summarize":
+        args += ["--out", str(tmp_path / "out")]
+    if dictionary is not None:
+        args += ["--lemma-dict", str(tmp_path / dictionary)]
+    assert main(args) == code
+
+
 # --- batch ---------------------------------------------------------------------
 
 
@@ -157,6 +197,16 @@ def test_batch_all_documents_failing_is_empty_result(tmp_path):
     root.mkdir()
     (root / "doc.txt").write_text("The of and in. To is was it.", encoding="utf-8")
     assert main(["batch", str(root), "--out", str(tmp_path / "out")]) == 3
+
+
+def test_batch_summary_file_drops_byte_order_mark(tmp_path):
+    root = tmp_path / "corpus"
+    root.mkdir()
+    (root / "bom.txt").write_bytes(b"\xef\xbb\xbfSolar panels shine. Solar panels hum!")
+    out = tmp_path / "out"
+    assert main(["batch", str(root), "--budget", "ratio:1.0", "--out", str(out)]) == 0
+    summary = (out / "artex" / "stem" / "bom.summary.txt").read_text(encoding="utf-8")
+    assert summary == "Solar panels shine. Solar panels hum!\n"
 
 
 @pytest.mark.parametrize("command", ["batch", "bench"])

@@ -29,7 +29,7 @@ from artex.preprocess import (
     normalize_document,
     preprocess_document,
 )
-from artex.scorer import SentenceCount, WordRatio, pseudo_vectors, score, select
+from artex.scorer import SentenceCount, WordRatio, score, select
 from artex.stemming import stem
 from artex.synthetic import generate_document
 from artex.vsm import vectorize
@@ -381,11 +381,11 @@ def test_extract_segments_equal_evaluation_tokens_of_summaries(stoplist_en):
         text = generate_document(31, number, words=300)
         cleaned, stems, source = _prepared(text, stoplist_en)
         assert [list(s) for s in source.segments] == evaluation_tokens(text, "en", stoplist_en)
-        doc = normalize_document(cleaned, Stem(), stems)
+        doc = normalize_document(cleaned, stems.__getitem__)
         _, matrix = vectorize(doc.sentences)
         for budget in (WordRatio(0.2), SentenceCount(1), SentenceCount(4)):
             summaries = [
-                select(score(matrix, pseudo_vectors(matrix)), doc.sentences, budget),
+                select(score(matrix), doc.sentences, budget),
                 lead_baseline(doc.sentences, budget),
                 random_baseline(doc.sentences, budget, number),
             ]
@@ -416,6 +416,7 @@ def test_stem_mode_reads_the_shared_stems(small_doc_text, stoplist_en):
     raw = RawDocument(id="d", text=small_doc_text, language="en")
     cleaned = clean_document(raw, stoplist_en)
     stems = {token: token.upper() for token in cleaned.frequencies}
-    doc = normalize_document(cleaned, Stem(), stems)
+    doc = normalize_document(cleaned, stems.__getitem__)
     assert "PANELS" in doc.sentences[0].tokens
-    assert normalize_document(cleaned, Stem()) == preprocess_document(raw, stoplist_en, Stem())
+    stem = Stem().normalizer("en")
+    assert normalize_document(cleaned, stem) == preprocess_document(raw, stoplist_en, stem)

@@ -18,7 +18,6 @@ from artex.preprocess import (
     document_frequencies,
     filter_sentence,
     load_lemma_dictionary,
-    normalize_token,
     preprocess_document,
     split_sentences,
 )
@@ -208,27 +207,29 @@ def test_filtering_soundness(token_lists):
 
 
 def test_normalize_raw_identity():
-    assert normalize_token("cat", Raw()) == "cat"
+    assert Raw().normalizer("en")("cat") == "cat"
 
 
-def test_normalize_lemmatize_hit_and_miss():
-    mode = Lemmatize({"sings": "sing"})
-    assert normalize_token("sings", mode) == "sing"
-    assert normalize_token("unknownword", mode) == "unknownword"
+def test_normalize_lemmatize_hit_and_miss(tmp_path):
+    path = tmp_path / "lemmas.tsv"
+    path.write_text("sings\tsing\n", encoding="utf-8")
+    normalize = Lemmatize(path).normalizer("en")
+    assert normalize("sings") == "sing"
+    assert normalize("unknownword") == "unknownword"
 
 
 def test_normalize_lemmatize_without_dictionary_raises():
     with pytest.raises(MissingDictionary):
-        normalize_token("sings", Lemmatize(None))
+        Lemmatize(None).normalizer("en")
 
 
 def test_normalize_stem_uses_language():
-    assert normalize_token("running", Stem(), language="en") == "run"
+    assert Stem().normalizer("en")("running") == "run"
 
 
 def test_normalize_ultrastem_truncates():
-    assert normalize_token("cats", UltraStem(3)) == "cat"
-    assert normalize_token("ab", UltraStem(5)) == "ab"
+    assert UltraStem(3).normalizer("en")("cats") == "cat"
+    assert UltraStem(5).normalizer("en")("ab") == "ab"
 
 
 def test_ultrastem_rejects_nonpositive_length():
@@ -238,9 +239,9 @@ def test_ultrastem_rejects_nonpositive_length():
 
 @given(st.text(min_size=0, max_size=20), st.integers(min_value=1, max_value=8))
 def test_ultrastem_idempotent_and_bounded(token, n):
-    mode = UltraStem(n)
-    once = normalize_token(token, mode)
-    assert normalize_token(once, mode) == once
+    normalize = UltraStem(n).normalizer("en")
+    once = normalize(token)
+    assert normalize(once) == once
     assert len(once) <= n
 
 
@@ -253,6 +254,12 @@ def test_stoplist_from_file_skips_comments(tmp_path):
     stoplist = StopList.from_file(path, "en")
     assert "the" in stoplist and "and" in stoplist
     assert "# comment" not in stoplist.words
+
+
+def test_stoplist_from_file_drops_byte_order_mark(tmp_path):
+    path = tmp_path / "stop.txt"
+    path.write_bytes(b"\xef\xbb\xbfsolar\npanels\n")
+    assert StopList.from_file(path, "en").words == frozenset({"solar", "panels"})
 
 
 def test_bundled_stoplists_exist(stoplist_en):
@@ -277,12 +284,19 @@ def test_load_lemma_dictionary(tmp_path):
     assert mapping == {"sings": "sang", "ran": "run"}  # last entry wins
 
 
+def test_load_lemma_dictionary_drops_byte_order_mark(tmp_path):
+    path = tmp_path / "lemmas.tsv"
+    path.write_bytes(b"\xef\xbb\xbfsings\tsing\nran\trun\n")
+    assert next(iter(load_lemma_dictionary(path))) == "sings"
+    assert Lemmatize(path).normalizer("en")("sings") == "sing"
+
+
 # --- full pipeline -------------------------------------------------------
 
 
 def test_preprocess_document_end_to_end(small_doc_text, stoplist_en):
     raw = RawDocument(id="d", text=small_doc_text, language="en")
-    doc = preprocess_document(raw, stoplist_en, Raw())
+    doc = preprocess_document(raw, stoplist_en, Raw().normalizer("en"))
     assert isinstance(doc, Document)
     assert len(doc) == 6
     # Surfaces and indices survive untouched from the split.
@@ -299,7 +313,7 @@ def test_preprocess_document_end_to_end(small_doc_text, stoplist_en):
 
 def test_preprocess_document_stem_mode(small_doc_text, stoplist_en):
     raw = RawDocument(id="d", text=small_doc_text, language="en")
-    doc = preprocess_document(raw, stoplist_en, Stem())
+    doc = preprocess_document(raw, stoplist_en, Stem().normalizer("en"))
     assert "panel" in doc.sentences[0].tokens
 
 
@@ -311,14 +325,20 @@ def test_preprocess_document_default_stoplist(small_doc_text):
 def test_preprocess_normalization_memoized(small_doc_text, stoplist_en):
     lookups = []
 
-    class CountingDict(dict):
-        def get(self, key, default=None):
-            lookups.append(key)
-            return super().get(key, default)
+    def counting(token):
+        lookups.append(token)
+        return token
 
     raw = RawDocument(id="d", text=small_doc_text, language="en")
-    preprocess_document(raw, stoplist_en, Lemmatize(CountingDict()))
+    preprocess_document(raw, stoplist_en, counting)
     assert len(lookups) == len(set(lookups))  # one lookup per distinct type
+
+
+@pytest.fixture(scope="module")
+def lemma_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("lemmas") / "lemmas.tsv"
+    path.write_text("cat\tfeline\ndog\thound\n", encoding="utf-8")
+    return path
 
 
 @settings(max_examples=60)
@@ -329,11 +349,14 @@ def test_preprocess_normalization_memoized(small_doc_text, stoplist_en):
         max_size=30,
     ),
     st.lists(st.sampled_from([".", "!", "?", " "]), min_size=30, max_size=30),
-    st.sampled_from([Raw(), Stem(), UltraStem(2), Lemmatize({"cat": "feline", "dog": "hound"})]),
+    st.sampled_from([Raw(), Stem(), UltraStem(2), Lemmatize()]),
 )
-def test_single_pass_equals_two_pass_reference(words, separators, mode):
+def test_single_pass_equals_two_pass_reference(lemma_file, words, separators, mode):
     # preprocess_document cleans each token once; the reference pipeline
     # counts frequencies and filters in two passes over the split sentences.
+    if isinstance(mode, Lemmatize):  # the strategy cannot reach the fixture's file
+        mode = Lemmatize(lemma_file)
+    normalize = mode.normalizer("en")
     text = " ".join(word + sep for word, sep in zip(words, separators))
     raw = _raw(text)
     stoplist = StopList(language="en", words=frozenset({"the", "of"}))
@@ -341,12 +364,12 @@ def test_single_pass_equals_two_pass_reference(words, separators, mode):
         sentences = split_sentences(raw)
     except EmptyDocument:
         with pytest.raises(EmptyDocument):
-            preprocess_document(raw, stoplist, mode)
+            preprocess_document(raw, stoplist, normalize)
         return
     frequencies = document_frequencies(sentences)
     expected = []
     for sentence in sentences:
         filtered = filter_sentence(sentence, stoplist, frequencies)
-        tokens = tuple(normalize_token(token, mode, "en") for token in filtered.tokens)
+        tokens = tuple(normalize(token) for token in filtered.tokens)
         expected.append(Sentence(index=sentence.index, surface=sentence.surface, tokens=tokens))
-    assert preprocess_document(raw, stoplist, mode).sentences == tuple(expected)
+    assert preprocess_document(raw, stoplist, normalize).sentences == tuple(expected)

@@ -9,7 +9,7 @@ import artex.evaluation
 import artex.preprocess
 import artex.runner
 import artex.stemming
-from artex.errors import CorpusEmpty, CorpusError, MissingDictionary
+from artex.errors import CorpusEmpty, CorpusError
 from artex.preprocess import (
     Lemmatize,
     Raw,
@@ -22,17 +22,14 @@ from artex.preprocess import (
 )
 from artex.runner import (
     CorpusSpec,
-    ModeSpec,
     RunConfig,
     TimingRecord,
     benchmark,
     benchmark_summary,
     document_seed,
     load_corpus,
-    mode_label,
     parse_mode,
     run_corpus,
-    write_reports_csv,
 )
 from artex.scorer import SentenceCount, WordRatio
 from artex.synthetic import generate_document
@@ -51,50 +48,37 @@ def flat_corpus(tmp_path):
 # --- mode parsing --------------------------------------------------------
 
 
-def test_mode_label_per_mode():
-    assert mode_label(Raw()) == "raw"
-    assert mode_label(Lemmatize({})) == "lemma"
-    assert mode_label(Stem()) == "stem"
-    assert mode_label(UltraStem(2)) == "fix2"
-
-
 @pytest.mark.parametrize(
     "label,kind,n",
     [("raw", "raw", None), ("stem", "stem", None), ("fix:3", "fix", 3), ("STEM", "stem", None)],
 )
 def test_parse_mode_accepts_labels(label, kind, n):
-    spec = parse_mode(label)
-    assert (spec.kind, spec.n) == (kind, n)
+    mode = parse_mode(label)
+    assert (mode.label, getattr(mode, "n", None)) == (f"{kind}{n or ''}", n)
+
+
+@pytest.mark.parametrize(
+    "mode,label",
+    [(Raw(), "raw"), (Stem(), "stem"), (Lemmatize("lemmas.tsv"), "lemma"),
+     (UltraStem(1), "fix1"), (UltraStem(6), "fix6")],
+)
+def test_parse_mode_round_trips_labels(mode, label):
+    assert mode.label == label
+    parsed = parse_mode(label.replace("fix", "fix:"), "lemmas.tsv")
+    assert parsed == mode
+    assert parsed.label == label
 
 
 def test_parse_mode_lemma_keeps_dictionary_path(tmp_path):
     path = tmp_path / "lemmas.tsv"
-    spec = parse_mode("lemma", path)
-    assert spec.kind == "lemma" and spec.dictionary_path == str(path)
+    assert parse_mode("lemma", path) == Lemmatize(path)
+    assert parse_mode("stem", path) == Stem()  # ignored by the other modes
 
 
 @pytest.mark.parametrize("label", ["fix:0", "fix:x", "bogus", "fix:"])
 def test_parse_mode_rejects_bad_labels(label):
     with pytest.raises(ValueError):
         parse_mode(label)
-
-
-def test_mode_spec_loads_each_kind(tmp_path):
-    assert isinstance(ModeSpec("raw").load(), Raw)
-    assert isinstance(ModeSpec("stem").load(), Stem)
-    assert ModeSpec("fix", 2).load() == UltraStem(2)
-    path = tmp_path / "lemmas.tsv"
-    path.write_text("sings\tsing\n", encoding="utf-8")
-    mode = ModeSpec("lemma", dictionary_path=str(path)).load()
-    assert mode.dictionary == {"sings": "sing"}
-    assert ModeSpec("fix", 2).label == "fix2"
-
-
-def test_mode_spec_lemma_requires_dictionary():
-    with pytest.raises(MissingDictionary):
-        ModeSpec("lemma").load()
-    with pytest.raises(ValueError):
-        ModeSpec("nope").load()
 
 
 # --- corpus loading ------------------------------------------------------
@@ -299,22 +283,11 @@ def test_run_corpus_prepares_each_document_once(flat_corpus, monkeypatch, system
         position += len(distinct)
 
 
-def test_write_reports_csv(flat_corpus, tmp_path):
-    results = run_corpus(CorpusSpec(root=flat_corpus), RunConfig())
-    path = tmp_path / "report.csv"
-    write_reports_csv(results, path)
-    with open(path, encoding="utf-8", newline="") as handle:
-        rows = list(csv.reader(handle))
-    assert rows[0][:3] == ["doc_id", "system", "normalization"]
-    assert len(rows) == 1 + len(results)
-    assert float(rows[1][3]) == results[0].report.d1
-
-
 # --- benchmark ---------------------------------------------------------------
 
 
 def test_benchmark_cardinality_and_summary(flat_corpus, tmp_path):
-    modes = [ModeSpec("fix", 1), ModeSpec("fix", 2), ModeSpec("raw")]
+    modes = [UltraStem(1), UltraStem(2), Raw()]
     records = benchmark(CorpusSpec(root=flat_corpus), modes, repetitions=3, out_dir=tmp_path)
     assert len(records) == 9  # 3 repetitions per mode
     assert (tmp_path / "timings.csv").exists()
@@ -327,7 +300,7 @@ def test_benchmark_cardinality_and_summary(flat_corpus, tmp_path):
 
 
 def test_benchmark_runs_every_mode_in_each_repetition(flat_corpus):
-    modes = [ModeSpec("fix", 1), ModeSpec("raw")]
+    modes = [UltraStem(1), Raw()]
     records = benchmark(CorpusSpec(root=flat_corpus), modes, repetitions=3)
     assert [(r.repetition, r.normalization) for r in records] == [
         (repetition, label) for repetition in range(3) for label in ("fix1", "raw")
@@ -356,9 +329,9 @@ def test_benchmark_frees_mode_resources_outside_timed_regions(flat_corpus, monke
         now[0] += 1.0
         return now[0]
 
-    monkeypatch.setattr(artex.runner, "load_lemma_dictionary", load)
+    monkeypatch.setattr(artex.preprocess, "load_lemma_dictionary", load)
     monkeypatch.setattr(artex.runner, "time", SimpleNamespace(perf_counter=clock))
-    modes = [ModeSpec("raw"), ModeSpec("lemma", dictionary_path="lemmas.tsv"), ModeSpec("raw")]
+    modes = [Raw(), Lemmatize("lemmas.tsv"), Raw()]
     records = benchmark(CorpusSpec(root=flat_corpus), modes, repetitions=3)
     assert live == []
     assert most_live == [1, 1, 1]
@@ -368,13 +341,15 @@ def test_benchmark_frees_mode_resources_outside_timed_regions(flat_corpus, monke
 def test_benchmark_interleaves_modes_per_document(flat_corpus, monkeypatch):
     seen = []
 
-    def recording_preprocess(raw, stoplist, mode):
-        seen.append((raw.id, mode))
-        return preprocess_document(raw, stoplist, mode)
+    def recording_preprocess(raw, stoplist, normalize):
+        # The two normalizers tell themselves apart on any word of two letters or more.
+        seen.append((raw.id, normalize("word")))
+        return preprocess_document(raw, stoplist, normalize)
 
     monkeypatch.setattr(artex.runner, "preprocess_document", recording_preprocess)
-    benchmark(CorpusSpec(root=flat_corpus), [ModeSpec("fix", 1), ModeSpec("raw")], repetitions=3)
-    order = [(raw_id, type(mode).__name__) for raw_id, mode in seen]
+    benchmark(CorpusSpec(root=flat_corpus), [UltraStem(1), Raw()], repetitions=3)
+    names = {"w": "UltraStem", "word": "Raw"}
+    order = [(raw_id, names[word]) for raw_id, word in seen]
     per_repetition = [
         (f"doc_{number}", name) for number in range(3) for name in ("UltraStem", "Raw")
     ]
@@ -383,11 +358,11 @@ def test_benchmark_interleaves_modes_per_document(flat_corpus, monkeypatch):
 
 def test_benchmark_requires_three_repetitions(flat_corpus):
     with pytest.raises(ValueError):
-        benchmark(CorpusSpec(root=flat_corpus), [ModeSpec("raw")], repetitions=2)
+        benchmark(CorpusSpec(root=flat_corpus), [Raw()], repetitions=2)
 
 
 def test_benchmark_timing_fields_consistent(flat_corpus):
-    records = benchmark(CorpusSpec(root=flat_corpus), [ModeSpec("raw")], repetitions=3)
+    records = benchmark(CorpusSpec(root=flat_corpus), [Raw()], repetitions=3)
     for record in records:
         assert record.system == "artex"
         assert record.repetition in (0, 1, 2)

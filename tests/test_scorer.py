@@ -82,14 +82,14 @@ def test_pseudo_vectors_match_dense_oracle():
 
 def test_score_hand_check_exact():
     matrix = SentenceTermMatrix.from_dense([[1, 0], [0, 1]])
-    scores = score(matrix, pseudo_vectors(matrix))
+    scores = score(matrix)
     assert scores.raw == (0.0625, 0.0625)
     assert scores.normalized == (1.0, 1.0)
 
 
 def test_score_empty_row_is_exactly_zero():
     matrix = SentenceTermMatrix.from_dense([[0, 0], [1, 2]])
-    scores = score(matrix, pseudo_vectors(matrix))
+    scores = score(matrix)
     assert scores.raw[0] == 0.0
 
 
@@ -97,25 +97,24 @@ def test_score_matches_dense_oracle():
     rng = random.Random(5)
     counts = [[rng.randint(0, 5) for _ in range(9)] for _ in range(6)]
     matrix = SentenceTermMatrix.from_dense(counts)
-    scores = score(matrix, pseudo_vectors(matrix))
+    scores = score(matrix)
     for got, want in zip(scores.raw, _naive_scores(counts)):
         assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_score_normalized_hand_checks():
     matrix = SentenceTermMatrix.from_dense([[1, 0], [0, 1]])
-    scores = score_normalized(matrix, pseudo_vectors(matrix))
+    scores = score_normalized(matrix)
     assert scores.raw == (0.015625, 0.015625)
     single = SentenceTermMatrix.from_dense([[1]])
-    assert score_normalized(single, pseudo_vectors(single)).raw == (1.0,)
+    assert score_normalized(single).raw == (1.0,)
 
 
 @given(matrices)
 def test_rank_equivalence_and_constant_factor(counts):
     matrix = SentenceTermMatrix.from_dense(counts)
-    pv = pseudo_vectors(matrix)
-    plain = score(matrix, pv)
-    normalized = score_normalized(matrix, pv)
+    plain = score(matrix)
+    normalized = score_normalized(matrix)
     assert ranked_indices(plain) == ranked_indices(normalized)
     factor = math.sqrt(matrix.N**5 * matrix.P**3) / (matrix.N * matrix.P)
     for a, b in zip(plain.raw, normalized.raw):
@@ -128,13 +127,11 @@ def test_positive_scaling_invariance(counts, c):
     scaled = SentenceTermMatrix.from_dense(
         [[c * value for value in row] for row in counts]
     )
-    raw0 = score(base, pseudo_vectors(base)).raw
-    raw1 = score(scaled, pseudo_vectors(scaled)).raw
+    raw0 = score(base).raw
+    raw1 = score(scaled).raw
     for a, b in zip(raw0, raw1):
         assert b == pytest.approx(a * c**3, rel=1e-10, abs=1e-300)
-    assert ranked_indices(score(base, pseudo_vectors(base))) == ranked_indices(
-        score(scaled, pseudo_vectors(scaled))
-    )
+    assert ranked_indices(score(base)) == ranked_indices(score(scaled))
 
 
 @given(matrices)
@@ -143,7 +140,7 @@ def test_integer_numerators_match_mean_based_evaluation(counts):
     # summing against rounded float means must land on the same values.
     matrix = SentenceTermMatrix.from_dense(counts)
     pv = pseudo_vectors(matrix)
-    plain = score(matrix, pv)
+    plain = score(matrix)
     mean_based = [
         (1.0 / (matrix.N * matrix.P))
         * sum(count * pv.global_topic[j] for j, count in matrix.rows[i].items())
@@ -154,17 +151,10 @@ def test_integer_numerators_match_mean_based_evaluation(counts):
         assert a == pytest.approx(b, rel=1e-12, abs=1e-300)
 
 
-def test_score_rejects_foreign_pseudo_vectors():
-    matrix = SentenceTermMatrix.from_dense([[1, 0], [0, 1]])
-    other = pseudo_vectors(SentenceTermMatrix.from_dense([[1, 2, 3]]))
-    with pytest.raises(ValueError, match="dimensions"):
-        score(matrix, other)
-
-
 @given(matrices)
 def test_normalized_scores_in_unit_interval(counts):
     matrix = SentenceTermMatrix.from_dense(counts)
-    scores = score(matrix, pseudo_vectors(matrix))
+    scores = score(matrix)
     assert all(0.0 <= value <= 1.0 for value in scores.normalized)
     if any(value > 0.0 for value in scores.raw):
         assert max(scores.normalized) == 1.0

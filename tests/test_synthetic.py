@@ -46,7 +46,7 @@ def test_distinct_inflections_have_distinct_stemmed_types():
 def test_generated_document_preprocesses_with_planted_redundancy():
     text = generate_document(0, 5, words=1500)
     raw = RawDocument(id="d", text=text, language="en")
-    doc = preprocess_document(raw, mode=Stem())
+    doc = preprocess_document(raw, normalize=Stem().normalizer("en"))
     # Junk sentences vanish; topical sentences keep a dense token stream.
     empty = sum(1 for s in doc.sentences if not s.tokens)
     dense = sum(1 for s in doc.sentences if len(s.tokens) >= 5)

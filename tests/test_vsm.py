@@ -1,4 +1,3 @@
-import random
 from collections import Counter
 
 import pytest
@@ -7,7 +6,7 @@ from hypothesis import strategies as st
 
 from artex.errors import EmptyVocabulary
 from artex.preprocess import Sentence
-from artex.vsm import SentenceTermMatrix, Vocabulary, binarize, vectorize
+from artex.vsm import SentenceTermMatrix, Vocabulary, vectorize
 
 
 def _sentences(token_lists):
@@ -18,7 +17,7 @@ def _sentences(token_lists):
 
 
 def _dense(matrix: SentenceTermMatrix) -> list[list[int]]:
-    return [[matrix.count(i, j) for j in range(matrix.N)] for i in range(matrix.P)]
+    return [[matrix.rows[i].get(j, 0) for j in range(matrix.N)] for i in range(matrix.P)]
 
 
 # --- vocabulary ----------------------------------------------------------
@@ -45,7 +44,7 @@ def test_vectorize_direct_count():
 def test_vectorize_preserves_empty_rows():
     vocabulary, matrix = vectorize(_sentences([[], ["x", "x"]]))
     assert matrix.rows[0] == {}
-    assert matrix.count(1, vocabulary["x"]) == 2
+    assert matrix.rows[1] == {vocabulary["x"]: 2}
 
 
 def test_vectorize_empty_vocabulary_raises():
@@ -60,7 +59,7 @@ def test_vectorize_matches_dense_recount():
     for i, tokens in enumerate(token_lists):
         recount = Counter(tokens)
         for term in vocabulary.terms:
-            assert matrix.count(i, vocabulary[term]) == recount[term]
+            assert matrix.rows[i].get(vocabulary[term], 0) == recount[term]
 
 
 @given(
@@ -72,16 +71,17 @@ def test_vectorize_matches_dense_recount():
 )
 def test_mass_and_sparsity_conservation(token_lists):
     vocabulary, matrix = vectorize(_sentences(token_lists))
-    assert matrix.total() == sum(len(tokens) for tokens in token_lists)
+    total = sum(sum(row.values()) for row in matrix.rows)
+    assert total == sum(len(tokens) for tokens in token_lists)
     dense_nonzero = sum(
         1 for i, tokens in enumerate(token_lists) for _ in Counter(tokens)
     )
-    assert matrix.nonzero_entries() == dense_nonzero
-    assert sum(matrix.column_sums()) == matrix.total()
-    assert sum(matrix.row_sum(i) for i in range(matrix.P)) == matrix.total()
+    assert sum(len(row) for row in matrix.rows) == dense_nonzero
+    assert sum(matrix.column_sums()) == total
+    assert sum(matrix.row_sum(i) for i in range(matrix.P)) == total
 
 
-# --- dense construction and dumps ----------------------------------------
+# --- dense construction ------------------------------------------------
 
 
 def test_from_dense_roundtrip():
@@ -93,40 +93,3 @@ def test_from_dense_roundtrip():
 def test_from_dense_rejects_ragged_input():
     with pytest.raises(ValueError):
         SentenceTermMatrix.from_dense([[1, 2], [3]])
-
-
-def test_to_coordinate_text():
-    matrix = SentenceTermMatrix.from_dense([[0, 3], [2, 0]])
-    assert matrix.to_coordinate_text() == "0 1 3\n1 0 2"
-
-
-# --- binarize -------------------------------------------------------------
-
-
-def test_binarize_clamps_to_one():
-    matrix = SentenceTermMatrix.from_dense([[0, 3], [2, 0]])
-    assert _dense(binarize(matrix)) == [[0, 1], [1, 0]]
-
-
-def test_binarize_zero_row_fixed_point():
-    matrix = SentenceTermMatrix.from_dense([[0, 0], [1, 2]])
-    assert binarize(matrix).rows[0] == {}
-
-
-def test_binarize_random_matrix_elementwise():
-    rng = random.Random(7)
-    counts = [[rng.randint(0, 4) for _ in range(7)] for _ in range(5)]
-    matrix = SentenceTermMatrix.from_dense(counts)
-    binary = binarize(matrix)
-    assert (binary.P, binary.N) == (matrix.P, matrix.N)
-    for i in range(5):
-        for j in range(7):
-            assert binary.count(i, j) == (1 if counts[i][j] else 0)
-
-
-def test_binarize_idempotent():
-    rng = random.Random(11)
-    matrix = SentenceTermMatrix.from_dense(
-        [[rng.randint(0, 3) for _ in range(6)] for _ in range(4)]
-    )
-    assert binarize(binarize(matrix)) == binarize(matrix)
