@@ -20,14 +20,25 @@ in which no selected sentence has an alphabetic character has no streams
 at all, as evaluation_tokens gives for its text (for example "2024.").
 fresa_report and divergence go through the same prepared profiles and the
 same summation loop, so every path gives the same floats, bit for bit.
+
+A prepared source profile is indexed: each unit's position in profile order
+and its log term. A summary is evaluated from its own units: a copy of the
+source terms, in which each summary unit found in the index has its
+difference overwritten, is summed densely (see SourceProfile.divergence).
+The sum runs left to right in profile order with plain float additions
+(_summed), because the order and rounding of each addition reach the
+report's last digits; profiles therefore key their units in
+first-occurrence order, which each order's units() keeps.
 """
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from itertools import chain, repeat
+from math import log1p
+from operator import truediv
+from typing import Iterable, Mapping, Sequence
 
 from .errors import EmptyDocument, EmptySource
 from .preprocess import (
@@ -40,14 +51,27 @@ from .preprocess import (
 from .stemming import stemmer_for
 
 
+# Each order's units() yields a segment's units position by position, so a
+# profile keys its units in first-occurrence order: the order in which every
+# divergence adds its terms.
+
+
 @dataclass(frozen=True)
 class Unigram:
     """Single tokens."""
+
+    def units(self, segment: Sequence[str]) -> Iterable[tuple[str]]:
+        """The 1-tuples (t_i,) of ``segment``."""
+        return zip(segment)
 
 
 @dataclass(frozen=True)
 class Bigram:
     """Consecutive token pairs within a segment."""
+
+    def units(self, segment: Sequence[str]) -> Iterable[tuple[str, str]]:
+        """The pairs (t_i, t_{i+1}) of ``segment``."""
+        return zip(segment, segment[1:])
 
 
 @dataclass(frozen=True)
@@ -59,6 +83,15 @@ class SkipBigram:
     def __post_init__(self) -> None:
         if self.max_gap < 1:
             raise ValueError(f"max gap must be >= 1, got {self.max_gap}")
+
+    def units(self, segment: Sequence[str]) -> Iterable[tuple[str, str]]:
+        """The pairs (t_i, t_{i+g}) of ``segment``, by i and then by g."""
+        gap = self.max_gap
+        return [
+            (first, second)
+            for i, first in enumerate(segment, 1)
+            for second in segment[i : i + gap]
+        ]
 
 
 NgramOrder = Unigram | Bigram | SkipBigram
@@ -112,74 +145,76 @@ def ngram_profile(tokens: Sequence, order: NgramOrder) -> NgramProfile:
     ``tokens`` is either a flat sequence of strings (treated as a single
     segment) or a sequence of per-sentence token sequences; bigrams and
     skip-bigrams never cross a segment boundary. Fewer tokens than the unit
-    needs yields an empty profile.
+    needs yields an empty profile. Units are keyed in first-occurrence order.
     """
-    counts: Counter[tuple[str, ...]] = Counter()
-    total = 0
-    for segment in _segments(tokens):
-        if isinstance(order, Unigram):
-            units = [(token,) for token in segment]
-        elif isinstance(order, Bigram):
-            units = list(zip(segment, segment[1:]))
-        else:
-            gap = order.max_gap
-            units = [
-                (first, second)
-                for i, first in enumerate(segment)
-                for second in segment[i + 1 : i + 1 + gap]
-            ]
-        counts.update(units)
-        total += len(units)
-    return NgramProfile(order=order, counts=counts, total=total)
+    counts = Counter(chain.from_iterable(map(order.units, _segments(tokens))))
+    return NgramProfile(order=order, counts=counts, total=sum(counts.values()))
 
 
 @dataclass(frozen=True)
 class SourceProfile:
-    """A source profile with each unit's term log(1 + C_t/|T|) computed once.
+    """A source profile indexed once: each unit's position and log term.
 
-    ``units`` are the source's n-gram types in profile order and ``terms``
-    their log terms; ``empty_divergence`` is the divergence of the empty
+    ``index`` maps each of the source's n-gram types to its position in
+    profile order, and ``terms[i]`` is the term log(1 + C_t/|T|) of the type
+    at position i. ``empty_divergence`` is the divergence of the empty
     summary, the anchor of the normalized score. It is always positive,
     because a source is only accepted with at least one unit.
     """
 
     order: NgramOrder
-    units: tuple[tuple[str, ...], ...]
+    index: Mapping[tuple[str, ...], int]
     terms: tuple[float, ...]
     empty_divergence: float
 
     def divergence(self, summary: NgramProfile) -> float:
-        """Divergence of a summary profile of the same order from this source."""
+        """Divergence of a summary profile of the same order from this source.
+
+        A source unit absent from the summary has summary term
+        log(1 + 0) = 0, and |T - 0.0| is T itself, so a copy of the source
+        terms already holds every difference except those of the summary's
+        own units, which are overwritten in place: the work per summary is
+        one list copy, one lookup per summary unit, and the dense sum.
+        """
+        terms = self.terms
         total = summary.total
-        summary_terms = (
-            {unit: math.log1p(count / total) for unit, count in summary.counts.items()}
-            if total
-            else {}
-        )
-        return _summed(self.units, self.terms, summary_terms)
+        position = self.index.get
+        differences = list(terms)
+        for unit, count in summary.counts.items():
+            i = position(unit)
+            if i is not None:
+                differences[i] = abs(terms[i] - log1p(count / total))
+        return _summed(differences)
 
 
-def _summed(units, terms, summary_terms: Mapping) -> float:
-    """Sum |source term - summary term| over the source units, in profile order.
+def _summed(values: Iterable[float]) -> float:
+    """Add ``values`` one by one, left to right, in plain float arithmetic.
 
-    A unit missing from ``summary_terms`` has summary term 0 (= log(1 + 0)).
-    Every divergence goes through this one loop, so the same profiles always
-    give the same float, whichever entry point computed it.
+    Every divergence is this sum over the source units in profile order, so
+    the same profiles always give the same float, whichever entry point
+    computed it. The order and the rounding of each step are part of the
+    output (report.jsonl): built-in sum() adds floats with compensated
+    summation from Python 3.12 on, and math.fsum rounds only once, so either
+    would change the last digits, and sum() would change them on some
+    Python versions only.
     """
     result = 0.0
-    for unit, term in zip(units, terms):
-        result += abs(term - summary_terms.get(unit, 0.0))
+    for value in values:
+        result += value
     return result
 
 
 def prepare_profile(source: NgramProfile) -> SourceProfile:
-    """Compute a source profile's log terms and empty-summary divergence once."""
+    """Index a source profile and compute its log terms and empty divergence once."""
     if source.total == 0:
         raise EmptySource("source profile has no n-gram units")
-    units = tuple(source.counts)
-    terms = tuple(math.log1p(count / source.total) for count in source.counts.values())
+    counts = source.counts
+    terms = tuple(map(log1p, map(truediv, counts.values(), repeat(source.total))))
     return SourceProfile(
-        order=source.order, units=units, terms=terms, empty_divergence=_summed(units, terms, {})
+        order=source.order,
+        index=dict(zip(counts, range(len(terms)))),
+        terms=terms,
+        empty_divergence=_summed(terms),
     )
 
 

@@ -312,24 +312,33 @@ class CleanedDocument:
 
 
 def clean_document(raw: RawDocument, stoplist: StopList) -> CleanedDocument:
-    """Split ``raw`` once, clean each token once, and drop stop-words once.
+    """Split ``raw`` once, and clean each distinct token once.
 
-    Raises EmptyDocument like split_sentences. Stop-words are dropped
-    before counting; the hapax filter only ever looks up non-stop tokens,
-    so this gives it the counts document_frequencies would.
+    Each distinct whitespace token of the document is cleaned and checked
+    against the stop-list once; a token that cleans to nothing or to a
+    stop-word is dropped wherever it occurs. Raises EmptyDocument like
+    split_sentences. Stop-words are dropped before counting; the hapax
+    filter only ever looks up non-stop tokens, so this gives it the counts
+    document_frequencies would.
     """
     stopwords = stoplist.words
+    kept: dict[str, str] = {}  # raw token -> cleaned token, "" when dropped
     frequencies: Counter[str] = Counter()
     sentences = []
     for sentence in split_sentences(raw):
-        kept = []
+        tokens = []
         for token in sentence.tokens:
-            cleaned = clean_token(token)
-            if cleaned and cleaned not in stopwords:
-                kept.append(cleaned)
-        frequencies.update(kept)
+            cleaned = kept.get(token)
+            if cleaned is None:
+                cleaned = clean_token(token)
+                if cleaned in stopwords:
+                    cleaned = ""
+                kept[token] = cleaned
+            if cleaned:
+                tokens.append(cleaned)
+        frequencies.update(tokens)
         sentences.append(
-            Sentence(index=sentence.index, surface=sentence.surface, tokens=tuple(kept))
+            Sentence(index=sentence.index, surface=sentence.surface, tokens=tuple(tokens))
         )
     return CleanedDocument(
         id=raw.id, language=raw.language, sentences=tuple(sentences), frequencies=frequencies

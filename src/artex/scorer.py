@@ -180,13 +180,13 @@ def prefix_selection(
     else:
         # The full order always reaches the target: the accumulated count
         # ends at the word total and target = ratio * total <= total.
-        total = sum(sentence_words(s) for s in sentences)
-        target = budget.ratio * total
+        words = [sentence_words(s) for s in sentences]
+        target = budget.ratio * sum(words)
         chosen = []
         accumulated = 0
         for index in order:
             chosen.append(index)
-            accumulated += sentence_words(sentences[index])
+            accumulated += words[index]
             if accumulated >= target:
                 break
     return tuple(sorted(chosen))

@@ -3,9 +3,10 @@ from collections import Counter
 from itertools import combinations_with_replacement
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+import artex.evaluation
 from artex.baselines import lead_baseline, random_baseline
 from artex.errors import EmptySource
 from artex.evaluation import (
@@ -13,6 +14,7 @@ from artex.evaluation import (
     DivergenceReport,
     NgramProfile,
     SkipBigram,
+    SourceProfile,
     Unigram,
     divergence,
     evaluation_tokens,
@@ -103,7 +105,59 @@ def test_skip_bigram_property_enumeration(tokens, gap):
     assert profile.total == sum(expected.values())
 
 
+def _per_position_units(segments, order) -> list:
+    # The per-position loop that counted units before each order had its
+    # own units(): every unit that starts at position i, for i in order.
+    counts: Counter = Counter()
+    for segment in segments:
+        for i, first in enumerate(segment):
+            if isinstance(order, Unigram):
+                counts[(first,)] += 1
+            elif isinstance(order, Bigram):
+                if i + 1 < len(segment):
+                    counts[(first, segment[i + 1])] += 1
+            else:
+                for second in segment[i + 1 : i + 1 + order.max_gap]:
+                    counts[(first, second)] += 1
+    return list(counts.items())
+
+
+all_orders = st.sampled_from(
+    [Unigram(), Bigram()] + [SkipBigram(gap) for gap in range(1, 6)]
+)
+
+
+@given(segment_lists, all_orders)
+@example([[], ["a", "b"], []], SkipBigram(5))
+@example([["a"], ["b", "a", "b"]], SkipBigram(4))
+def test_profile_keys_units_in_first_occurrence_order(segments, order):
+    # Every divergence adds its terms in profile order, so the order of the
+    # keys, not only the counts, must match the per-position loop.
+    profile = ngram_profile(segments, order)
+    assert list(profile.counts.items()) == _per_position_units(segments, order)
+    assert profile.total == sum(profile.counts.values())
+
+
 # --- divergence ----------------------------------------------------------------
+
+
+def test_divergence_sums_left_to_right_in_plain_float_arithmetic(monkeypatch):
+    # 1e-16 is below half an ulp of 1.0, so each plain addition rounds back
+    # to 1.0; compensated summation (math.fsum, and sum() from Python 3.12)
+    # gives 1.000000000000001 and would move report.jsonl's last digits.
+    # The module's sum() is made compensated here, as it is on 3.12, so that
+    # a divergence summed with sum() fails on every Python version.
+    terms = (1.0,) + (1e-16,) * 10
+    assert math.fsum(terms) == 1.000000000000001
+    monkeypatch.setattr(artex.evaluation, "sum", math.fsum, raising=False)
+    source = SourceProfile(
+        order=Unigram(),
+        index={(str(i),): i for i in range(len(terms))},
+        terms=terms,
+        empty_divergence=1.0,
+    )
+    assert source.divergence(_profile({}, Unigram())) == 1.0
+    assert source.divergence(_profile({("foreign",): 3}, Unigram())) == 1.0
 
 
 def test_divergence_of_identical_profiles_is_zero():

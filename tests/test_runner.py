@@ -230,7 +230,8 @@ def test_run_corpus_parallel_matches_sequential(flat_corpus):
 def test_run_corpus_prepares_each_document_once(flat_corpus, monkeypatch, systems):
     stoplist = StopList.bundled("en")
     documents = load_corpus(CorpusSpec(root=flat_corpus))
-    tokens = [t for raw in documents for s in split_sentences(raw) for t in s.tokens]
+    # One clean per distinct raw token of each document.
+    raw_types = [{t for s in split_sentences(raw) for t in s.tokens} for raw in documents]
     types = [
         {
             cleaned
@@ -272,7 +273,7 @@ def test_run_corpus_prepares_each_document_once(flat_corpus, monkeypatch, system
     assert len(results) == len(documents) * len(systems)
     assert calls == {
         "split": len(documents),
-        "clean": len(tokens),
+        "clean": sum(len(distinct) for distinct in raw_types),
         "profiles": 3 * len(documents),
         "summarizer stems": 0,
     }
