@@ -33,11 +33,10 @@ from .runner import (
     run_corpus,
 )
 from .scorer import SentenceCount, WordRatio, score, score_table, select
+from .stemming import SUPPORTED_LANGUAGES
 from .vsm import vectorize
 
 logger = logging.getLogger(__name__)
-
-LANGUAGES = ("en", "es", "fr")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -66,7 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     summarize = commands.add_parser("summarize", help="summarize one document")
     summarize.add_argument("file", help="UTF-8 plain text document")
-    summarize.add_argument("--lang", choices=LANGUAGES, default="en")
+    summarize.add_argument("--lang", choices=SUPPORTED_LANGUAGES, default="en")
     summarize.add_argument("--norm", default="stem", help="raw|lemma|stem|fix:N")
     summarize.add_argument("--budget", default="ratio:0.2", help="k:INT or ratio:FLOAT")
     summarize.add_argument("--lemma-dict", default=None, help="word<TAB>lemma file")
@@ -79,7 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
     batch = commands.add_parser("batch", help="summarize and evaluate a corpus")
     batch.add_argument("corpus_root", help="corpus directory")
     batch.add_argument("--layout", choices=("flat", "clusters"), default="flat")
-    batch.add_argument("--lang", choices=LANGUAGES, default="en")
+    batch.add_argument("--lang", choices=SUPPORTED_LANGUAGES, default="en")
     batch.add_argument("--systems", default="artex", help="comma list from artex,lead,random")
     batch.add_argument("--norm", default="stem", help="raw|lemma|stem|fix:N")
     batch.add_argument("--budget", default="ratio:0.2", help="k:INT or ratio:FLOAT")
@@ -93,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
     evaluate = commands.add_parser("eval", help="evaluate a summary against its source")
     evaluate.add_argument("source", help="source document file")
     evaluate.add_argument("summary", help="summary file")
-    evaluate.add_argument("--lang", choices=LANGUAGES, default="en")
+    evaluate.add_argument("--lang", choices=SUPPORTED_LANGUAGES, default="en")
     evaluate.set_defaults(func=cmd_eval)
 
     bench = commands.add_parser("bench", help="time the pipeline per normalization mode")
@@ -101,7 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--modes", default="stem,fix:1", help="comma list of normalizations")
     bench.add_argument("--reps", type=int, default=5, help="repetitions per mode (>= 3)")
     bench.add_argument("--out", required=True, help="output directory for timings.csv")
-    bench.add_argument("--lang", choices=LANGUAGES, default="en")
+    bench.add_argument("--lang", choices=SUPPORTED_LANGUAGES, default="en")
     bench.add_argument("--layout", choices=("flat", "clusters"), default="flat")
     bench.add_argument("--lemma-dict", default=None, help="word<TAB>lemma file")
     bench.set_defaults(func=cmd_bench)

@@ -11,15 +11,14 @@ file.
 
 from __future__ import annotations
 
-import csv
-import hashlib
+# The process pool, statistics, csv and hashlib are imported in the calls
+# that use them: ``import artex`` is paid by every CLI process, and most of
+# them never start a pool, summarize timings or draw a random baseline.
 import json
 import logging
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from statistics import median
 from typing import Callable, Sequence
 
 from .baselines import lead_baseline, random_baseline
@@ -218,6 +217,8 @@ def _read_text(path: Path) -> str | None:
 
 def document_seed(seed: int, doc_id: str) -> int:
     """Per-document seed for the random baseline, stable across runs."""
+    import hashlib
+
     digest = hashlib.sha256(f"{seed}:{doc_id}".encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big")
 
@@ -307,9 +308,10 @@ def run_corpus(corpus: CorpusSpec, cfg: RunConfig) -> list[RunResult]:
     """Summarize and evaluate every corpus document; write outputs if asked.
 
     Documents are independent work units; with ``cfg.workers > 1`` they are
-    processed in a process pool, and all file writes happen afterwards in
-    deterministic document order either way. A document that fails (for
-    example because filtering removed every token) is logged and skipped.
+    processed in a process pool of at most one worker per document, and all
+    file writes happen afterwards in deterministic document order either
+    way. A document that fails (for example because filtering removed every
+    token) is logged and skipped.
     The mode's normalizer (with its lemma dictionary) is loaded once, here,
     before the corpus, so that a missing or unreadable dictionary fails the
     run rather than each document or worker.
@@ -320,7 +322,10 @@ def run_corpus(corpus: CorpusSpec, cfg: RunConfig) -> list[RunResult]:
     documents = load_corpus(corpus)
     stoplist = StopList.bundled(corpus.language)
     results: list[RunResult] = []
-    if cfg.workers == 1:
+    # A pool starts all its workers at once, so it gets no more than there
+    # are documents.
+    workers = min(cfg.workers, len(documents))
+    if workers == 1:
         outcomes = []
         for raw in documents:
             try:
@@ -330,8 +335,10 @@ def run_corpus(corpus: CorpusSpec, cfg: RunConfig) -> list[RunResult]:
             except ArtexError as exc:
                 outcomes.append((raw.id, [], f"{type(exc).__name__}: {exc}"))
     else:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(
-            max_workers=cfg.workers,
+            max_workers=workers,
             initializer=_worker_init,
             initargs=(cfg, stoplist, normalize),
         ) as pool:
@@ -369,6 +376,8 @@ def write_outputs(results: Sequence[RunResult], out_dir: Path, timing: bool = Fa
 
 
 def write_timings(records: Sequence[TimingRecord], path: Path) -> None:
+    import csv
+
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(TimingRecord.CSV_COLUMNS)
@@ -478,6 +487,8 @@ def _timed_repetition(
 
 def benchmark_summary(records: Sequence[TimingRecord]) -> list[dict]:
     """Median and spread of total seconds per mode, with vocabulary size."""
+    from statistics import median
+
     by_mode: dict[str, list[TimingRecord]] = {}
     for record in records:
         by_mode.setdefault(record.normalization, []).append(record)

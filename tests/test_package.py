@@ -1,6 +1,57 @@
+import json
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
 import artex
+from artex.stemming import SUPPORTED_LANGUAGES, stemmer_for
+
+# Modules that only some calls need, so ``import artex`` must not load them.
+DEFERRED = (
+    "concurrent.futures",
+    "multiprocessing",
+    "statistics",
+    "csv",
+    "hashlib",
+    "artex.stemming.english",
+    "artex.stemming.french",
+    "artex.stemming.spanish",
+)
+
+PROBE = """
+import sys
+sys.path.insert(0, sys.argv[1])
+deferred = sys.argv[2:]
+import artex
+loaded = [name for name in deferred if name in sys.modules]
+before = set(sys.modules)
+artex.stemmer_for("fr")
+added = sorted(set(sys.modules) - before)
+import json
+print(json.dumps({"loaded": loaded, "added": added}))
+"""
 
 
 def test_every_exported_name_resolves():
     assert [name for name in artex.__all__ if not hasattr(artex, name)] == []
     assert len(set(artex.__all__)) == len(artex.__all__)
+
+
+def test_import_loads_no_deferred_module():
+    # A fresh interpreter without site, so nothing but artex imports modules.
+    src = str(Path(artex.__file__).parents[1])
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", PROBE, src, *DEFERRED],
+        capture_output=True, text=True, check=True,
+    )
+    assert json.loads(done.stdout) == {"loaded": [], "added": ["artex.stemming.french"]}
+
+
+@pytest.mark.parametrize("language", SUPPORTED_LANGUAGES)
+def test_stemmers_pickle_by_name(language):
+    # Pool workers receive the mode's normalizer pickled.
+    stem = stemmer_for(language)
+    assert pickle.loads(pickle.dumps(stem)) is stem

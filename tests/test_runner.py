@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import hashlib
 import json
@@ -223,6 +224,45 @@ def test_run_corpus_parallel_matches_sequential(flat_corpus):
     parallel = run_corpus(spec, RunConfig(systems=("artex", "random"), seed=3, workers=2))
     assert [(r.doc_id, r.system, r.summary, r.report) for r in sequential] == [
         (r.doc_id, r.system, r.summary, r.report) for r in parallel
+    ]
+
+
+@pytest.mark.parametrize("documents,workers,pool_size", [(3, 64, 3), (3, 2, 2), (1, 4, None)])
+def test_run_corpus_caps_workers_at_document_count(
+    flat_corpus, monkeypatch, documents, workers, pool_size
+):
+    # A pool forks all its workers on the first submit, so the cap is
+    # checked on a stand-in that records its size and runs inline.
+    for path in sorted(flat_corpus.iterdir())[documents:]:
+        path.unlink()
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers, initializer, initargs):
+            sizes.append(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    # Also where a module-level import would bind it, so that no real pool
+    # starts even if the import moves back to the top of the runner.
+    monkeypatch.setattr(artex.runner, "ProcessPoolExecutor", RecordingPool, raising=False)
+    monkeypatch.setattr(artex.runner, "_WORKER_STATE", None)
+    spec = CorpusSpec(root=flat_corpus)
+    sequential = run_corpus(spec, RunConfig(systems=("artex", "random"), seed=3))
+    pooled = run_corpus(spec, RunConfig(systems=("artex", "random"), seed=3, workers=workers))
+    assert sizes == ([] if pool_size is None else [pool_size])
+    assert len({r.doc_id for r in pooled}) == documents
+    assert [(r.doc_id, r.system, r.summary, r.report) for r in sequential] == [
+        (r.doc_id, r.system, r.summary, r.report) for r in pooled
     ]
 
 
