@@ -5,11 +5,17 @@ dictionary, invalid budgets), 2 for corpus or file IO errors, 3 when the
 requested result is empty (no sentences, no vocabulary, empty evaluation
 source). Summaries and machine-readable reports go to stdout; logs and
 debug tables go to stderr.
+
+A process builds the argument parser once, on its first ``main`` call, and
+reuses it: ``main`` keeps it private, and ``build_parser`` returns a fresh
+one. Each call logs to the ``sys.stderr`` current at that call, so callers
+that run ``main`` in-process may redirect it per call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import sys
@@ -45,6 +51,17 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+class _StderrHandler(logging.StreamHandler):
+    """A handler that writes to whatever ``sys.stderr`` is when it emits."""
+
+    def __init__(self) -> None:
+        logging.Handler.__init__(self)
+
+    @property
+    def stream(self):
+        return sys.stderr
 
 
 def parse_budget(text: str):
@@ -106,6 +123,12 @@ def build_parser() -> argparse.ArgumentParser:
     bench.set_defaults(func=cmd_bench)
 
     return parser
+
+
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    # Parsing leaves the parser as it was, so every call in a process can share it.
+    return build_parser()
 
 
 def cmd_summarize(args) -> int:
@@ -182,13 +205,14 @@ def cmd_bench(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _shared_parser().parse_args(argv)
     except SystemExit as exit_:
         return exit_.code if isinstance(exit_.code, int) else 1
     logging.basicConfig(
-        stream=sys.stderr, level=logging.INFO, format="%(levelname)s %(name)s: %(message)s"
+        handlers=[_StderrHandler()],
+        level=logging.INFO,
+        format="%(levelname)s %(name)s: %(message)s",
     )
     try:
         return args.func(args)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cache, partial
 from importlib import resources
 from pathlib import Path
 from typing import Callable, ClassVar, Mapping
@@ -160,11 +160,18 @@ class StopList:
 
     @classmethod
     def bundled(cls, language: str) -> "StopList":
-        """Load the small default stop-list shipped for ``language``."""
+        """The small default stop-list shipped for ``language``.
+
+        Each language's file is read once per process, on first use.
+        """
         if language not in SUPPORTED_LANGUAGES:
             raise ValueError(f"no bundled stop-list for language: {language!r}")
-        ref = resources.files("artex").joinpath(f"data/stopwords/{language}.txt")
-        return cls(language=language, words=_read_words(ref))
+        return cls(language=language, words=_bundled_words(language))
+
+
+@cache
+def _bundled_words(language: str) -> frozenset[str]:
+    return _read_words(resources.files("artex").joinpath(f"data/stopwords/{language}.txt"))
 
 
 def _read_words(source) -> frozenset[str]:

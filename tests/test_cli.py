@@ -354,3 +354,121 @@ def test_module_entry_point_help():
     )
     assert result.returncode == 0
     assert "summarize" in result.stdout
+
+
+# --- in-process calls ---------------------------------------------------------------
+
+# Each probe runs in a fresh interpreter: "once per process" needs a process
+# that starts with nothing built, and pytest's own root log handlers would
+# keep ``main`` from configuring logging.
+CALLS_PROBE = """
+import collections, contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+import artex.cli, artex.preprocess
+doc, tiny, stoplist = sys.argv[2:5]
+built, reads = [], collections.Counter()
+build_parser, read_words = artex.cli.build_parser, artex.preprocess._read_words
+def counted_build_parser():
+    built.append(1)
+    return build_parser()
+def counted_read_words(source):
+    reads[source.name] += 1
+    return read_words(source)
+artex.cli.build_parser = counted_build_parser
+artex.preprocess._read_words = counted_read_words
+calls = [
+    ["summarize", doc, "--lang", lang] if number % 2 == 0 else ["eval", doc, doc, "--lang", lang]
+    for number, lang in zip(range(18), ["en", "es", "fr"] * 6)
+]
+codes = []
+for number in range(20):
+    if number == 19:
+        with open(stoplist, "w", encoding="utf-8") as handle:
+            handle.write("solar\\npanels\\n")
+    argv = calls[number] if number < 18 else ["summarize", tiny, "--stoplist", stoplist]
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(artex.cli.main(argv))
+print(json.dumps({"built": len(built), "reads": reads, "codes": codes}))
+"""
+
+SEQUENCE_PROBE = """
+import contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+import artex.cli
+seen = []
+for argv in json.loads(sys.argv[2]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = artex.cli.main(argv)
+    seen.append([code, out.getvalue(), err.getvalue()])
+print(json.dumps(seen))
+"""
+
+LOGGING_PROBE = """
+import contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+import artex.cli
+first, second = io.StringIO(), io.StringIO()
+with contextlib.redirect_stderr(first):
+    artex.cli.main(["summarize", sys.argv[2]])
+logged = first.getvalue()
+first.close()
+with contextlib.redirect_stderr(second):
+    artex.cli.main(["summarize", sys.argv[3]])
+print(json.dumps([logged, second.getvalue()]))
+"""
+
+
+def run_probe(probe: str, *args: str):
+    src = str(Path(artex.__file__).parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", probe, src, *args], capture_output=True, text=True, check=True
+    )
+    return json.loads(done.stdout)
+
+
+def test_calls_build_one_parser_and_read_each_bundled_stoplist_once(doc_file, tmp_path):
+    tiny = tmp_path / "tiny.txt"
+    tiny.write_text("Solar panels shine. Solar panels hum!", encoding="utf-8")
+    stoplist = tmp_path / "stop.txt"
+    stoplist.write_text("# nothing stopped\n", encoding="utf-8")
+    seen = run_probe(CALLS_PROBE, str(doc_file), str(tiny), str(stoplist))
+    assert seen["built"] == 1
+    assert seen["reads"] == {"en.txt": 1, "es.txt": 1, "fr.txt": 1, "stop.txt": 2}
+    # The edited --stoplist stops both repeated words of the last call.
+    assert seen["codes"] == [0] * 19 + [3]
+
+
+def test_calls_in_one_process_match_fresh_processes(doc_file, tmp_path):
+    summary = tmp_path / "summary.txt"
+    text = doc_file.read_text(encoding="utf-8")
+    summary.write_text(". ".join(text.split(". ")[:3]) + ".", encoding="utf-8")
+    doc, missing = str(doc_file), str(tmp_path / "absent.txt")
+    calls = [
+        [],
+        ["--help"],
+        ["summarize", doc, "--frobnicate"],
+        ["summarize", doc, "--lang", "es"],
+        ["summarize", missing],
+        ["summarize", doc, "--scores"],
+        ["eval", doc, str(summary)],
+        ["frobnicate"],
+    ]
+    env = dict(os.environ, PYTHONPATH=str(Path(artex.__file__).parents[1]))
+    fresh = []
+    for argv in calls:
+        done = subprocess.run(
+            [sys.executable, "-m", "artex", *argv], capture_output=True, text=True, env=env
+        )
+        fresh.append([done.returncode, done.stdout, done.stderr])
+    assert [code for code, _, _ in fresh] == [1, 0, 1, 0, 2, 0, 0, 1]
+    assert run_probe(SEQUENCE_PROBE, json.dumps(calls)) == fresh
+
+
+def test_each_call_logs_to_its_own_stderr(tmp_path):
+    first, second = tmp_path / "first.txt", tmp_path / "second.txt"
+    logged = run_probe(LOGGING_PROBE, str(first), str(second))
+    assert logged == [
+        f"ERROR artex.cli: [Errno 2] No such file or directory: '{path}'\n"
+        for path in (first, second)
+    ]
