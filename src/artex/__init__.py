@@ -23,7 +23,6 @@ from .evaluation import (
     NgramProfile,
     SkipBigram,
     Unigram,
-    divergence,
     evaluation_tokens,
     fresa_report,
     ngram_profile,
@@ -39,8 +38,6 @@ from .preprocess import (
     StopList,
     UltraStem,
     clean_token,
-    document_frequencies,
-    filter_sentence,
     load_lemma_dictionary,
     preprocess_document,
     split_sentences,
@@ -113,10 +110,7 @@ __all__ = [
     "benchmark",
     "benchmark_summary",
     "clean_token",
-    "divergence",
-    "document_frequencies",
     "evaluation_tokens",
-    "filter_sentence",
     "fresa_report",
     "lead_baseline",
     "load_corpus",

@@ -18,8 +18,9 @@ sentences instead of re-reading its text: the streams of sentences
 ``selected`` are ``[segments[i] for i in selected]``, except that an extract
 in which no selected sentence has an alphabetic character has no streams
 at all, as evaluation_tokens gives for its text (for example "2024.").
-fresa_report and divergence go through the same prepared profiles and the
-same summation loop, so every path gives the same floats, bit for bit.
+fresa_report, which takes the streams themselves, goes through the same
+prepared profiles and the same summation loop, so both paths give the
+same floats, bit for bit.
 
 A prepared source profile is indexed: each unit's position in profile order
 and its log term. A summary is evaluated from its own units: a copy of the
@@ -129,25 +130,20 @@ class DivergenceReport:
             "f_avg": self.f_avg,
         }
 
-    FIELDS = ("d1", "d2", "d_su4", "f1", "f2", "f_su4", "f_avg")
 
+def ngram_profile(segments: Sequence[Sequence[str]], order: NgramOrder) -> NgramProfile:
+    """Count n-gram units over per-sentence token streams.
 
-def _segments(tokens: Sequence) -> list[list[str]]:
-    """Interpret input as one flat token list or a list of per-sentence lists."""
-    if all(isinstance(item, str) for item in tokens):
-        return [list(tokens)]
-    return [list(segment) for segment in tokens]
-
-
-def ngram_profile(tokens: Sequence, order: NgramOrder) -> NgramProfile:
-    """Count n-gram units over token segments.
-
-    ``tokens`` is either a flat sequence of strings (treated as a single
-    segment) or a sequence of per-sentence token sequences; bigrams and
-    skip-bigrams never cross a segment boundary. Fewer tokens than the unit
-    needs yields an empty profile. Units are keyed in first-occurrence order.
+    ``segments`` holds one token sequence per sentence; bigrams and
+    skip-bigrams never cross a segment boundary. A segment with fewer tokens
+    than the unit needs adds nothing. Units are keyed in first-occurrence
+    order. A flat token list (its first item a string) raises TypeError,
+    since each of its strings would otherwise be read as a segment of
+    characters.
     """
-    counts = Counter(chain.from_iterable(map(order.units, _segments(tokens))))
+    if segments and isinstance(segments[0], str):
+        raise TypeError("ngram_profile takes one token sequence per sentence, not a flat one")
+    counts = Counter(chain.from_iterable(map(order.units, segments)))
     return NgramProfile(order=order, counts=counts, total=sum(counts.values()))
 
 
@@ -170,6 +166,9 @@ class SourceProfile:
     def divergence(self, summary: NgramProfile) -> float:
         """Divergence of a summary profile of the same order from this source.
 
+        Each source type t contributes |log(1 + C_t/|T|) - log(1 + c_t/|S|)|,
+        where C_t, c_t are its counts in source and summary and |T|, |S| the
+        profile totals; types found only in the summary contribute nothing.
         A source unit absent from the summary has summary term
         log(1 + 0) = 0, and |T - 0.0| is T itself, so a copy of the source
         terms already holds every difference except those of the summary's
@@ -190,9 +189,9 @@ class SourceProfile:
 def _summed(values: Iterable[float]) -> float:
     """Add ``values`` one by one, left to right, in plain float arithmetic.
 
-    Every divergence is this sum over the source units in profile order, so
-    the same profiles always give the same float, whichever entry point
-    computed it. The order and the rounding of each step are part of the
+    Every divergence, the empty summary's included, is this sum over the
+    source units in profile order, so the same profiles always give the
+    same float. The order and the rounding of each step are part of the
     output (report.jsonl): built-in sum() adds floats with compensated
     summation from Python 3.12 on, and math.fsum rounds only once, so either
     would change the last digits, and sum() would change them on some
@@ -218,26 +217,11 @@ def prepare_profile(source: NgramProfile) -> SourceProfile:
     )
 
 
-def divergence(source: NgramProfile, summary: NgramProfile) -> float:
-    """Smoothed absolute log-difference divergence, summed over source types.
-
-    Each source type t contributes |log(1 + C_t/|T|) - log(1 + c_t/|S|)|
-    where C_t, c_t are its counts in source and summary and |T|, |S| the
-    profile totals. Types present only in the summary contribute nothing;
-    an empty summary contributes c_t/|S| := 0 for every type.
-    """
-    if source.order != summary.order:
-        raise ValueError(
-            f"profile orders differ: {source.order!r} vs {summary.order!r}"
-        )
-    return prepare_profile(source).divergence(summary)
-
-
 _ORDERS: tuple[NgramOrder, ...] = (Unigram(), Bigram(), SkipBigram(4))
 
 
-def _source_profiles(source_tokens: Sequence) -> tuple[SourceProfile, ...]:
-    """The prepared unigram, bigram and skip-bigram profiles of a source stream."""
+def _source_profiles(source_tokens: Sequence[Sequence[str]]) -> tuple[SourceProfile, ...]:
+    """The prepared unigram, bigram and skip-bigram profiles of source streams."""
     return tuple(prepare_profile(ngram_profile(source_tokens, order)) for order in _ORDERS)
 
 
@@ -246,9 +230,9 @@ def _clamp01(value: float) -> float:
 
 
 def _report(
-    profiles: Sequence[SourceProfile], summary_tokens: Sequence
+    profiles: Sequence[SourceProfile], summary_tokens: Sequence[Sequence[str]]
 ) -> DivergenceReport:
-    """Evaluate a summary token stream against prepared source profiles.
+    """Evaluate summary token streams against prepared source profiles.
 
     Each order's divergence d is normalized as f = 1 - d/d_empty, where
     d_empty is the divergence of the empty summary: an empty summary scores
@@ -273,11 +257,15 @@ def _report(
     )
 
 
-def fresa_report(source_tokens: Sequence, summary_tokens: Sequence) -> DivergenceReport:
-    """Evaluate a summary token stream against its source token stream.
+def fresa_report(
+    source_tokens: Sequence[Sequence[str]], summary_tokens: Sequence[Sequence[str]]
+) -> DivergenceReport:
+    """Evaluate a summary against its source, each given as per-sentence streams.
 
-    Computes the divergence for unigrams, bigrams, and skip-bigrams and
-    normalizes each against the empty summary (see _report).
+    Both take the form evaluation_tokens returns; a flat token list raises
+    TypeError (see ngram_profile). Computes the divergence for unigrams,
+    bigrams, and skip-bigrams and normalizes each against the empty summary
+    (see _report).
     """
     return _report(_source_profiles(source_tokens), summary_tokens)
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cache, partial
+from functools import cache, cached_property, partial
 from importlib import resources
 from pathlib import Path
 from typing import Callable, ClassVar, Mapping
@@ -49,6 +49,11 @@ class Sentence:
     index: int
     surface: str
     tokens: tuple[str, ...] = ()
+
+    @cached_property
+    def words(self) -> int:
+        """Number of whitespace-delimited words in the surface, counted once."""
+        return len(self.surface.split())
 
 
 @dataclass(frozen=True)
@@ -263,44 +268,6 @@ def clean_token(token: str) -> str:
     return token[begin:end]
 
 
-def document_frequencies(sentences: list[Sentence]) -> Counter[str]:
-    """Count cleaned-token occurrences across all sentences of one document.
-
-    Counts are taken on the full lowercased, punctuation-stripped stream,
-    before any stop-list or frequency-based removal.
-    """
-    counts: Counter[str] = Counter()
-    for sentence in sentences:
-        for token in sentence.tokens:
-            cleaned = clean_token(token)
-            if cleaned:
-                counts[cleaned] += 1
-    return counts
-
-
-def filter_sentence(
-    sentence: Sentence,
-    stoplist: StopList,
-    doc_frequencies: Mapping[str, int],
-) -> Sentence:
-    """Lowercase, strip punctuation, drop stop-words and document hapaxes.
-
-    A token survives when it cleans to a non-empty string, is not in the
-    stop-list, and its cleaned form occurs at least twice in the document.
-    Survivor order is preserved; an all-filtered sentence keeps an empty
-    token stream.
-    """
-    kept = []
-    for token in sentence.tokens:
-        cleaned = clean_token(token)
-        if not cleaned or cleaned in stoplist:
-            continue
-        if doc_frequencies.get(cleaned, 0) < 2:
-            continue
-        kept.append(cleaned)
-    return Sentence(index=sentence.index, surface=sentence.surface, tokens=tuple(kept))
-
-
 @dataclass(frozen=True)
 class CleanedDocument:
     """A document after the one split-and-clean pass shared by every consumer.
@@ -324,9 +291,8 @@ def clean_document(raw: RawDocument, stoplist: StopList) -> CleanedDocument:
     Each distinct whitespace token of the document is cleaned and checked
     against the stop-list once; a token that cleans to nothing or to a
     stop-word is dropped wherever it occurs. Raises EmptyDocument like
-    split_sentences. Stop-words are dropped before counting; the hapax
-    filter only ever looks up non-stop tokens, so this gives it the counts
-    document_frequencies would.
+    split_sentences. Stop-words are dropped before counting: the hapax
+    filter only ever looks up non-stop tokens.
     """
     stopwords = stoplist.words
     kept: dict[str, str] = {}  # raw token -> cleaned token, "" when dropped
@@ -391,8 +357,7 @@ def preprocess_document(
     language is used; ``normalize`` is a mode's normalizer for that
     language and defaults to Raw's. The document is split and cleaned in
     one pass (clean_document), and each distinct word that survives the
-    hapax filter is normalized once (normalize_document). The result equals
-    filter_sentence over document_frequencies, then ``normalize``.
+    hapax filter is normalized once (normalize_document).
     """
     if stoplist is None:
         stoplist = StopList.bundled(raw.language)

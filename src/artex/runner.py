@@ -296,12 +296,21 @@ def _worker_init(
     _WORKER_STATE = (cfg, stoplist, normalize)
 
 
-def _worker_run(raw: RawDocument) -> tuple[str, list[RunResult], str | None]:
-    cfg, stoplist, normalize = _WORKER_STATE
+def _outcome(
+    raw: RawDocument,
+    cfg: RunConfig,
+    stoplist: StopList,
+    normalize: Callable[[str], str] | None,
+) -> tuple[str, list[RunResult], str | None]:
+    """A document's ID and results, or its skip message if it fails."""
     try:
         return raw.id, _process_document(raw, cfg, stoplist, normalize), None
     except ArtexError as exc:
         return raw.id, [], f"{type(exc).__name__}: {exc}"
+
+
+def _worker_run(raw: RawDocument) -> tuple[str, list[RunResult], str | None]:
+    return _outcome(raw, *_WORKER_STATE)
 
 
 def run_corpus(corpus: CorpusSpec, cfg: RunConfig) -> list[RunResult]:
@@ -326,14 +335,7 @@ def run_corpus(corpus: CorpusSpec, cfg: RunConfig) -> list[RunResult]:
     # are documents.
     workers = min(cfg.workers, len(documents))
     if workers == 1:
-        outcomes = []
-        for raw in documents:
-            try:
-                outcomes.append(
-                    (raw.id, _process_document(raw, cfg, stoplist, normalize), None)
-                )
-            except ArtexError as exc:
-                outcomes.append((raw.id, [], f"{type(exc).__name__}: {exc}"))
+        outcomes = [_outcome(raw, cfg, stoplist, normalize) for raw in documents]
     else:
         from concurrent.futures import ProcessPoolExecutor
 

@@ -152,11 +152,6 @@ def ranked_indices(scores: ScoreVector) -> list[int]:
     return sorted(range(len(scores.raw)), key=lambda i: (-scores.raw[i], i))
 
 
-def sentence_words(sentence: Sentence) -> int:
-    """Number of whitespace-delimited words in the sentence surface."""
-    return len(sentence.surface.split())
-
-
 def prefix_selection(
     order: Sequence[int],
     sentences: Sequence[Sentence],
@@ -180,7 +175,7 @@ def prefix_selection(
     else:
         # The full order always reaches the target: the accumulated count
         # ends at the word total and target = ratio * total <= total.
-        words = [sentence_words(s) for s in sentences]
+        words = [sentence.words for sentence in sentences]
         target = budget.ratio * sum(words)
         chosen = []
         accumulated = 0

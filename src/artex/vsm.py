@@ -68,17 +68,6 @@ class SentenceTermMatrix:
                 sums[j] += count
         return sums
 
-    @classmethod
-    def from_dense(cls, counts: Sequence[Sequence[int]]) -> "SentenceTermMatrix":
-        """Build a matrix from dense nested lists; zeros are not stored."""
-        n = len(counts[0]) if counts else 0
-        rows = []
-        for dense_row in counts:
-            if len(dense_row) != n:
-                raise ValueError("ragged count matrix")
-            rows.append({j: int(c) for j, c in enumerate(dense_row) if c})
-        return cls(P=len(counts), N=n, rows=tuple(rows))
-
 
 def vectorize(sentences: Sequence[Sentence]) -> tuple[Vocabulary, SentenceTermMatrix]:
     """Count term occurrences per sentence over a shared vocabulary.

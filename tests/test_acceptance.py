@@ -22,9 +22,9 @@ from artex.cli import main
 from artex.evaluation import (
     NgramProfile,
     Unigram,
-    divergence,
     evaluation_tokens,
     fresa_report,
+    prepare_profile,
 )
 from artex.preprocess import (
     Lemmatize,
@@ -46,10 +46,9 @@ from artex.scorer import (
     score,
     score_normalized,
     select,
-    sentence_words,
 )
 from artex.synthetic import generate_corpus, generate_document, generate_lemma_dictionary
-from artex.vsm import SentenceTermMatrix
+from matrices import from_dense
 
 
 @pytest.fixture(scope="module")
@@ -61,7 +60,7 @@ def random_matrices():
         p = int(rng.randint(1, 51))
         n = int(rng.randint(1, 201))
         dense = rng.randint(0, 6, size=(p, n))
-        cases.append((dense, SentenceTermMatrix.from_dense(dense.tolist())))
+        cases.append((dense, from_dense(dense.tolist())))
     return cases
 
 
@@ -109,7 +108,7 @@ def test_criterion_2_dense_oracle_equivalence(random_matrices):
 
 
 def test_criterion_3_hand_check():
-    matrix = SentenceTermMatrix.from_dense([[1, 0], [0, 1]])
+    matrix = from_dense([[1, 0], [0, 1]])
     assert score(matrix).raw == (0.0625, 0.0625)
     assert score_normalized(matrix).raw == (0.015625, 0.015625)
     print("\nPASS criterion 3: hand-check raw=[0.0625,0.0625], score'=[0.015625,0.015625]")
@@ -122,7 +121,7 @@ def test_criterion_4_divergence_identities():
     empty = fresa_report(source, [])
     assert (empty.f1, empty.f2, empty.f_su4) == (0.0, 0.0, 0.0)
     single = NgramProfile(order=Unigram(), counts={("a",): 1}, total=1)
-    d = divergence(single, NgramProfile(order=Unigram(), counts={}, total=0))
+    d = prepare_profile(single).empty_divergence
     assert abs(d - math.log(2)) <= 1e-12
     print("\nPASS criterion 4: f_avg(source,source)=1, empty summary=0, single-term=log 2")
 
@@ -280,9 +279,9 @@ def test_criterion_9_summary_contract():
             m = len(selected)
             assert sorted(order[:m]) == list(selected)
             target = budget.ratio * sum(words)
-            chosen_words = sum(sentence_words(sentences[i]) for i in order[:m])
+            chosen_words = sum(sentences[i].words for i in order[:m])
             assert chosen_words >= target
             if m > 1:
-                below = sum(sentence_words(sentences[i]) for i in order[: m - 1])
+                below = sum(sentences[i].words for i in order[: m - 1])
                 assert below < target
     print("\nPASS criterion 9: selection contract on 200 random score vectors")

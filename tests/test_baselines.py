@@ -2,7 +2,8 @@ from collections import Counter
 
 from artex.baselines import lead_baseline, random_baseline
 from artex.preprocess import Sentence
-from artex.scorer import SentenceCount, WordRatio
+from artex.scorer import SentenceCount, WordRatio, score, select
+from artex.vsm import vectorize
 
 
 def _sentences(word_counts):
@@ -79,3 +80,29 @@ def test_random_single_pick_uniform_over_seeds():
     assert set(counts) == {0, 1, 2, 3, 4}
     for index in range(5):
         assert abs(counts[index] - 2000) <= 120
+
+
+# --- word counts ----------------------------------------------------------
+
+
+def test_systems_split_each_surface_once():
+    # artex, lead and random each select under a word budget from the same
+    # sentences, as the batch runs them; the surfaces are split once in all.
+    splits = []
+
+    class Surface(str):
+        def split(self, *args, **kwargs):
+            splits.append(str(self))
+            return super().split(*args, **kwargs)
+
+    surfaces = [f"Sentence {i} has {'more ' * i}words." for i in range(8)]
+    sentences = [
+        Sentence(index=i, surface=Surface(text), tokens=("w", f"t{i % 3}"))
+        for i, text in enumerate(surfaces)
+    ]
+    _, matrix = vectorize(sentences)
+    budget = WordRatio(0.3)
+    select(score(matrix), sentences, budget)
+    lead_baseline(sentences, budget)
+    random_baseline(sentences, budget, seed=1)
+    assert sorted(splits) == sorted(surfaces)

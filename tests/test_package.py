@@ -35,9 +35,30 @@ print(json.dumps({"loaded": loaded, "added": added}))
 """
 
 
+# The public API, name by name: adding or dropping an export is a deliberate
+# edit of this list.
+PUBLIC = (
+    "ArtexError", "Bigram", "CompressionSpec", "CorpusEmpty", "CorpusError",
+    "CorpusSpec", "DEFAULT_BUDGET", "DivergenceReport", "Document",
+    "EmptyDocument", "EmptySource", "EmptyVocabulary", "Lemmatize",
+    "MissingDictionary", "NgramProfile", "NormalizationMode", "PseudoVectors",
+    "Raw", "RawDocument", "RunConfig", "RunResult", "ScoreVector", "Sentence",
+    "SentenceCount", "SentenceTermMatrix", "SkipBigram", "Stem", "StopList",
+    "Summary", "TimingRecord", "UltraStem", "Unigram", "Vocabulary",
+    "WordRatio", "benchmark", "benchmark_summary", "clean_token",
+    "evaluation_tokens", "fresa_report", "lead_baseline", "load_corpus",
+    "load_lemma_dictionary", "ngram_profile", "parse_mode",
+    "preprocess_document", "pseudo_vectors", "random_baseline", "run_corpus",
+    "score", "score_normalized", "score_table", "select", "split_sentences",
+    "stem", "stemmer_for", "vectorize", "__version__",
+)
+
+
 def test_every_exported_name_resolves():
     assert [name for name in artex.__all__ if not hasattr(artex, name)] == []
     assert len(set(artex.__all__)) == len(artex.__all__)
+    assert len(PUBLIC) == 57
+    assert sorted(artex.__all__) == sorted(PUBLIC)
 
 
 def test_import_loads_no_deferred_module():

@@ -1,4 +1,5 @@
 from collections import Counter
+from typing import Mapping
 
 import pytest
 from hypothesis import example, given, settings
@@ -15,8 +16,6 @@ from artex.preprocess import (
     StopList,
     UltraStem,
     clean_token,
-    document_frequencies,
-    filter_sentence,
     load_lemma_dictionary,
     preprocess_document,
     split_sentences,
@@ -145,6 +144,46 @@ def test_raw_document_rejects_unknown_language():
 )
 def test_clean_token(token, expected):
     assert clean_token(token) == expected
+
+
+# The two-pass reference for clean_document and preprocess_document: count
+# every cleaned token of the document first, then filter each sentence.
+
+
+def document_frequencies(sentences: list[Sentence]) -> Counter[str]:
+    """Count cleaned-token occurrences across all sentences of one document.
+
+    Counts are taken on the full lowercased, punctuation-stripped stream,
+    before any stop-list or frequency-based removal.
+    """
+    counts: Counter[str] = Counter()
+    for sentence in sentences:
+        for token in sentence.tokens:
+            cleaned = clean_token(token)
+            if cleaned:
+                counts[cleaned] += 1
+    return counts
+
+
+def filter_sentence(
+    sentence: Sentence, stoplist: StopList, doc_frequencies: Mapping[str, int]
+) -> Sentence:
+    """Lowercase, strip punctuation, drop stop-words and document hapaxes.
+
+    A token survives when it cleans to a non-empty string, is not in the
+    stop-list, and its cleaned form occurs at least twice in the document.
+    Survivor order is preserved; an all-filtered sentence keeps an empty
+    token stream.
+    """
+    kept = []
+    for token in sentence.tokens:
+        cleaned = clean_token(token)
+        if not cleaned or cleaned in stoplist:
+            continue
+        if doc_frequencies.get(cleaned, 0) < 2:
+            continue
+        kept.append(cleaned)
+    return Sentence(index=sentence.index, surface=sentence.surface, tokens=tuple(kept))
 
 
 def _sentence(tokens: list[str]) -> Sentence:

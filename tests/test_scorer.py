@@ -21,9 +21,8 @@ from artex.scorer import (
     score_normalized,
     score_table,
     select,
-    sentence_words,
 )
-from artex.vsm import SentenceTermMatrix
+from matrices import from_dense
 
 matrices = st.lists(
     st.lists(st.integers(min_value=0, max_value=5), min_size=1, max_size=8),
@@ -55,13 +54,13 @@ def _sentences_with_words(word_counts: list[int]) -> list[Sentence]:
 
 
 def test_pseudo_vectors_identity_case():
-    pv = pseudo_vectors(SentenceTermMatrix.from_dense([[1, 0], [0, 1]]))
+    pv = pseudo_vectors(from_dense([[1, 0], [0, 1]]))
     assert pv.lexical_weight == (0.5, 0.5)
     assert pv.global_topic == (0.5, 0.5)
 
 
 def test_pseudo_vectors_single_row():
-    pv = pseudo_vectors(SentenceTermMatrix.from_dense([[2, 2]]))
+    pv = pseudo_vectors(from_dense([[2, 2]]))
     assert pv.lexical_weight == (2.0,)
     assert pv.global_topic == (2.0, 2.0)
 
@@ -69,7 +68,7 @@ def test_pseudo_vectors_single_row():
 def test_pseudo_vectors_match_dense_oracle():
     rng = random.Random(3)
     counts = [[rng.randint(0, 5) for _ in range(6)] for _ in range(4)]
-    pv = pseudo_vectors(SentenceTermMatrix.from_dense(counts))
+    pv = pseudo_vectors(from_dense(counts))
     for i in range(4):
         assert pv.lexical_weight[i] == pytest.approx(sum(counts[i]) / 6, rel=1e-12)
     for j in range(6):
@@ -81,14 +80,14 @@ def test_pseudo_vectors_match_dense_oracle():
 
 
 def test_score_hand_check_exact():
-    matrix = SentenceTermMatrix.from_dense([[1, 0], [0, 1]])
+    matrix = from_dense([[1, 0], [0, 1]])
     scores = score(matrix)
     assert scores.raw == (0.0625, 0.0625)
     assert scores.normalized == (1.0, 1.0)
 
 
 def test_score_empty_row_is_exactly_zero():
-    matrix = SentenceTermMatrix.from_dense([[0, 0], [1, 2]])
+    matrix = from_dense([[0, 0], [1, 2]])
     scores = score(matrix)
     assert scores.raw[0] == 0.0
 
@@ -96,23 +95,23 @@ def test_score_empty_row_is_exactly_zero():
 def test_score_matches_dense_oracle():
     rng = random.Random(5)
     counts = [[rng.randint(0, 5) for _ in range(9)] for _ in range(6)]
-    matrix = SentenceTermMatrix.from_dense(counts)
+    matrix = from_dense(counts)
     scores = score(matrix)
     for got, want in zip(scores.raw, _naive_scores(counts)):
         assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_score_normalized_hand_checks():
-    matrix = SentenceTermMatrix.from_dense([[1, 0], [0, 1]])
+    matrix = from_dense([[1, 0], [0, 1]])
     scores = score_normalized(matrix)
     assert scores.raw == (0.015625, 0.015625)
-    single = SentenceTermMatrix.from_dense([[1]])
+    single = from_dense([[1]])
     assert score_normalized(single).raw == (1.0,)
 
 
 @given(matrices)
 def test_rank_equivalence_and_constant_factor(counts):
-    matrix = SentenceTermMatrix.from_dense(counts)
+    matrix = from_dense(counts)
     plain = score(matrix)
     normalized = score_normalized(matrix)
     assert ranked_indices(plain) == ranked_indices(normalized)
@@ -123,8 +122,8 @@ def test_rank_equivalence_and_constant_factor(counts):
 
 @given(matrices, st.integers(min_value=1, max_value=7))
 def test_positive_scaling_invariance(counts, c):
-    base = SentenceTermMatrix.from_dense(counts)
-    scaled = SentenceTermMatrix.from_dense(
+    base = from_dense(counts)
+    scaled = from_dense(
         [[c * value for value in row] for row in counts]
     )
     raw0 = score(base).raw
@@ -138,7 +137,7 @@ def test_positive_scaling_invariance(counts, c):
 def test_integer_numerators_match_mean_based_evaluation(counts):
     # The production path folds the mean denominators into one division;
     # summing against rounded float means must land on the same values.
-    matrix = SentenceTermMatrix.from_dense(counts)
+    matrix = from_dense(counts)
     pv = pseudo_vectors(matrix)
     plain = score(matrix)
     mean_based = [
@@ -153,7 +152,7 @@ def test_integer_numerators_match_mean_based_evaluation(counts):
 
 @given(matrices)
 def test_normalized_scores_in_unit_interval(counts):
-    matrix = SentenceTermMatrix.from_dense(counts)
+    matrix = from_dense(counts)
     scores = score(matrix)
     assert all(0.0 <= value <= 1.0 for value in scores.normalized)
     if any(value > 0.0 for value in scores.raw):
@@ -257,7 +256,7 @@ def test_assemble_joins_in_source_order():
 
 
 def test_sentence_words_counts_whitespace_tokens():
-    assert sentence_words(Sentence(index=0, surface="a b  c", tokens=())) == 3
+    assert Sentence(index=0, surface="a b  c", tokens=()).words == 3
 
 
 def test_score_table_flags_selected_rows():

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from artex.errors import EmptyVocabulary
 from artex.preprocess import Sentence
 from artex.vsm import SentenceTermMatrix, Vocabulary, vectorize
+from matrices import from_dense
 
 
 def _sentences(token_lists):
@@ -85,11 +86,15 @@ def test_mass_and_sparsity_conservation(token_lists):
 
 
 def test_from_dense_roundtrip():
-    matrix = SentenceTermMatrix.from_dense([[0, 3], [2, 0]])
+    matrix = from_dense([[0, 3], [2, 0]])
     assert _dense(matrix) == [[0, 3], [2, 0]]
     assert matrix.rows[0] == {1: 3}  # zeros are not stored
+    # The helper builds what vectorize builds for the same counts.
+    assert vectorize(_sentences([["a", "b", "b", "b"], ["a", "a"]]))[1] == from_dense(
+        [[1, 3], [2, 0]]
+    )
 
 
 def test_from_dense_rejects_ragged_input():
     with pytest.raises(ValueError):
-        SentenceTermMatrix.from_dense([[1, 2], [3]])
+        from_dense([[1, 2], [3]])
