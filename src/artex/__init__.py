@@ -67,8 +67,8 @@ from .scorer import (
     score_table,
     select,
 )
-from .stemming import stem, stemmer_for
-from .vsm import SentenceTermMatrix, Vocabulary, vectorize
+from .stemming import stemmer_for
+from .vsm import SentenceTermMatrix, vectorize
 
 __version__ = "0.1.0"
 
@@ -105,7 +105,6 @@ __all__ = [
     "TimingRecord",
     "UltraStem",
     "Unigram",
-    "Vocabulary",
     "WordRatio",
     "benchmark",
     "benchmark_summary",
@@ -126,7 +125,6 @@ __all__ = [
     "score_table",
     "select",
     "split_sentences",
-    "stem",
     "stemmer_for",
     "vectorize",
     "__version__",

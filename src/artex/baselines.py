@@ -1,7 +1,8 @@
 """Reference systems for evaluator sanity checks: lead and random selection.
 
-Both produce the same Summary type as the scorer so they can be evaluated
-through the same reporting pipeline.
+Each is a sentence order handed to the scorer's ``extract``, the step that
+turns artex's ranking into a summary, so all three systems differ only in
+that order and are evaluated through the same reporting pipeline.
 """
 
 from __future__ import annotations
@@ -10,14 +11,12 @@ import random
 from typing import Sequence
 
 from .preprocess import Sentence
-from .scorer import CompressionSpec, Summary, assemble, prefix_selection
+from .scorer import CompressionSpec, Summary, extract
 
 
 def lead_baseline(sentences: Sequence[Sentence], budget: CompressionSpec) -> Summary:
     """Select the leading sentences until the budget is met."""
-    order = list(range(len(sentences)))
-    selected = prefix_selection(order, sentences, budget)
-    return assemble(selected, sentences, budget)
+    return extract(range(len(sentences)), sentences, budget)
 
 
 def random_baseline(
@@ -33,6 +32,4 @@ def random_baseline(
     exact selection for a given seed so results replicate across machines.
     """
     p = len(sentences)
-    order = random.Random(seed).sample(range(p), p)
-    selected = prefix_selection(order, sentences, budget)
-    return assemble(selected, sentences, budget)
+    return extract(random.Random(seed).sample(range(p), p), sentences, budget)

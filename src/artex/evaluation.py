@@ -35,7 +35,7 @@ first-occurrence order, which each order's units() keeps.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import chain, repeat
 from math import log1p
 from operator import truediv
@@ -120,15 +120,7 @@ class DivergenceReport:
     f_avg: float
 
     def as_dict(self) -> dict[str, float]:
-        return {
-            "d1": self.d1,
-            "d2": self.d2,
-            "d_su4": self.d_su4,
-            "f1": self.f1,
-            "f2": self.f2,
-            "f_su4": self.f_su4,
-            "f_avg": self.f_avg,
-        }
+        return asdict(self)
 
 
 def ngram_profile(segments: Sequence[Sequence[str]], order: NgramOrder) -> NgramProfile:

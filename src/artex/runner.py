@@ -119,7 +119,6 @@ class TimingRecord:
     corpus_id: str
     preprocess_seconds: float
     score_seconds: float
-    total_seconds: float
     repetition: int | None = None
     vocabulary_size: int | None = None
 
@@ -133,6 +132,10 @@ class TimingRecord:
         "total_seconds",
         "vocabulary_size",
     )
+
+    @property
+    def total_seconds(self) -> float:
+        return self.preprocess_seconds + self.score_seconds
 
     def as_row(self) -> list[str]:
         return [
@@ -271,7 +274,6 @@ def _process_document(
                 corpus_id=raw.id,
                 preprocess_seconds=preprocess_seconds,
                 score_seconds=s1 - s0,
-                total_seconds=preprocess_seconds + (s1 - s0),
             )
         results.append(
             RunResult(
@@ -412,29 +414,13 @@ def benchmark(
     stoplist = StopList.bundled(corpus.language)
     corpus_id = Path(corpus.root).name
     records: list[TimingRecord] = []
-    vocabulary_sizes: list[int | None] = [None] * len(modes)
     failed: list[set[str]] = [set() for _ in modes]
     for repetition in range(repetitions):
         # The modes' resources are freed when this call returns, outside
         # the timed regions and before the next repetition loads them again.
-        preprocess_seconds, score_seconds, sizes = _timed_repetition(
-            documents, corpus.language, stoplist, modes, failed
+        records += _timed_repetition(
+            documents, corpus.language, stoplist, modes, failed, corpus_id, repetition
         )
-        for position, mode in enumerate(modes):
-            if vocabulary_sizes[position] is None:
-                vocabulary_sizes[position] = sizes[position]
-            records.append(
-                TimingRecord(
-                    system="artex",
-                    normalization=mode.label,
-                    corpus_id=corpus_id,
-                    preprocess_seconds=preprocess_seconds[position],
-                    score_seconds=score_seconds[position],
-                    total_seconds=preprocess_seconds[position] + score_seconds[position],
-                    repetition=repetition,
-                    vocabulary_size=vocabulary_sizes[position],
-                )
-            )
     if out_dir is not None:
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -448,13 +434,16 @@ def _timed_repetition(
     stoplist: StopList,
     modes: Sequence[NormalizationMode],
     failed: list[set[str]],
-) -> tuple[list[float], list[float], list[int]]:
+    corpus_id: str,
+    repetition: int,
+) -> list[TimingRecord]:
     """Run every mode over every document once, document by document.
 
-    Returns, per mode, the preprocessing seconds, the scoring seconds and
-    the vocabulary size summed over the documents it did not skip. A
+    Returns one record per mode: its preprocessing and scoring seconds and
+    its vocabulary size, summed over the documents it did not skip. A
     document that fails in a mode is added to that mode's ``failed`` set
-    and skipped by it from then on.
+    and skipped by it from then on, so every repetition sums the sizes of
+    the same documents.
     """
     clock = time.perf_counter
     normalizers = []
@@ -484,7 +473,18 @@ def _timed_repetition(
             preprocess_seconds[position] += t1 - t0
             score_seconds[position] += t2 - t1
             sizes[position] += len(vocabulary)
-    return preprocess_seconds, score_seconds, sizes
+    return [
+        TimingRecord(
+            system="artex",
+            normalization=mode.label,
+            corpus_id=corpus_id,
+            preprocess_seconds=preprocess_seconds[position],
+            score_seconds=score_seconds[position],
+            repetition=repetition,
+            vocabulary_size=sizes[position],
+        )
+        for position, mode in enumerate(modes)
+    ]
 
 
 def benchmark_summary(records: Sequence[TimingRecord]) -> list[dict]:

@@ -46,9 +46,6 @@ class ScoreVector:
     raw: tuple[float, ...]
     normalized: tuple[float, ...]
 
-    def __len__(self) -> int:
-        return len(self.raw)
-
 
 @dataclass(frozen=True)
 class SentenceCount:
@@ -152,18 +149,18 @@ def ranked_indices(scores: ScoreVector) -> list[int]:
     return sorted(range(len(scores.raw)), key=lambda i: (-scores.raw[i], i))
 
 
-def prefix_selection(
+def extract(
     order: Sequence[int],
     sentences: Sequence[Sentence],
     budget: CompressionSpec,
-) -> tuple[int, ...]:
-    """Take the smallest prefix of ``order`` that satisfies the budget.
+) -> Summary:
+    """Summarize by the smallest prefix of ``order`` that satisfies the budget.
 
     For a sentence-count budget the prefix is the first k positions (k is
     clamped to the sentence count, with a warning). For a word-ratio budget
     the prefix is the shortest one whose surface word count reaches the
-    requested fraction of the total. The chosen indices are returned sorted
-    into source order.
+    requested fraction of the total. The chosen surfaces are joined in
+    source order with single spaces.
     """
     p = len(sentences)
     if isinstance(budget, SentenceCount):
@@ -184,18 +181,9 @@ def prefix_selection(
             accumulated += words[index]
             if accumulated >= target:
                 break
-    return tuple(sorted(chosen))
-
-
-def assemble(
-    selected: Sequence[int],
-    sentences: Sequence[Sentence],
-    budget: CompressionSpec,
-) -> Summary:
-    """Join the selected surfaces, in source order, with single spaces."""
-    ordered = tuple(sorted(selected))
-    text = " ".join(sentences[i].surface for i in ordered)
-    return Summary(selected=ordered, text=text, compression=budget)
+    selected = tuple(sorted(chosen))
+    text = " ".join(sentences[i].surface for i in selected)
+    return Summary(selected=selected, text=text, compression=budget)
 
 
 def select(
@@ -208,8 +196,7 @@ def select(
         budget = DEFAULT_BUDGET
     if len(scores.raw) != len(sentences):
         raise ValueError("score vector length does not match sentence count")
-    selected = prefix_selection(ranked_indices(scores), sentences, budget)
-    return assemble(selected, sentences, budget)
+    return extract(ranked_indices(scores), sentences, budget)
 
 
 def score_table(scores: ScoreVector, summary: Summary | None = None) -> str:

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import re
 
+from . import region
+
 VOWELS = "aeiouy"
 DOUBLE_CONSONANTS = ("bb", "dd", "ff", "gg", "mm", "nn", "pp", "rr", "tt")
 LI_ENDING = "cdeghkmnrt"
@@ -85,12 +87,6 @@ _VOWEL_THEN_NON_VOWEL = re.compile(f"[{VOWELS}][^{VOWELS}]").search
 _HAS_VOWEL = re.compile(f"[{VOWELS}]").search
 
 
-def _region(word: str) -> str:
-    """The part of ``word`` after its first non-vowel that follows a vowel."""
-    match = _VOWEL_THEN_NON_VOWEL(word)
-    return word[match.end():] if match else ""
-
-
 def stem(word: str) -> str:
     """Return the stem of a lowercase English word."""
     word = word.lower()
@@ -121,8 +117,8 @@ def stem(word: str) -> str:
     elif word.startswith("commun"):
         r1 = word[6:]
     else:
-        r1 = _region(word)
-    r2 = _region(r1)
+        r1 = region(word, _VOWEL_THEN_NON_VOWEL)
+    r2 = region(r1, _VOWEL_THEN_NON_VOWEL)
 
     # Step 0: possessives
     if word.endswith(STEP0_SUFFIXES):

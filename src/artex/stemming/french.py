@@ -7,7 +7,12 @@ the end. R1/R2/RV are trailing substrings of the marked word.
 
 from __future__ import annotations
 
+import re
+
+from . import region
+
 VOWELS = "aeiouy\xe2\xe0\xeb\xe9\xea\xe8\xef\xee\xf4\xfb\xf9"
+_VOWEL_THEN_NON_VOWEL = re.compile(f"[{VOWELS}][^{VOWELS}]").search
 
 STEP1_SUFFIXES = (
     "issements", "issement", "atrices", "atrice", "ateurs", "ations",
@@ -62,20 +67,6 @@ def _mark_consonant_vowels(word: str) -> str:
     return word
 
 
-def _standard_regions(word: str) -> tuple[str, str]:
-    r1 = ""
-    r2 = ""
-    for i in range(1, len(word)):
-        if word[i] not in VOWELS and word[i - 1] in VOWELS:
-            r1 = word[i + 1:]
-            break
-    for i in range(1, len(r1)):
-        if r1[i] not in VOWELS and r1[i - 1] in VOWELS:
-            r2 = r1[i + 1:]
-            break
-    return r1, r2
-
-
 def _rv_region(word: str) -> str:
     # "par", "col" and "tap" prefixes count like a leading double vowel.
     rv = ""
@@ -102,7 +93,8 @@ def stem(word: str) -> str:
     step2b_success = False
 
     word = _mark_consonant_vowels(word)
-    r1, r2 = _standard_regions(word)
+    r1 = region(word, _VOWEL_THEN_NON_VOWEL)
+    r2 = region(r1, _VOWEL_THEN_NON_VOWEL)
     rv = _rv_region(word)
 
     # Step 1: standard suffixes

@@ -6,7 +6,12 @@ trimmed alongside it; accents are removed from the final stem.
 
 from __future__ import annotations
 
+import re
+
+from . import region
+
 VOWELS = "aeiou\xe1\xe9\xed\xf3\xfa\xfc"
+_VOWEL_THEN_NON_VOWEL = re.compile(f"[{VOWELS}][^{VOWELS}]").search
 
 STEP0_SUFFIXES = (
     "selas", "selos", "sela", "selo", "las", "les", "los", "nos",
@@ -60,20 +65,6 @@ def _unaccent(word: str) -> str:
     )
 
 
-def _standard_regions(word: str) -> tuple[str, str]:
-    r1 = ""
-    r2 = ""
-    for i in range(1, len(word)):
-        if word[i] not in VOWELS and word[i - 1] in VOWELS:
-            r1 = word[i + 1:]
-            break
-    for i in range(1, len(r1)):
-        if r1[i] not in VOWELS and r1[i - 1] in VOWELS:
-            r2 = r1[i + 1:]
-            break
-    return r1, r2
-
-
 def _rv_region(word: str) -> str:
     rv = ""
     if len(word) >= 2:
@@ -97,7 +88,8 @@ def stem(word: str) -> str:
     word = word.lower()
 
     step1_success = False
-    r1, r2 = _standard_regions(word)
+    r1 = region(word, _VOWEL_THEN_NON_VOWEL)
+    r2 = region(r1, _VOWEL_THEN_NON_VOWEL)
     rv = _rv_region(word)
 
     # Step 0: attached pronouns after a gerund or infinitive

@@ -23,7 +23,7 @@ from __future__ import annotations
 import random
 from pathlib import Path
 
-from .stemming import stem as _stem
+from .stemming import stemmer_for
 
 _CONSONANTS = "bcdfglmnprstv"
 _VOWELS = "aeiou"
@@ -95,12 +95,13 @@ def _distinct_inflections(
     # Pick inflections whose stemmed types are pairwise distinct, so every
     # content form lands on its own vocabulary entry with the same planted
     # frequency. ``taken`` carries reserved stemmed types across calls.
+    stem_english = stemmer_for("en")
     forms = []
     for stem in stems:
         picked = 0
         for suffix in rng.sample(_SUFFIXES, len(_SUFFIXES)):
             form = _inflect(stem, suffix)
-            stemmed = _stem(form, "en")
+            stemmed = stem_english(form)
             if stemmed not in taken:
                 taken.add(stemmed)
                 forms.append(form)

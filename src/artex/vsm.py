@@ -9,40 +9,10 @@ one and scoring iterates rows.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .errors import EmptyVocabulary
 from .preprocess import Sentence
-
-
-@dataclass(frozen=True)
-class Vocabulary:
-    """Bijection between term types and column indices.
-
-    Column order is first-occurrence order over the sentence stream, which
-    makes vocabularies and matrices reproducible byte-for-byte across runs.
-    """
-
-    terms: tuple[str, ...]
-    index: Mapping[str, int]
-
-    def __len__(self) -> int:
-        return len(self.terms)
-
-    def __contains__(self, term: str) -> bool:
-        return term in self.index
-
-    def __getitem__(self, term: str) -> int:
-        return self.index[term]
-
-    @classmethod
-    def from_terms(cls, terms: Iterable[str]) -> "Vocabulary":
-        """Build a vocabulary from terms, keeping first-occurrence order."""
-        index: dict[str, int] = {}
-        for term in terms:
-            if term not in index:
-                index[term] = len(index)
-        return cls(terms=tuple(index), index=index)
 
 
 @dataclass(frozen=True)
@@ -69,23 +39,22 @@ class SentenceTermMatrix:
         return sums
 
 
-def vectorize(sentences: Sequence[Sentence]) -> tuple[Vocabulary, SentenceTermMatrix]:
+def vectorize(sentences: Sequence[Sentence]) -> tuple[dict[str, int], SentenceTermMatrix]:
     """Count term occurrences per sentence over a shared vocabulary.
 
-    Raises EmptyVocabulary when no sentence retains any token.
+    Returns the vocabulary as a term -> column index in first-occurrence
+    order over the sentence stream, which makes matrices reproducible
+    byte-for-byte across runs, together with the matrix. Raises
+    EmptyVocabulary when no sentence retains any token.
     """
-    vocabulary = Vocabulary.from_terms(
-        token for sentence in sentences for token in sentence.tokens
-    )
-    if not vocabulary.terms:
-        raise EmptyVocabulary("no sentence retained any token")
+    index: dict[str, int] = {}
     rows = []
     for sentence in sentences:
         row: dict[int, int] = {}
         for token in sentence.tokens:
-            j = vocabulary.index[token]
+            j = index.setdefault(token, len(index))
             row[j] = row.get(j, 0) + 1
         rows.append(row)
-    matrix = SentenceTermMatrix(P=len(sentences), N=len(vocabulary), rows=tuple(rows))
-    return vocabulary, matrix
-
+    if not index:
+        raise EmptyVocabulary("no sentence retained any token")
+    return index, SentenceTermMatrix(P=len(sentences), N=len(index), rows=tuple(rows))

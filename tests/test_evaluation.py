@@ -31,7 +31,7 @@ from artex.preprocess import (
     preprocess_document,
 )
 from artex.scorer import SentenceCount, WordRatio, score, select
-from artex.stemming import stem
+from artex.stemming import stemmer_for
 from artex.synthetic import generate_document
 from artex.vsm import vectorize
 
@@ -301,7 +301,7 @@ def _naive_tokenize(text: str, stoplist) -> list[list[str]]:
         for word in chunk.split():
             word = word.casefold().strip("(),:;'\"-")
             if word and any(c.isalnum() for c in word) and word not in stoplist:
-                tokens.append(stem(word, "en"))
+                tokens.append(stemmer_for("en")(word))
         if tokens:
             segments.append(tokens)
     return segments

@@ -1,3 +1,4 @@
+import ast
 import json
 import pickle
 import subprocess
@@ -44,20 +45,20 @@ PUBLIC = (
     "MissingDictionary", "NgramProfile", "NormalizationMode", "PseudoVectors",
     "Raw", "RawDocument", "RunConfig", "RunResult", "ScoreVector", "Sentence",
     "SentenceCount", "SentenceTermMatrix", "SkipBigram", "Stem", "StopList",
-    "Summary", "TimingRecord", "UltraStem", "Unigram", "Vocabulary",
-    "WordRatio", "benchmark", "benchmark_summary", "clean_token",
-    "evaluation_tokens", "fresa_report", "lead_baseline", "load_corpus",
-    "load_lemma_dictionary", "ngram_profile", "parse_mode",
-    "preprocess_document", "pseudo_vectors", "random_baseline", "run_corpus",
-    "score", "score_normalized", "score_table", "select", "split_sentences",
-    "stem", "stemmer_for", "vectorize", "__version__",
+    "Summary", "TimingRecord", "UltraStem", "Unigram", "WordRatio",
+    "benchmark", "benchmark_summary", "clean_token", "evaluation_tokens",
+    "fresa_report", "lead_baseline", "load_corpus", "load_lemma_dictionary",
+    "ngram_profile", "parse_mode", "preprocess_document", "pseudo_vectors",
+    "random_baseline", "run_corpus", "score", "score_normalized",
+    "score_table", "select", "split_sentences", "stemmer_for", "vectorize",
+    "__version__",
 )
 
 
 def test_every_exported_name_resolves():
     assert [name for name in artex.__all__ if not hasattr(artex, name)] == []
     assert len(set(artex.__all__)) == len(artex.__all__)
-    assert len(PUBLIC) == 57
+    assert len(PUBLIC) == 55
     assert sorted(artex.__all__) == sorted(PUBLIC)
 
 
@@ -76,3 +77,23 @@ def test_stemmers_pickle_by_name(language):
     # Pool workers receive the mode's normalizer pickled.
     stem = stemmer_for(language)
     assert pickle.loads(pickle.dumps(stem)) is stem
+
+
+def test_runtime_imports_only_the_standard_library():
+    # The runtime is pure standard library: every import under src/artex
+    # names artex itself (absolute or relative) or a standard-library module.
+    package = Path(artex.__file__).parent
+    outside = []
+    for path in sorted(package.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.partition(".")[0]
+                if top != "artex" and top not in sys.stdlib_module_names:
+                    outside.append(f"{path.relative_to(package).as_posix()}: {name}")
+    assert outside == []

@@ -2,6 +2,7 @@ import concurrent.futures
 import csv
 import hashlib
 import json
+from collections import Counter
 from types import SimpleNamespace
 
 import pytest
@@ -10,7 +11,7 @@ import artex.evaluation
 import artex.preprocess
 import artex.runner
 import artex.stemming
-from artex.errors import CorpusEmpty, CorpusError
+from artex.errors import CorpusEmpty, CorpusError, EmptyDocument
 from artex.preprocess import (
     Lemmatize,
     Raw,
@@ -411,3 +412,29 @@ def test_benchmark_timing_fields_consistent(flat_corpus):
         assert record.total_seconds == pytest.approx(
             record.preprocess_seconds + record.score_seconds, rel=1e-9
         )
+
+
+def test_benchmark_reports_one_vocabulary_size_per_mode_when_a_document_fails(
+    flat_corpus, monkeypatch
+):
+    # doc_1 fails only on its first attempt in each mode. Skipping it in the
+    # later repetitions keeps every repetition's sum over the same documents.
+    spec = CorpusSpec(root=flat_corpus)
+    modes = [UltraStem(1), Raw()]
+    whole = {r.normalization: r.vocabulary_size for r in benchmark(spec, modes, repetitions=3)}
+    attempts = Counter()
+
+    def fails_once(raw, stoplist, normalize):
+        attempts[raw.id, normalize("word")] += 1
+        if raw.id == "doc_1" and attempts[raw.id, normalize("word")] == 1:
+            raise EmptyDocument("fails on its first attempt")
+        return preprocess_document(raw, stoplist, normalize)
+
+    monkeypatch.setattr(artex.runner, "preprocess_document", fails_once)
+    sizes = {}
+    for record in benchmark(spec, modes, repetitions=3):
+        sizes.setdefault(record.normalization, []).append(record.vocabulary_size)
+    assert [attempts["doc_1", word] for word in ("w", "word")] == [1, 1]
+    for label, seen in sizes.items():
+        assert len(seen) == 3 and len(set(seen)) == 1
+        assert 0 < seen[0] < whole[label]

@@ -13,8 +13,7 @@ from artex.scorer import (
     SentenceCount,
     Summary,
     WordRatio,
-    assemble,
-    prefix_selection,
+    extract,
     pseudo_vectors,
     ranked_indices,
     score,
@@ -228,8 +227,8 @@ def test_ratio_selection_matches_prefix_enumeration_oracle():
 def test_ratio_one_selects_every_sentence():
     scores = ScoreVector(raw=(0.1, 0.9, 0.5), normalized=(0.1, 0.9, 0.5))
     sentences = _sentences_with_words([3, 7, 5])
-    chosen = prefix_selection(ranked_indices(scores), sentences, WordRatio(1.0))
-    assert chosen == (0, 1, 2)
+    summary = extract(ranked_indices(scores), sentences, WordRatio(1.0))
+    assert summary.selected == (0, 1, 2)
 
 
 @pytest.mark.parametrize("bad", [0, -2])
@@ -244,15 +243,16 @@ def test_word_ratio_requires_unit_interval(bad):
         WordRatio(bad)
 
 
-def test_assemble_joins_in_source_order():
+def test_extract_joins_in_source_order():
     sentences = [
         Sentence(index=0, surface="First one.", tokens=()),
         Sentence(index=1, surface="Second one.", tokens=()),
         Sentence(index=2, surface="Third one.", tokens=()),
     ]
-    summary = assemble([2, 0], sentences, SentenceCount(2))
+    summary = extract([2, 0, 1], sentences, SentenceCount(2))
     assert summary.selected == (0, 2)
     assert summary.text == "First one. Third one."
+    assert summary.compression == SentenceCount(2)
 
 
 def test_sentence_words_counts_whitespace_tokens():

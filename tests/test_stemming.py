@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from artex.stemming import SUPPORTED_LANGUAGES, english, stem, stemmer_for
+from artex.stemming import SUPPORTED_LANGUAGES, english, french, region, spanish, stemmer_for
 
 EN_VECTORS = {
     "abilities": "abil",
@@ -206,7 +206,7 @@ ALL_VECTORS = {"en": EN_VECTORS, "es": ES_VECTORS, "fr": FR_VECTORS}
 @pytest.mark.parametrize("language", sorted(ALL_VECTORS))
 def test_frozen_vectors(language):
     for word, expected in ALL_VECTORS[language].items():
-        assert stem(word, language) == expected, (language, word)
+        assert stemmer_for(language)(word) == expected, (language, word)
 
 
 def test_supported_languages():
@@ -221,7 +221,7 @@ def test_unknown_language_rejected():
 @pytest.mark.parametrize("language", sorted(ALL_VECTORS))
 def test_case_insensitive(language):
     for word in list(ALL_VECTORS[language])[:10]:
-        assert stem(word.upper(), language) == stem(word, language)
+        assert stemmer_for(language)(word.upper()) == stemmer_for(language)(word)
 
 
 @given(st.text(alphabet="abcdefghijklmnopqrstuvwxyzáéíóúüçàèêëîïôûù'-", max_size=20))
@@ -238,7 +238,39 @@ def test_total_and_deterministic(word):
 @settings(max_examples=300)
 def test_ascii_never_lengthens(word):
     for language in SUPPORTED_LANGUAGES:
-        assert len(stem(word, language)) <= len(word)
+        assert len(stemmer_for(language)(word)) <= len(word)
+
+
+def _loop_regions(word: str, vowels: str) -> tuple[str, str]:
+    """R1 and R2 as the Spanish and French stemmers once computed them."""
+    r1 = ""
+    r2 = ""
+    for i in range(1, len(word)):
+        if word[i] not in vowels and word[i - 1] in vowels:
+            r1 = word[i + 1:]
+            break
+    for i in range(1, len(r1)):
+        if r1[i] not in vowels and r1[i - 1] in vowels:
+            r2 = r1[i + 1:]
+            break
+    return r1, r2
+
+
+STEMMER_MODULES = {"en": english, "es": spanish, "fr": french}
+# Every language's vowels, consonants, the French consonant-role markers
+# U, I and Y, and an apostrophe.
+REGION_ALPHABET = "".join(
+    sorted(set(english.VOWELS + spanish.VOWELS + french.VOWELS + "bcdfghjklmnpqrstvwxzUIY'"))
+)
+
+
+@pytest.mark.parametrize("language", SUPPORTED_LANGUAGES)
+@given(word=st.text(alphabet=REGION_ALPHABET, max_size=20))
+@settings(max_examples=500)
+def test_region_matches_the_loop_oracle(language, word):
+    module = STEMMER_MODULES[language]
+    r1 = region(word, module._VOWEL_THEN_NON_VOWEL)
+    assert (r1, region(r1, module._VOWEL_THEN_NON_VOWEL)) == _loop_regions(word, module.VOWELS)
 
 
 def _suffix_combination_words(count: int, seed: int) -> list[str]:

@@ -2,7 +2,7 @@ import random
 import re
 
 from artex.preprocess import RawDocument, Stem, preprocess_document
-from artex.stemming import stem
+from artex.stemming import stemmer_for
 from artex.synthetic import (
     STEM_POOL_SIZE,
     _SUFFIXES,
@@ -39,7 +39,7 @@ def test_distinct_inflections_have_distinct_stemmed_types():
     taken: set[str] = set()
     forms = _distinct_inflections(rng, stems[:8], 2, taken)
     forms += _distinct_inflections(rng, stems[8:], 1, taken)
-    stemmed = [stem(form, "en") for form in forms]
+    stemmed = [stemmer_for("en")(form) for form in forms]
     assert len(set(stemmed)) == len(stemmed)
 
 

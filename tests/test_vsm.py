@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from artex.errors import EmptyVocabulary
 from artex.preprocess import Sentence
-from artex.vsm import SentenceTermMatrix, Vocabulary, vectorize
+from artex.vsm import SentenceTermMatrix, vectorize
 from matrices import from_dense
 
 
@@ -21,23 +21,19 @@ def _dense(matrix: SentenceTermMatrix) -> list[list[int]]:
     return [[matrix.rows[i].get(j, 0) for j in range(matrix.N)] for i in range(matrix.P)]
 
 
-# --- vocabulary ----------------------------------------------------------
-
-
-def test_vocabulary_first_occurrence_order():
-    vocabulary = Vocabulary.from_terms(["b", "a", "b", "c"])
-    assert vocabulary.terms == ("b", "a", "c")
-    assert vocabulary["a"] == 1
-    assert "c" in vocabulary and "z" not in vocabulary
-    assert len(vocabulary) == 3
-
-
 # --- vectorize -----------------------------------------------------------
+
+
+def test_vectorize_vocabulary_first_occurrence_order():
+    vocabulary, matrix = vectorize(_sentences([["b", "a"], ["b", "c"]]))
+    assert vocabulary == {"b": 0, "a": 1, "c": 2}
+    assert list(vocabulary) == ["b", "a", "c"]
+    assert len(vocabulary) == matrix.N == 3
 
 
 def test_vectorize_direct_count():
     vocabulary, matrix = vectorize(_sentences([["a", "b"], ["b", "b"]]))
-    assert vocabulary.terms == ("a", "b")
+    assert list(vocabulary) == ["a", "b"]
     assert (matrix.P, matrix.N) == (2, 2)
     assert _dense(matrix) == [[1, 1], [0, 2]]
 
@@ -59,7 +55,7 @@ def test_vectorize_matches_dense_recount():
     assert matrix.N == 4
     for i, tokens in enumerate(token_lists):
         recount = Counter(tokens)
-        for term in vocabulary.terms:
+        for term in vocabulary:
             assert matrix.rows[i].get(vocabulary[term], 0) == recount[term]
 
 
