@@ -11,7 +11,8 @@ values near 1 mean "summary matches the source distribution".
 A source evaluated against several summaries is prepared once
 (prepare_source): one split-and-clean pass shared with the summarizer
 (preprocess.clean_document), each distinct word stemmed once (stem_types),
-one stem stream per sentence, and the three source profiles with their
+one stem stream per sentence, mapped from that sentence's cleaned stream
+(CleanedDocument.streams), and the three source profiles with their
 per-unit log terms and empty-summary divergences (prepare_profile). Batch
 evaluation then derives an extract's streams from the source's own
 sentences instead of re-reading its text: the streams of sentences
@@ -308,7 +309,7 @@ def stem_types(
 
 
 def _stem_segments(cleaned: CleanedDocument, stems: Mapping[str, str]) -> list[list[str]]:
-    return [[stems[token] for token in sentence.tokens] for sentence in cleaned.sentences]
+    return [list(map(stems.__getitem__, stream)) for stream in cleaned.streams]
 
 
 @dataclass(frozen=True)

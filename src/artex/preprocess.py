@@ -12,8 +12,9 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cache, cached_property, partial
+from functools import cache, partial
 from importlib import resources
+from itertools import chain
 from pathlib import Path
 from typing import Callable, ClassVar, Mapping
 
@@ -21,6 +22,8 @@ from .errors import EmptyDocument, MissingDictionary
 from .stemming import SUPPORTED_LANGUAGES, stemmer_for
 
 _TERMINATOR = re.compile("[.!?]")
+# A word character other than '_': exactly the characters str.isalnum accepts.
+_ALNUM = re.compile(r"[^\W_]")
 
 
 @dataclass(frozen=True)
@@ -41,19 +44,25 @@ class Sentence:
     """One sentence: position, verbatim surface text, and its token stream.
 
     ``tokens`` holds whitespace tokens right after splitting and the
-    filtered, normalized stream after the full pipeline has run. A sentence
-    whose tokens were all filtered away stays in the document with an empty
-    stream so that indices and surfaces remain addressable.
+    filtered, normalized stream in the final Document; the cleaned stream
+    in between lives in CleanedDocument.streams. A sentence whose tokens
+    were all filtered away stays in the document with an empty stream so
+    that indices and surfaces remain addressable.
+
+    ``words`` is the number of whitespace-delimited words in the surface.
+    split_sentences sets it from its own tokens and normalize_document
+    carries it forward; a caller that leaves it out gets it counted from
+    the surface here, once.
     """
 
     index: int
     surface: str
     tokens: tuple[str, ...] = ()
+    words: int | None = None
 
-    @cached_property
-    def words(self) -> int:
-        """Number of whitespace-delimited words in the surface, counted once."""
-        return len(self.surface.split())
+    def __post_init__(self) -> None:
+        if self.words is None:
+            object.__setattr__(self, "words", len(self.surface.split()))
 
 
 @dataclass(frozen=True)
@@ -192,9 +201,9 @@ def _read_words(source) -> frozenset[str]:
 def load_lemma_dictionary(path: str | Path) -> dict[str, str]:
     """Load a word-to-lemma dictionary: UTF-8, ``word<TAB>lemma`` per line.
 
-    Entries are lowercased; on duplicate words the last entry wins. Lines
-    without a tab separator are ignored, and a leading byte-order mark is
-    dropped.
+    Entries are casefolded (``Straße`` becomes ``strasse``), as cleaned
+    tokens are; on duplicate words the last entry wins. Lines without a tab
+    separator are ignored, and a leading byte-order mark is dropped.
     """
     mapping: dict[str, str] = {}
     with open(path, encoding="utf-8-sig") as handle:
@@ -242,11 +251,11 @@ def split_sentences(doc: RawDocument) -> list[Sentence]:
     sentences = []
     for piece in pieces:
         surface = piece.strip()
-        if not any(c.isalnum() for c in surface):
+        if not _ALNUM.search(surface):
             continue
-        sentences.append(
-            Sentence(index=len(sentences), surface=surface, tokens=tuple(surface.split()))
-        )
+        tokens = tuple(surface.split())
+        # Positional: keyword arguments cost a quarter of each construction.
+        sentences.append(Sentence(len(sentences), surface, tokens, len(tokens)))
     if not any(c.isalpha() for s in sentences for c in s.surface):
         raise EmptyDocument(f"document {doc.id!r} contains no alphabetic sentence")
     return sentences
@@ -272,16 +281,17 @@ def clean_token(token: str) -> str:
 class CleanedDocument:
     """A document after the one split-and-clean pass shared by every consumer.
 
-    Each sentence keeps its index and surface, and its tokens are the
-    cleaned, stop-word-free tokens in order. ``frequencies`` counts those
-    tokens over the whole document, keyed in first-occurrence order. The
-    summarizer filters hapaxes and normalizes from here; the evaluator stems
-    from here.
+    ``sentences`` are split_sentences' own, with their whitespace tokens.
+    ``streams`` holds one entry per sentence: its cleaned, stop-word-free
+    tokens in order. ``frequencies`` counts the tokens of all streams,
+    keyed in first-occurrence order. The summarizer filters hapaxes and
+    normalizes from the streams; the evaluator stems from them.
     """
 
     id: str
     language: str
     sentences: tuple[Sentence, ...]
+    streams: tuple[tuple[str, ...], ...]
     frequencies: Mapping[str, int]
 
 
@@ -289,32 +299,28 @@ def clean_document(raw: RawDocument, stoplist: StopList) -> CleanedDocument:
     """Split ``raw`` once, and clean each distinct token once.
 
     Each distinct whitespace token of the document is cleaned and checked
-    against the stop-list once; a token that cleans to nothing or to a
-    stop-word is dropped wherever it occurs. Raises EmptyDocument like
-    split_sentences. Stop-words are dropped before counting: the hapax
-    filter only ever looks up non-stop tokens.
+    against the stop-list once, in first-occurrence order; a token that
+    cleans to nothing or to a stop-word is dropped wherever it occurs. The
+    split's sentences are kept as they are, and each one's surviving tokens
+    become its stream. Raises EmptyDocument like split_sentences.
+    Stop-words are dropped before counting: the hapax filter only ever
+    looks up non-stop tokens.
     """
     stopwords = stoplist.words
+    sentences = tuple(split_sentences(raw))
     kept: dict[str, str] = {}  # raw token -> cleaned token, "" when dropped
-    frequencies: Counter[str] = Counter()
-    sentences = []
-    for sentence in split_sentences(raw):
-        tokens = []
-        for token in sentence.tokens:
-            cleaned = kept.get(token)
-            if cleaned is None:
-                cleaned = clean_token(token)
-                if cleaned in stopwords:
-                    cleaned = ""
-                kept[token] = cleaned
-            if cleaned:
-                tokens.append(cleaned)
-        frequencies.update(tokens)
-        sentences.append(
-            Sentence(index=sentence.index, surface=sentence.surface, tokens=tuple(tokens))
-        )
+    for token in dict.fromkeys(chain.from_iterable(s.tokens for s in sentences)):
+        cleaned = clean_token(token)
+        kept[token] = "" if cleaned in stopwords else cleaned
+    streams = tuple(
+        [tuple([c for c in map(kept.__getitem__, s.tokens) if c]) for s in sentences]
+    )
     return CleanedDocument(
-        id=raw.id, language=raw.language, sentences=tuple(sentences), frequencies=frequencies
+        id=raw.id,
+        language=raw.language,
+        sentences=sentences,
+        streams=streams,
+        frequencies=Counter(chain.from_iterable(streams)),
     )
 
 
@@ -322,28 +328,29 @@ def normalize_document(
     cleaned: CleanedDocument,
     normalize: Callable[[str], str],
 ) -> Document:
-    """Drop document hapaxes, then normalize each surviving type once.
+    """Drop document hapaxes from the streams, normalizing each survivor once.
 
-    A token survives when it occurs at least twice in the document; an
-    all-filtered sentence keeps an empty token stream. ``normalize`` is a
-    mode's normalizer, or any other map from a cleaned token to its term,
-    such as the evaluator's stem table of the same document.
+    A token survives when it occurs at least twice in the document; each
+    surviving type is normalized once, in first-occurrence order. Each
+    sentence of the result keeps its index, surface and word count, and
+    its tokens are its stream's survivors, normalized; an all-filtered
+    sentence keeps an empty token stream. ``normalize`` is a mode's
+    normalizer, or any other map from a cleaned token to its term, such as
+    the evaluator's stem table of the same document.
     """
-    frequencies = cleaned.frequencies
-    cache: dict[str, str] = {}
-    normalized = []
-    for sentence in cleaned.sentences:
-        tokens = []
-        for token in sentence.tokens:
-            if frequencies[token] < 2:
-                continue
-            if token not in cache:
-                cache[token] = normalize(token)
-            tokens.append(cache[token])
-        normalized.append(
-            Sentence(index=sentence.index, surface=sentence.surface, tokens=tuple(tokens))
-        )
-    return Document(id=cleaned.id, language=cleaned.language, sentences=tuple(normalized))
+    terms = {t: normalize(t) for t, n in cleaned.frequencies.items() if n >= 2}
+    sentences = tuple(
+        [
+            Sentence(
+                sentence.index,
+                sentence.surface,
+                tuple([t for t in map(terms.get, stream) if t is not None]),
+                sentence.words,
+            )
+            for sentence, stream in zip(cleaned.sentences, cleaned.streams)
+        ]
+    )
+    return Document(id=cleaned.id, language=cleaned.language, sentences=sentences)
 
 
 def preprocess_document(

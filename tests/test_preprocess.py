@@ -106,11 +106,13 @@ def _reference_pieces(text):
     return [p.strip() for p in pieces if any(c.isalnum() for c in p)]
 
 
-@given(st.text(alphabet="ab Z.!?.. 19²٣\n", max_size=80))
+@given(st.text(alphabet="ab Z.!?.. 19²٣\n_", max_size=80))
 @example("Area 5.² here. Ratio ٣.٣ ok. Pi 3.14!")
+@example("Snake_case here. _. __! ok")
 @settings(max_examples=500)
 def test_split_equals_character_walk(text):
     # '²' is a digit to str.isdigit but not to the regex \d; '٣' is to both.
+    # '_' is a word character to the regex \w but not alphanumeric.
     expected = _reference_pieces(text)
     if not any(c.isalpha() for piece in expected for c in piece):
         with pytest.raises(EmptyDocument):
@@ -330,6 +332,16 @@ def test_load_lemma_dictionary_drops_byte_order_mark(tmp_path):
     assert Lemmatize(path).normalizer("en")("sings") == "sing"
 
 
+def test_load_lemma_dictionary_casefolds_entries(tmp_path):
+    # Casefolded, not lowercased: "ß" folds to "ss" in words and lemmas alike.
+    path = tmp_path / "lemmas.tsv"
+    path.write_text("Straße\tStraße\nMASSE\tmaß\n", encoding="utf-8")
+    assert load_lemma_dictionary(path) == {"strasse": "strasse", "masse": "mass"}
+    normalize = Lemmatize(path).normalizer("en")
+    assert normalize("strasse") == "strasse"
+    assert normalize("masse") == "mass"
+
+
 # --- full pipeline -------------------------------------------------------
 
 
@@ -380,15 +392,28 @@ def lemma_file(tmp_path_factory):
     return path
 
 
-@settings(max_examples=60)
+# The sampled words include one raw word in several casings and wrappings,
+# a curly apostrophe, digits that are not ASCII, a punctuation-only token
+# and stop-words; the example adds a sentence made only of stop-words.
+@settings(max_examples=100)
 @given(
     st.lists(
-        st.sampled_from(["The", "cat", "cat.", "Cats", "sat", "-", "Dog!", "dog", "3.5", "of"]),
+        st.sampled_from(
+            [
+                "The", "cat", "cat.", "Cat", "cat,", "(cat)", "cat’s", "Cats", "sat",
+                "-", "--", "Dog!", "dog", "3.5", "²", "٣", "of",
+            ]
+        ),
         min_size=1,
         max_size=30,
     ),
     st.lists(st.sampled_from([".", "!", "?", " "]), min_size=30, max_size=30),
     st.sampled_from([Raw(), Stem(), UltraStem(2), Lemmatize()]),
+)
+@example(
+    words=["Cat", "(cat)", "The", "of", "cat,", "cat’s", "--", "²", "٣", "dog"],
+    separators=[" ", ".", " ", ".", " ", " ", " ", "!", " ", "?"] + [" "] * 20,
+    mode=Raw(),
 )
 def test_single_pass_equals_two_pass_reference(lemma_file, words, separators, mode):
     # preprocess_document cleans each token once; the reference pipeline

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from artex.preprocess import Sentence
+from artex.preprocess import RawDocument, Sentence, preprocess_document
 from artex.scorer import (
     DEFAULT_BUDGET,
     ScoreVector,
@@ -257,6 +257,18 @@ def test_extract_joins_in_source_order():
 
 def test_sentence_words_counts_whitespace_tokens():
     assert Sentence(index=0, surface="a b  c", tokens=()).words == 3
+    # An explicit count is kept as given.
+    assert Sentence(index=0, surface="a b  c", tokens=(), words=7).words == 7
+    # The pipeline carries the split's count to the final sentences: every
+    # Unicode whitespace run separates words, as str.split() has it.
+    text = (
+        "Solar\tpanels store\npower. Solar\u00a0panels feed\u2028power grids! "
+        "Grids\t\tstore power."
+    )
+    doc = preprocess_document(RawDocument(id="d", text=text, language="en"))
+    assert [s.words for s in doc.sentences] == [4, 5, 3]
+    for sentence in doc.sentences:
+        assert sentence.words == len(sentence.surface.split())
 
 
 def test_score_table_flags_selected_rows():
