@@ -142,7 +142,7 @@ def cmd_summarize(args) -> int:
     budget = parse_budget(args.budget)
     raw = RawDocument(id=path.stem, text=text, language=args.lang)
     doc = preprocess_document(raw, stoplist, normalize)
-    _, matrix = vectorize(doc.sentences)
+    _, matrix = vectorize(doc.terms)
     scores = score(matrix)
     summary = select(scores, doc.sentences, budget)
     print(summary.text)

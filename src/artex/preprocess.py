@@ -1,10 +1,10 @@
 """Sentence splitting, token filtering, and word normalization.
 
 The pipeline turns a raw document into an ordered list of sentences, each
-keeping its original surface form next to a filtered, normalized token
-stream. Splitting is rule-based on purpose: the target behaviour is the
-simple, fast preprocessing front end of a vector-space summarizer, not a
-statistical sentence-boundary model.
+its original surface form and that surface's whitespace tokens, beside one
+filtered, normalized term stream per sentence. Splitting is rule-based on
+purpose: the target behaviour is the simple, fast preprocessing front end
+of a vector-space summarizer, not a statistical sentence-boundary model.
 """
 
 from __future__ import annotations
@@ -41,37 +41,30 @@ class RawDocument:
 
 @dataclass(frozen=True)
 class Sentence:
-    """One sentence: position, verbatim surface text, and its token stream.
+    """One sentence: its verbatim surface text and its whitespace tokens.
 
-    ``tokens`` holds whitespace tokens right after splitting and the
-    filtered, normalized stream in the final Document; the cleaned stream
-    in between lives in CleanedDocument.streams. A sentence whose tokens
-    were all filtered away stays in the document with an empty stream so
-    that indices and surfaces remain addressable.
-
-    ``words`` is the number of whitespace-delimited words in the surface.
-    split_sentences sets it from its own tokens and normalize_document
-    carries it forward; a caller that leaves it out gets it counted from
-    the surface here, once.
+    ``tokens`` is ``tuple(surface.split())``, so its length is the
+    sentence's word count. A sentence's index is its position in the
+    document; split_sentences builds every sentence the pipeline uses.
     """
 
-    index: int
     surface: str
-    tokens: tuple[str, ...] = ()
-    words: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.words is None:
-            object.__setattr__(self, "words", len(self.surface.split()))
+    tokens: tuple[str, ...]
 
 
 @dataclass(frozen=True)
 class Document:
-    """A preprocessed document: ordered sentences with normalized tokens."""
+    """A preprocessed document: the split's sentences and their term streams.
+
+    ``terms[i]`` is sentence i's filtered, normalized term stream; a
+    sentence whose tokens were all filtered away keeps an empty stream, so
+    positions line up with ``sentences``.
+    """
 
     id: str
     language: str
     sentences: tuple[Sentence, ...]
+    terms: tuple[tuple[str, ...], ...]
 
     def __len__(self) -> int:
         return len(self.sentences)
@@ -219,13 +212,13 @@ def load_lemma_dictionary(path: str | Path) -> dict[str, str]:
 
 
 def split_sentences(doc: RawDocument) -> list[Sentence]:
-    """Chunk ``doc.text`` at '.', '!' and '?' into indexed sentences.
+    """Chunk ``doc.text`` at '.', '!' and '?' into sentences.
 
     The terminator stays attached to its sentence; a trailing run without a
     terminator becomes the final sentence. A period flanked by digits on
     both sides (as in 3.14) does not split. Pieces without any alphanumeric
-    character (splitting debris such as a bare '.') are dropped, and the
-    survivors are indexed consecutively from 0.
+    character (splitting debris such as a bare '.') are dropped; a
+    sentence's index is its position in the returned list.
 
     Raises EmptyDocument when no sentence with at least one alphabetic
     character remains.
@@ -253,9 +246,8 @@ def split_sentences(doc: RawDocument) -> list[Sentence]:
         surface = piece.strip()
         if not _ALNUM.search(surface):
             continue
-        tokens = tuple(surface.split())
         # Positional: keyword arguments cost a quarter of each construction.
-        sentences.append(Sentence(len(sentences), surface, tokens, len(tokens)))
+        sentences.append(Sentence(surface, tuple(surface.split())))
     if not any(c.isalpha() for s in sentences for c in s.surface):
         raise EmptyDocument(f"document {doc.id!r} contains no alphabetic sentence")
     return sentences
@@ -281,11 +273,11 @@ def clean_token(token: str) -> str:
 class CleanedDocument:
     """A document after the one split-and-clean pass shared by every consumer.
 
-    ``sentences`` are split_sentences' own, with their whitespace tokens.
-    ``streams`` holds one entry per sentence: its cleaned, stop-word-free
-    tokens in order. ``frequencies`` counts the tokens of all streams,
-    keyed in first-occurrence order. The summarizer filters hapaxes and
-    normalizes from the streams; the evaluator stems from them.
+    ``sentences`` are split_sentences' own, kept as they are by the final
+    Document. ``streams`` holds one entry per sentence: its cleaned,
+    stop-word-free tokens in order. ``frequencies`` counts the tokens of all
+    streams, keyed in first-occurrence order. The summarizer filters hapaxes
+    and normalizes the streams into Document.terms; the evaluator stems them.
     """
 
     id: str
@@ -331,26 +323,18 @@ def normalize_document(
     """Drop document hapaxes from the streams, normalizing each survivor once.
 
     A token survives when it occurs at least twice in the document; each
-    surviving type is normalized once, in first-occurrence order. Each
-    sentence of the result keeps its index, surface and word count, and
-    its tokens are its stream's survivors, normalized; an all-filtered
-    sentence keeps an empty token stream. ``normalize`` is a mode's
+    surviving type is normalized once, in first-occurrence order. The
+    result keeps the split's sentences as they are; its ``terms[i]`` is
+    sentence i's stream's survivors, normalized, and an all-filtered
+    sentence keeps an empty stream. ``normalize`` is a mode's
     normalizer, or any other map from a cleaned token to its term, such as
     the evaluator's stem table of the same document.
     """
     terms = {t: normalize(t) for t, n in cleaned.frequencies.items() if n >= 2}
-    sentences = tuple(
-        [
-            Sentence(
-                sentence.index,
-                sentence.surface,
-                tuple([t for t in map(terms.get, stream) if t is not None]),
-                sentence.words,
-            )
-            for sentence, stream in zip(cleaned.sentences, cleaned.streams)
-        ]
+    streams = [tuple([t for t in map(terms.get, s) if t is not None]) for s in cleaned.streams]
+    return Document(
+        id=cleaned.id, language=cleaned.language, sentences=cleaned.sentences, terms=tuple(streams)
     )
-    return Document(id=cleaned.id, language=cleaned.language, sentences=sentences)
 
 
 def preprocess_document(

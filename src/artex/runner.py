@@ -246,7 +246,7 @@ def _process_document(
     cleaned = clean_document(raw, stoplist)
     stems = stem_types(cleaned)
     doc = normalize_document(cleaned, normalize or stems.__getitem__)
-    _, matrix = vectorize(doc.sentences)
+    _, matrix = vectorize(doc.terms)
     t1 = clock()
     preprocess_seconds = t1 - t0
 
@@ -406,10 +406,14 @@ def benchmark(
     after the repetition, outside every timed region. Documents are
     processed sequentially: benchmark mode forces a single worker so
     measurements are uncontended. Corpus file reading happens once, outside
-    the timed regions, because it is identical for every mode.
+    the timed regions, because it is identical for every mode. Records are
+    told apart by mode label, so two modes with one label raise ValueError.
     """
     if repetitions < 3:
         raise ValueError(f"need at least 3 repetitions, got {repetitions}")
+    labels = [mode.label for mode in modes]
+    if len(set(labels)) < len(labels):
+        raise ValueError(f"normalization modes repeat a label: {', '.join(labels)}")
     documents = load_corpus(corpus)
     stoplist = StopList.bundled(corpus.language)
     corpus_id = Path(corpus.root).name
@@ -461,7 +465,7 @@ def _timed_repetition(
             t0 = clock()
             try:
                 doc = preprocess_document(raw, stoplist, normalize)
-                vocabulary, matrix = vectorize(doc.sentences)
+                vocabulary, matrix = vectorize(doc.terms)
             except ArtexError as exc:
                 preprocess_seconds[position] += clock() - t0
                 failed[position].add(raw.id)

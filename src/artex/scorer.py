@@ -172,7 +172,7 @@ def extract(
     else:
         # The full order always reaches the target: the accumulated count
         # ends at the word total and target = ratio * total <= total.
-        words = [sentence.words for sentence in sentences]
+        words = [len(sentence.tokens) for sentence in sentences]
         target = budget.ratio * sum(words)
         chosen = []
         accumulated = 0

@@ -1,4 +1,4 @@
-"""Sparse sentence-term occurrence matrix over normalized token streams.
+"""Sparse sentence-term occurrence matrix over normalized term streams.
 
 Rows are sentences, columns are vocabulary terms in first-occurrence order,
 entries are exact integer occurrence counts. The matrix is stored row-major
@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .errors import EmptyVocabulary
-from .preprocess import Sentence
 
 
 @dataclass(frozen=True)
@@ -39,22 +38,23 @@ class SentenceTermMatrix:
         return sums
 
 
-def vectorize(sentences: Sequence[Sentence]) -> tuple[dict[str, int], SentenceTermMatrix]:
+def vectorize(streams: Sequence[Sequence[str]]) -> tuple[dict[str, int], SentenceTermMatrix]:
     """Count term occurrences per sentence over a shared vocabulary.
 
+    ``streams`` holds one term stream per sentence, such as Document.terms.
     Returns the vocabulary as a term -> column index in first-occurrence
-    order over the sentence stream, which makes matrices reproducible
-    byte-for-byte across runs, together with the matrix. Raises
-    EmptyVocabulary when no sentence retains any token.
+    order over the streams, which makes matrices reproducible byte-for-byte
+    across runs, together with the matrix. Raises EmptyVocabulary when no
+    sentence retains any term.
     """
     index: dict[str, int] = {}
     rows = []
-    for sentence in sentences:
+    for stream in streams:
         row: dict[int, int] = {}
-        for token in sentence.tokens:
-            j = index.setdefault(token, len(index))
+        for term in stream:
+            j = index.setdefault(term, len(index))
             row[j] = row.get(j, 0) + 1
         rows.append(row)
     if not index:
         raise EmptyVocabulary("no sentence retained any token")
-    return index, SentenceTermMatrix(P=len(sentences), N=len(index), rows=tuple(rows))
+    return index, SentenceTermMatrix(P=len(streams), N=len(index), rows=tuple(rows))

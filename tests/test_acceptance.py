@@ -152,7 +152,7 @@ def test_criterion_6_beats_random_baseline(synthetic_corpus):
     random_scores = []
     for raw in load_corpus(spec):
         doc = preprocess_document(raw, stoplist, Stem().normalizer("en"))
-        _, matrix = vectorize_sentences(doc.sentences)
+        _, matrix = vectorize_sentences(doc.terms)
         summary = select(score(matrix), doc.sentences, budget)
         source = evaluation_tokens(raw.text, "en", stoplist)
         artex_scores.append(
@@ -203,16 +203,16 @@ def test_criterion_7_preprocessing_invariants(synthetic_corpus):
             ("stem", Stem()),
         ):
             doc = preprocess_document(raw, stoplist, mode.normalizer(raw.language))
-            vocabulary[label] = len(vectorize(doc.sentences)[0])
+            vocabulary[label] = len(vectorize(doc.terms)[0])
             if label == "raw":
-                for sentence in doc.sentences:
-                    for token in sentence.tokens:
+                for stream in doc.terms:
+                    for token in stream:
                         assert token not in stoplist
                         assert recount[token] >= 2
             if label.startswith("fix"):
                 n = int(label[3:])
-                for sentence in doc.sentences:
-                    assert all(len(token) <= n for token in sentence.tokens)
+                for stream in doc.terms:
+                    assert all(len(token) <= n for token in stream)
         assert vocabulary["fix1"] <= vocabulary["fix2"] <= vocabulary["stem"]
         assert vocabulary["fix2"] <= vocabulary["raw"]
     elapsed = time.perf_counter() - started
@@ -256,10 +256,7 @@ def test_criterion_9_summary_contract():
         raw = tuple(rng.randint(0, 5) / 5 for _ in range(p))
         scores = ScoreVector(raw=raw, normalized=raw)
         words = [rng.randint(3, 12) for _ in range(p)]
-        sentences = [
-            Sentence(index=i, surface=" ".join(["w"] * k), tokens=())
-            for i, k in enumerate(words)
-        ]
+        sentences = [Sentence(surface=" ".join(["w"] * k), tokens=("w",) * k) for k in words]
         if case % 2:
             budget = SentenceCount(rng.randint(1, p + 2))
         else:
@@ -279,9 +276,9 @@ def test_criterion_9_summary_contract():
             m = len(selected)
             assert sorted(order[:m]) == list(selected)
             target = budget.ratio * sum(words)
-            chosen_words = sum(sentences[i].words for i in order[:m])
+            chosen_words = sum(len(sentences[i].tokens) for i in order[:m])
             assert chosen_words >= target
             if m > 1:
-                below = sum(sentences[i].words for i in order[: m - 1])
+                below = sum(len(sentences[i].tokens) for i in order[: m - 1])
                 assert below < target
     print("\nPASS criterion 9: selection contract on 200 random score vectors")

@@ -330,6 +330,13 @@ def test_bench_too_few_repetitions_is_usage_error(corpus_dir, tmp_path):
     assert main(args) == 1
 
 
+def test_bench_duplicate_modes_is_usage_error(corpus_dir, tmp_path):
+    out = tmp_path / "b"
+    args = ["bench", str(corpus_dir), "--modes", "fix:6,fix:06", "--reps", "3", "--out", str(out)]
+    assert main(args) == 1
+    assert not (out / "timings.csv").exists()
+
+
 # --- parser-level behaviour -----------------------------------------------------
 
 

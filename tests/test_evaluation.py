@@ -446,7 +446,7 @@ def test_extract_segments_equal_evaluation_tokens_of_summaries(stoplist_en):
         cleaned, stems, source = _prepared(text, stoplist_en)
         assert [list(s) for s in source.segments] == evaluation_tokens(text, "en", stoplist_en)
         doc = normalize_document(cleaned, stems.__getitem__)
-        _, matrix = vectorize(doc.sentences)
+        _, matrix = vectorize(doc.terms)
         for budget in (WordRatio(0.2), SentenceCount(1), SentenceCount(4)):
             summaries = [
                 select(score(matrix), doc.sentences, budget),
@@ -481,6 +481,6 @@ def test_stem_mode_reads_the_shared_stems(small_doc_text, stoplist_en):
     cleaned = clean_document(raw, stoplist_en)
     stems = {token: token.upper() for token in cleaned.frequencies}
     doc = normalize_document(cleaned, stems.__getitem__)
-    assert "PANELS" in doc.sentences[0].tokens
+    assert "PANELS" in doc.terms[0]
     stem = Stem().normalizer("en")
     assert normalize_document(cleaned, stem) == preprocess_document(raw, stoplist_en, stem)

@@ -9,6 +9,7 @@ import pytest
 
 import artex
 from artex.stemming import SUPPORTED_LANGUAGES, stemmer_for
+from artex.synthetic import generate_document
 
 # Modules that only some calls need, so ``import artex`` must not load them.
 DEFERRED = (
@@ -97,3 +98,15 @@ def test_runtime_imports_only_the_standard_library():
                 if top != "artex" and top not in sys.stdlib_module_names:
                     outside.append(f"{path.relative_to(package).as_posix()}: {name}")
     assert outside == []
+
+
+def test_readme_python_example_runs(monkeypatch, tmp_path, capsys):
+    # The README's Python API example, run as written on a generated article.
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Python API", 1)[1]
+    block = section.split("```python\n", 1)[1].split("\n```", 1)[0]
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "article.txt").write_text(generate_document(0, 0, 400), encoding="utf-8")
+    exec(compile(block, "README.md", "exec"), {})
+    summary, f_avg = capsys.readouterr().out.splitlines()
+    assert summary and 0.0 <= float(f_avg) <= 1.0

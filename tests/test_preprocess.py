@@ -15,8 +15,10 @@ from artex.preprocess import (
     Stem,
     StopList,
     UltraStem,
+    clean_document,
     clean_token,
     load_lemma_dictionary,
+    normalize_document,
     preprocess_document,
     split_sentences,
 )
@@ -52,11 +54,6 @@ def test_split_decimal_period_does_not_split():
 def test_split_drops_debris_pieces():
     surfaces = [s.surface for s in split_sentences(_raw("Hi there.. Bye."))]
     assert surfaces == ["Hi there.", "Bye."]
-
-
-def test_split_indices_consecutive():
-    sentences = split_sentences(_raw("A b. C d. E f."))
-    assert [s.index for s in sentences] == [0, 1, 2]
 
 
 def test_split_tokens_are_whitespace_tokens():
@@ -120,7 +117,6 @@ def test_split_equals_character_walk(text):
         return
     sentences = split_sentences(_raw(text))
     assert [s.surface for s in sentences] == expected
-    assert [s.index for s in sentences] == list(range(len(expected)))
     assert [s.tokens for s in sentences] == [tuple(p.split()) for p in expected]
 
 
@@ -169,13 +165,13 @@ def document_frequencies(sentences: list[Sentence]) -> Counter[str]:
 
 def filter_sentence(
     sentence: Sentence, stoplist: StopList, doc_frequencies: Mapping[str, int]
-) -> Sentence:
+) -> tuple[str, ...]:
     """Lowercase, strip punctuation, drop stop-words and document hapaxes.
 
     A token survives when it cleans to a non-empty string, is not in the
     stop-list, and its cleaned form occurs at least twice in the document.
-    Survivor order is preserved; an all-filtered sentence keeps an empty
-    token stream.
+    Returns the survivors in order; an all-filtered sentence gives an empty
+    stream.
     """
     kept = []
     for token in sentence.tokens:
@@ -185,33 +181,33 @@ def filter_sentence(
         if doc_frequencies.get(cleaned, 0) < 2:
             continue
         kept.append(cleaned)
-    return Sentence(index=sentence.index, surface=sentence.surface, tokens=tuple(kept))
+    return tuple(kept)
 
 
 def _sentence(tokens: list[str]) -> Sentence:
-    return Sentence(index=0, surface=" ".join(tokens), tokens=tuple(tokens))
+    return Sentence(surface=" ".join(tokens), tokens=tuple(tokens))
 
 
 def test_filter_drops_stopwords_keeps_repeats():
     stoplist = StopList(language="en", words=frozenset({"the"}))
     sentence = _sentence(["The", "cat", "cat"])
     frequencies = document_frequencies([sentence])
-    assert filter_sentence(sentence, stoplist, frequencies).tokens == ("cat", "cat")
+    assert filter_sentence(sentence, stoplist, frequencies) == ("cat", "cat")
 
 
 def test_filter_hand_trace_punctuation():
     stoplist = StopList(language="en", words=frozenset())
     sentence = _sentence(["Run,", "run!"])
     frequencies = document_frequencies([sentence])
-    assert filter_sentence(sentence, stoplist, frequencies).tokens == ("run", "run")
+    assert filter_sentence(sentence, stoplist, frequencies) == ("run", "run")
 
 
 def test_filter_drops_document_hapax():
     stoplist = StopList(language="en", words=frozenset({"the"}))
     sentences = [_sentence(["The", "cat", "sat"]), _sentence(["The", "cat", "ran"])]
     frequencies = document_frequencies(sentences)
-    assert filter_sentence(sentences[0], stoplist, frequencies).tokens == ("cat",)
-    assert filter_sentence(sentences[1], stoplist, frequencies).tokens == ("cat",)
+    assert filter_sentence(sentences[0], stoplist, frequencies) == ("cat",)
+    assert filter_sentence(sentences[1], stoplist, frequencies) == ("cat",)
 
 
 def test_document_frequencies_count_cleaned_stream():
@@ -230,16 +226,13 @@ def test_filtering_soundness(token_lists):
     # After filtering: no stop-list member, and every retained type has
     # document frequency >= 2 on an independent recount.
     stoplist = StopList(language="en", words=frozenset({"the"}))
-    sentences = [
-        Sentence(index=i, surface=" ".join(tokens), tokens=tuple(tokens))
-        for i, tokens in enumerate(token_lists)
-    ]
+    sentences = [_sentence(tokens) for tokens in token_lists]
     frequencies = document_frequencies(sentences)
     recount = Counter(
         clean_token(t) for s in sentences for t in s.tokens if clean_token(t)
     )
     for sentence in sentences:
-        for token in filter_sentence(sentence, stoplist, frequencies).tokens:
+        for token in filter_sentence(sentence, stoplist, frequencies):
             assert token not in stoplist
             assert recount[token] >= 2
 
@@ -350,22 +343,29 @@ def test_preprocess_document_end_to_end(small_doc_text, stoplist_en):
     doc = preprocess_document(raw, stoplist_en, Raw().normalizer("en"))
     assert isinstance(doc, Document)
     assert len(doc) == 6
-    # Surfaces and indices survive untouched from the split.
+    # The split's sentences survive untouched.
     split = split_sentences(raw)
     assert [s.surface for s in doc.sentences] == [s.surface for s in split]
-    assert [s.index for s in doc.sentences] == [s.index for s in split]
+    assert doc.sentences == tuple(split)
     # Repeated content words survive; the junk sentence filters to nothing.
-    assert "panels" in doc.sentences[0].tokens
-    assert doc.sentences[2].tokens == ()
-    for sentence in doc.sentences:
-        for token in sentence.tokens:
+    assert "panels" in doc.terms[0]
+    assert doc.terms[2] == ()
+    for stream in doc.terms:
+        for token in stream:
             assert token not in stoplist_en
+
+
+def test_normalize_document_keeps_the_split_sentences(small_doc_text, stoplist_en):
+    cleaned = clean_document(RawDocument(id="d", text=small_doc_text, language="en"), stoplist_en)
+    doc = normalize_document(cleaned, Stem().normalizer("en"))
+    assert doc.sentences is cleaned.sentences
+    assert len(doc.terms) == len(doc.sentences)
 
 
 def test_preprocess_document_stem_mode(small_doc_text, stoplist_en):
     raw = RawDocument(id="d", text=small_doc_text, language="en")
     doc = preprocess_document(raw, stoplist_en, Stem().normalizer("en"))
-    assert "panel" in doc.sentences[0].tokens
+    assert "panel" in doc.terms[0]
 
 
 def test_preprocess_document_default_stoplist(small_doc_text):
@@ -431,9 +431,10 @@ def test_single_pass_equals_two_pass_reference(lemma_file, words, separators, mo
             preprocess_document(raw, stoplist, normalize)
         return
     frequencies = document_frequencies(sentences)
-    expected = []
-    for sentence in sentences:
-        filtered = filter_sentence(sentence, stoplist, frequencies)
-        tokens = tuple(normalize(token) for token in filtered.tokens)
-        expected.append(Sentence(index=sentence.index, surface=sentence.surface, tokens=tokens))
-    assert preprocess_document(raw, stoplist, normalize).sentences == tuple(expected)
+    expected = tuple(
+        tuple(normalize(token) for token in filter_sentence(sentence, stoplist, frequencies))
+        for sentence in sentences
+    )
+    doc = preprocess_document(raw, stoplist, normalize)
+    assert doc.sentences == tuple(sentences)
+    assert doc.terms == expected

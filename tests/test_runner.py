@@ -373,7 +373,7 @@ def test_benchmark_frees_mode_resources_outside_timed_regions(flat_corpus, monke
 
     monkeypatch.setattr(artex.preprocess, "load_lemma_dictionary", load)
     monkeypatch.setattr(artex.runner, "time", SimpleNamespace(perf_counter=clock))
-    modes = [Raw(), Lemmatize("lemmas.tsv"), Raw()]
+    modes = [Raw(), Lemmatize("lemmas.tsv"), UltraStem(3)]
     records = benchmark(CorpusSpec(root=flat_corpus), modes, repetitions=3)
     assert live == []
     assert most_live == [1, 1, 1]
@@ -401,6 +401,11 @@ def test_benchmark_interleaves_modes_per_document(flat_corpus, monkeypatch):
 def test_benchmark_requires_three_repetitions(flat_corpus):
     with pytest.raises(ValueError):
         benchmark(CorpusSpec(root=flat_corpus), [Raw()], repetitions=2)
+
+
+def test_benchmark_rejects_modes_with_one_label(flat_corpus):
+    with pytest.raises(ValueError, match="fix6, fix6"):
+        benchmark(CorpusSpec(root=flat_corpus), [UltraStem(6), UltraStem(6)], repetitions=3)
 
 
 def test_benchmark_timing_fields_consistent(flat_corpus):

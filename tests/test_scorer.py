@@ -43,10 +43,7 @@ def _naive_scores(counts: list[list[int]]) -> list[float]:
 
 
 def _sentences_with_words(word_counts: list[int]) -> list[Sentence]:
-    return [
-        Sentence(index=i, surface=" ".join(["w"] * k), tokens=())
-        for i, k in enumerate(word_counts)
-    ]
+    return [Sentence(surface=" ".join(["w"] * k), tokens=("w",) * k) for k in word_counts]
 
 
 # --- pseudo-vectors --------------------------------------------------------
@@ -245,9 +242,9 @@ def test_word_ratio_requires_unit_interval(bad):
 
 def test_extract_joins_in_source_order():
     sentences = [
-        Sentence(index=0, surface="First one.", tokens=()),
-        Sentence(index=1, surface="Second one.", tokens=()),
-        Sentence(index=2, surface="Third one.", tokens=()),
+        Sentence(surface="First one.", tokens=("First", "one.")),
+        Sentence(surface="Second one.", tokens=("Second", "one.")),
+        Sentence(surface="Third one.", tokens=("Third", "one.")),
     ]
     summary = extract([2, 0, 1], sentences, SentenceCount(2))
     assert summary.selected == (0, 2)
@@ -256,19 +253,16 @@ def test_extract_joins_in_source_order():
 
 
 def test_sentence_words_counts_whitespace_tokens():
-    assert Sentence(index=0, surface="a b  c", tokens=()).words == 3
-    # An explicit count is kept as given.
-    assert Sentence(index=0, surface="a b  c", tokens=(), words=7).words == 7
-    # The pipeline carries the split's count to the final sentences: every
-    # Unicode whitespace run separates words, as str.split() has it.
+    # The final sentences keep the split's whitespace tokens: every Unicode
+    # whitespace run separates words, as str.split() has it.
     text = (
         "Solar\tpanels store\npower. Solar\u00a0panels feed\u2028power grids! "
         "Grids\t\tstore power."
     )
     doc = preprocess_document(RawDocument(id="d", text=text, language="en"))
-    assert [s.words for s in doc.sentences] == [4, 5, 3]
+    assert [len(s.tokens) for s in doc.sentences] == [4, 5, 3]
     for sentence in doc.sentences:
-        assert sentence.words == len(sentence.surface.split())
+        assert sentence.tokens == tuple(sentence.surface.split())
 
 
 def test_score_table_flags_selected_rows():

@@ -48,14 +48,14 @@ def test_generated_document_preprocesses_with_planted_redundancy():
     raw = RawDocument(id="d", text=text, language="en")
     doc = preprocess_document(raw, normalize=Stem().normalizer("en"))
     # Junk sentences vanish; topical sentences keep a dense token stream.
-    empty = sum(1 for s in doc.sentences if not s.tokens)
-    dense = sum(1 for s in doc.sentences if len(s.tokens) >= 5)
+    empty = sum(1 for stream in doc.terms if not stream)
+    dense = sum(1 for stream in doc.terms if len(stream) >= 5)
     assert empty >= 10
     assert dense >= 10
     # The topic lexicon recurs: some stemmed type appears in many sentences.
     appearances: dict[str, int] = {}
-    for sentence in doc.sentences:
-        for token in set(sentence.tokens):
+    for stream in doc.terms:
+        for token in set(stream):
             appearances[token] = appearances.get(token, 0) + 1
     assert max(appearances.values()) >= 5
 
