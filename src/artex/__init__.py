@@ -18,14 +18,14 @@ from .errors import (
     MissingDictionary,
 )
 from .evaluation import (
-    Bigram,
     DivergenceReport,
     NgramProfile,
-    SkipBigram,
-    Unigram,
+    bigrams,
     evaluation_tokens,
     fresa_report,
     ngram_profile,
+    skip_bigrams,
+    unigrams,
 )
 from .preprocess import (
     Document,
@@ -57,7 +57,6 @@ from .scorer import (
     DEFAULT_BUDGET,
     CompressionSpec,
     PseudoVectors,
-    ScoreVector,
     SentenceCount,
     Summary,
     WordRatio,
@@ -74,7 +73,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ArtexError",
-    "Bigram",
     "CompressionSpec",
     "CorpusEmpty",
     "CorpusError",
@@ -94,20 +92,18 @@ __all__ = [
     "RawDocument",
     "RunConfig",
     "RunResult",
-    "ScoreVector",
     "Sentence",
     "SentenceCount",
     "SentenceTermMatrix",
-    "SkipBigram",
     "Stem",
     "StopList",
     "Summary",
     "TimingRecord",
     "UltraStem",
-    "Unigram",
     "WordRatio",
     "benchmark",
     "benchmark_summary",
+    "bigrams",
     "clean_token",
     "evaluation_tokens",
     "fresa_report",
@@ -124,8 +120,10 @@ __all__ = [
     "score_normalized",
     "score_table",
     "select",
+    "skip_bigrams",
     "split_sentences",
     "stemmer_for",
+    "unigrams",
     "vectorize",
     "__version__",
 ]

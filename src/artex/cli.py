@@ -136,7 +136,7 @@ def cmd_summarize(args) -> int:
     text = path.read_text(encoding="utf-8-sig")
     normalize = parse_mode(args.norm, args.lemma_dict).normalizer(args.lang)
     if args.stoplist is not None:
-        stoplist = StopList.from_file(args.stoplist, args.lang)
+        stoplist = StopList.from_file(args.stoplist)
     else:
         stoplist = StopList.bundled(args.lang)
     budget = parse_budget(args.budget)

@@ -30,7 +30,7 @@ difference overwritten, is summed densely (see SourceProfile.divergence).
 The sum runs left to right in profile order with plain float additions
 (_summed), because the order and rounding of each addition reach the
 report's last digits; profiles therefore key their units in
-first-occurrence order, which each order's units() keeps.
+first-occurrence order, which each n-gram order function keeps.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from dataclasses import asdict, dataclass
 from itertools import chain, repeat
 from math import log1p
 from operator import truediv
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import EmptyDocument, EmptySource
 from .preprocess import (
@@ -53,57 +53,33 @@ from .preprocess import (
 from .stemming import stemmer_for
 
 
-# Each order's units() yields a segment's units position by position, so a
-# profile keys its units in first-occurrence order: the order in which every
-# divergence adds its terms.
+# An n-gram order is a function yielding a segment's units position by
+# position, so a profile keys its units in first-occurrence order: the order
+# in which every divergence adds its terms.
 
 
-@dataclass(frozen=True)
-class Unigram:
-    """Single tokens."""
-
-    def units(self, segment: Sequence[str]) -> Iterable[tuple[str]]:
-        """The 1-tuples (t_i,) of ``segment``."""
-        return zip(segment)
+def unigrams(segment: Sequence[str]) -> Iterable[tuple[str]]:
+    """The 1-tuples (t_i,) of ``segment``."""
+    return zip(segment)
 
 
-@dataclass(frozen=True)
-class Bigram:
-    """Consecutive token pairs within a segment."""
-
-    def units(self, segment: Sequence[str]) -> Iterable[tuple[str, str]]:
-        """The pairs (t_i, t_{i+1}) of ``segment``."""
-        return zip(segment, segment[1:])
+def bigrams(segment: Sequence[str]) -> Iterable[tuple[str, str]]:
+    """The consecutive pairs (t_i, t_{i+1}) of ``segment``."""
+    return zip(segment, segment[1:])
 
 
-@dataclass(frozen=True)
-class SkipBigram:
-    """Token pairs (t_i, t_{i+g}) with 1 <= g <= max_gap within a segment."""
-
-    max_gap: int = 4
-
-    def __post_init__(self) -> None:
-        if self.max_gap < 1:
-            raise ValueError(f"max gap must be >= 1, got {self.max_gap}")
-
-    def units(self, segment: Sequence[str]) -> Iterable[tuple[str, str]]:
-        """The pairs (t_i, t_{i+g}) of ``segment``, by i and then by g."""
-        gap = self.max_gap
-        return [
-            (first, second)
-            for i, first in enumerate(segment, 1)
-            for second in segment[i : i + gap]
-        ]
+def skip_bigrams(segment: Sequence[str]) -> Iterable[tuple[str, str]]:
+    """The pairs (t_i, t_{i+g}) of ``segment`` with 1 <= g <= 4 (SU4), by i and then by g."""
+    return [(first, second) for i, first in enumerate(segment, 1) for second in segment[i : i + 4]]
 
 
-NgramOrder = Unigram | Bigram | SkipBigram
+NgramOrder = Callable[[Sequence[str]], Iterable[tuple[str, ...]]]
 
 
 @dataclass(frozen=True)
 class NgramProfile:
     """Occurrence counts of n-gram units plus the total number of units."""
 
-    order: NgramOrder
     counts: Mapping[tuple[str, ...], int]
     total: int
 
@@ -136,8 +112,8 @@ def ngram_profile(segments: Sequence[Sequence[str]], order: NgramOrder) -> Ngram
     """
     if segments and isinstance(segments[0], str):
         raise TypeError("ngram_profile takes one token sequence per sentence, not a flat one")
-    counts = Counter(chain.from_iterable(map(order.units, segments)))
-    return NgramProfile(order=order, counts=counts, total=sum(counts.values()))
+    counts = Counter(chain.from_iterable(map(order, segments)))
+    return NgramProfile(counts=counts, total=sum(counts.values()))
 
 
 @dataclass(frozen=True)
@@ -151,7 +127,6 @@ class SourceProfile:
     because a source is only accepted with at least one unit.
     """
 
-    order: NgramOrder
     index: Mapping[tuple[str, ...], int]
     terms: tuple[float, ...]
     empty_divergence: float
@@ -203,14 +178,13 @@ def prepare_profile(source: NgramProfile) -> SourceProfile:
     counts = source.counts
     terms = tuple(map(log1p, map(truediv, counts.values(), repeat(source.total))))
     return SourceProfile(
-        order=source.order,
         index=dict(zip(counts, range(len(terms)))),
         terms=terms,
         empty_divergence=_summed(terms),
     )
 
 
-_ORDERS: tuple[NgramOrder, ...] = (Unigram(), Bigram(), SkipBigram(4))
+_ORDERS: tuple[NgramOrder, ...] = (unigrams, bigrams, skip_bigrams)
 
 
 def _source_profiles(source_tokens: Sequence[Sequence[str]]) -> tuple[SourceProfile, ...]:
@@ -234,8 +208,8 @@ def _report(
     """
     raw: list[float] = []
     normalized: list[float] = []
-    for source in profiles:
-        d = source.divergence(ngram_profile(summary_tokens, source.order))
+    for order, source in zip(_ORDERS, profiles):
+        d = source.divergence(ngram_profile(summary_tokens, order))
         raw.append(d)
         normalized.append(_clamp01(1.0 - d / source.empty_divergence))
     f1, f2, f_su4 = normalized

@@ -61,13 +61,8 @@ class Document:
     positions line up with ``sentences``.
     """
 
-    id: str
-    language: str
     sentences: tuple[Sentence, ...]
     terms: tuple[tuple[str, ...], ...]
-
-    def __len__(self) -> int:
-        return len(self.sentences)
 
 
 # Each normalizer() returns a module-level function or a partial of one, so
@@ -149,21 +144,20 @@ NormalizationMode = Raw | Stem | UltraStem | Lemmatize
 
 @dataclass(frozen=True)
 class StopList:
-    """A per-language set of words removed during filtering."""
+    """The casefolded words removed during filtering."""
 
-    language: str
     words: frozenset[str] = field(default_factory=frozenset)
 
     def __contains__(self, token: str) -> bool:
         return token in self.words
 
     @classmethod
-    def from_file(cls, path: str | Path, language: str) -> "StopList":
+    def from_file(cls, path: str | Path) -> "StopList":
         """Load a stop-list: UTF-8, one word per line, '#' comments ignored.
 
         A leading byte-order mark is dropped.
         """
-        return cls(language=language, words=_read_words(Path(path)))
+        return cls(words=_read_words(Path(path)))
 
     @classmethod
     def bundled(cls, language: str) -> "StopList":
@@ -173,7 +167,7 @@ class StopList:
         """
         if language not in SUPPORTED_LANGUAGES:
             raise ValueError(f"no bundled stop-list for language: {language!r}")
-        return cls(language=language, words=_bundled_words(language))
+        return cls(words=_bundled_words(language))
 
 
 @cache
@@ -280,7 +274,6 @@ class CleanedDocument:
     and normalizes the streams into Document.terms; the evaluator stems them.
     """
 
-    id: str
     language: str
     sentences: tuple[Sentence, ...]
     streams: tuple[tuple[str, ...], ...]
@@ -308,7 +301,6 @@ def clean_document(raw: RawDocument, stoplist: StopList) -> CleanedDocument:
         [tuple([c for c in map(kept.__getitem__, s.tokens) if c]) for s in sentences]
     )
     return CleanedDocument(
-        id=raw.id,
         language=raw.language,
         sentences=sentences,
         streams=streams,
@@ -332,9 +324,7 @@ def normalize_document(
     """
     terms = {t: normalize(t) for t, n in cleaned.frequencies.items() if n >= 2}
     streams = [tuple([t for t in map(terms.get, s) if t is not None]) for s in cleaned.streams]
-    return Document(
-        id=cleaned.id, language=cleaned.language, sentences=cleaned.sentences, terms=tuple(streams)
-    )
+    return Document(sentences=cleaned.sentences, terms=tuple(streams))
 
 
 def preprocess_document(

@@ -357,7 +357,11 @@ def run_corpus(corpus: CorpusSpec, cfg: RunConfig) -> list[RunResult]:
 
 
 def write_outputs(results: Sequence[RunResult], out_dir: Path, timing: bool = False) -> None:
-    """Write summary files, report.jsonl, and (optionally) timings.csv."""
+    """Write summary files, report.jsonl, and (optionally) timings.csv.
+
+    Without ``timing`` a timings.csv left by an earlier run is removed, so
+    that it cannot pass for this run's.
+    """
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "report.jsonl", "w", encoding="utf-8") as reports:
         for result in results:
@@ -377,6 +381,8 @@ def write_outputs(results: Sequence[RunResult], out_dir: Path, timing: bool = Fa
             [r.timing for r in results if r.timing is not None],
             out_dir / "timings.csv",
         )
+    else:
+        (out_dir / "timings.csv").unlink(missing_ok=True)
 
 
 def write_timings(records: Sequence[TimingRecord], path: Path) -> None:
@@ -416,7 +422,8 @@ def benchmark(
         raise ValueError(f"normalization modes repeat a label: {', '.join(labels)}")
     documents = load_corpus(corpus)
     stoplist = StopList.bundled(corpus.language)
-    corpus_id = Path(corpus.root).name
+    # Resolved first: the name of "." or ".." is "" or "..".
+    corpus_id = Path(corpus.root).resolve().name
     records: list[TimingRecord] = []
     failed: list[set[str]] = [set() for _ in modes]
     for repetition in range(repetitions):

@@ -40,14 +40,6 @@ class PseudoVectors:
 
 
 @dataclass(frozen=True)
-class ScoreVector:
-    """Per-sentence relevance: raw values and a max-normalized copy in [0,1]."""
-
-    raw: tuple[float, ...]
-    normalized: tuple[float, ...]
-
-
-@dataclass(frozen=True)
 class SentenceCount:
     """Budget: keep exactly ``k`` sentences (clamped to the document size)."""
 
@@ -80,7 +72,6 @@ class Summary:
 
     selected: tuple[int, ...]
     text: str
-    compression: CompressionSpec
 
 
 def pseudo_vectors(matrix: SentenceTermMatrix) -> PseudoVectors:
@@ -96,7 +87,7 @@ def pseudo_vectors(matrix: SentenceTermMatrix) -> PseudoVectors:
     return PseudoVectors(lexical_weight=lexical, global_topic=topic)
 
 
-def _scores(matrix: SentenceTermMatrix, denominator: float) -> ScoreVector:
+def _scores(matrix: SentenceTermMatrix, denominator: float) -> tuple[float, ...]:
     """Scores from exact integer numerators: (row x column totals) x row total.
 
     The mean-based product (sum_j s_ij * b_j) * a_i equals this integer
@@ -109,22 +100,16 @@ def _scores(matrix: SentenceTermMatrix, denominator: float) -> ScoreVector:
     column means instead admits one-ulp drift between mathematically tied
     sentences, and a later scale constant can then collapse the pair into a
     tie in one scaling but not the other, reordering the tie-broken sort.
-
-    The normalized copy divides by the maximum raw score (all zeros when
-    every raw score is zero), which keeps ranks and puts values in [0, 1].
     """
     totals = matrix.column_sums()
     raw = []
     for i in range(matrix.P):
         dot = sum(count * totals[j] for j, count in matrix.rows[i].items())
         raw.append(dot * matrix.row_sum(i) / denominator)
-    peak = max(raw, default=0.0)
-    if peak <= 0.0:
-        return ScoreVector(raw=tuple(raw), normalized=tuple(0.0 for _ in raw))
-    return ScoreVector(raw=tuple(raw), normalized=tuple(value / peak for value in raw))
+    return tuple(raw)
 
 
-def score(matrix: SentenceTermMatrix) -> ScoreVector:
+def score(matrix: SentenceTermMatrix) -> tuple[float, ...]:
     """Raw sentence scores: (topic inner product) x (lexical weight) / (N*P).
 
     An empty sentence row has lexical weight 0 and scores exactly 0.
@@ -132,7 +117,7 @@ def score(matrix: SentenceTermMatrix) -> ScoreVector:
     return _scores(matrix, (matrix.N * matrix.P) ** 2)
 
 
-def score_normalized(matrix: SentenceTermMatrix) -> ScoreVector:
+def score_normalized(matrix: SentenceTermMatrix) -> tuple[float, ...]:
     """Hypersphere-normalized scores: same products over sqrt(N^5 * P^3).
 
     The divisor is the product of the norm bounds of the three vectors
@@ -144,9 +129,9 @@ def score_normalized(matrix: SentenceTermMatrix) -> ScoreVector:
     return _scores(matrix, matrix.N * matrix.P * math.sqrt(matrix.N**5 * matrix.P**3))
 
 
-def ranked_indices(scores: ScoreVector) -> list[int]:
+def ranked_indices(scores: Sequence[float]) -> list[int]:
     """Sentence indices from best to worst, ties toward the earlier index."""
-    return sorted(range(len(scores.raw)), key=lambda i: (-scores.raw[i], i))
+    return sorted(range(len(scores)), key=lambda i: (-scores[i], i))
 
 
 def extract(
@@ -183,27 +168,33 @@ def extract(
                 break
     selected = tuple(sorted(chosen))
     text = " ".join(sentences[i].surface for i in selected)
-    return Summary(selected=selected, text=text, compression=budget)
+    return Summary(selected=selected, text=text)
 
 
 def select(
-    scores: ScoreVector,
+    scores: Sequence[float],
     sentences: Sequence[Sentence],
     budget: CompressionSpec | None = None,
 ) -> Summary:
     """Pick the top-scoring sentences under the budget, in source order."""
     if budget is None:
         budget = DEFAULT_BUDGET
-    if len(scores.raw) != len(sentences):
+    if len(scores) != len(sentences):
         raise ValueError("score vector length does not match sentence count")
     return extract(ranked_indices(scores), sentences, budget)
 
 
-def score_table(scores: ScoreVector, summary: Summary | None = None) -> str:
-    """Tab-separated per-sentence dump: index, raw, normalized, selected flag."""
+def score_table(scores: Sequence[float], summary: Summary | None = None) -> str:
+    """Tab-separated per-sentence dump: index, raw, normalized, selected flag.
+
+    The normalized column divides each score by the maximum (all zeros when
+    every score is zero), which keeps ranks and puts values in [0, 1].
+    """
     chosen = set(summary.selected) if summary is not None else set()
+    peak = max(scores, default=0.0)
     lines = ["index\traw\tnormalized\tselected"]
-    for i, (raw, norm) in enumerate(zip(scores.raw, scores.normalized)):
+    for i, raw in enumerate(scores):
+        norm = raw / peak if peak > 0.0 else 0.0
         flag = "*" if i in chosen else "-"
         lines.append(f"{i}\t{raw!r}\t{norm!r}\t{flag}")
     return "\n".join(lines)

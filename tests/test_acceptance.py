@@ -21,7 +21,6 @@ from artex.baselines import random_baseline
 from artex.cli import main
 from artex.evaluation import (
     NgramProfile,
-    Unigram,
     evaluation_tokens,
     fresa_report,
     prepare_profile,
@@ -39,7 +38,6 @@ from artex.preprocess import (
 )
 from artex.runner import CorpusSpec, benchmark, benchmark_summary, load_corpus
 from artex.scorer import (
-    ScoreVector,
     SentenceCount,
     WordRatio,
     ranked_indices,
@@ -79,7 +77,7 @@ def test_criterion_1_rank_equivalence(random_matrices):
         normalized = score_normalized(matrix)
         assert ranked_indices(plain) == ranked_indices(normalized)
         factor = math.sqrt(matrix.N**5 * matrix.P**3) / (matrix.N * matrix.P)
-        for a, b in zip(plain.raw, normalized.raw):
+        for a, b in zip(plain, normalized):
             if b == 0.0:
                 assert a == 0.0
             else:
@@ -96,7 +94,7 @@ def test_criterion_2_dense_oracle_equivalence(random_matrices):
         a = dense.sum(axis=1) / n
         b = dense.sum(axis=0) / p
         want = (dense @ b) * a / (n * p)
-        got = score(matrix).raw
+        got = score(matrix)
         for x, y in zip(got, want):
             if y == 0.0:
                 assert x == 0.0
@@ -109,8 +107,8 @@ def test_criterion_2_dense_oracle_equivalence(random_matrices):
 
 def test_criterion_3_hand_check():
     matrix = from_dense([[1, 0], [0, 1]])
-    assert score(matrix).raw == (0.0625, 0.0625)
-    assert score_normalized(matrix).raw == (0.015625, 0.015625)
+    assert score(matrix) == (0.0625, 0.0625)
+    assert score_normalized(matrix) == (0.015625, 0.015625)
     print("\nPASS criterion 3: hand-check raw=[0.0625,0.0625], score'=[0.015625,0.015625]")
 
 
@@ -120,7 +118,7 @@ def test_criterion_4_divergence_identities():
     assert abs(perfect.f_avg - 1.0) <= 1e-12
     empty = fresa_report(source, [])
     assert (empty.f1, empty.f2, empty.f_su4) == (0.0, 0.0, 0.0)
-    single = NgramProfile(order=Unigram(), counts={("a",): 1}, total=1)
+    single = NgramProfile(counts={("a",): 1}, total=1)
     d = prepare_profile(single).empty_divergence
     assert abs(d - math.log(2)) <= 1e-12
     print("\nPASS criterion 4: f_avg(source,source)=1, empty summary=0, single-term=log 2")
@@ -254,17 +252,16 @@ def test_criterion_9_summary_contract():
     for case in range(200):
         p = rng.randint(1, 40)
         raw = tuple(rng.randint(0, 5) / 5 for _ in range(p))
-        scores = ScoreVector(raw=raw, normalized=raw)
         words = [rng.randint(3, 12) for _ in range(p)]
         sentences = [Sentence(surface=" ".join(["w"] * k), tokens=("w",) * k) for k in words]
         if case % 2:
             budget = SentenceCount(rng.randint(1, p + 2))
         else:
             budget = WordRatio(rng.uniform(0.05, 1.0))
-        summary = select(scores, sentences, budget)
+        summary = select(raw, sentences, budget)
         selected = summary.selected
         assert all(a < b for a, b in zip(selected, selected[1:]))
-        order = ranked_indices(scores)
+        order = ranked_indices(raw)
         # Ties resolve toward the earlier index in the ranking itself.
         for a, b in zip(order, order[1:]):
             if raw[a] == raw[b]:

@@ -11,9 +11,10 @@ import artex.stemming
 from artex.cli import main, parse_budget
 from artex.errors import EmptySource
 from artex.evaluation import evaluation_tokens, fresa_report
-from artex.preprocess import RawDocument, StopList, clean_document
-from artex.scorer import SentenceCount, WordRatio
+from artex.preprocess import RawDocument, Stem, StopList, clean_document, preprocess_document
+from artex.scorer import SentenceCount, WordRatio, score, select
 from artex.synthetic import generate_document
+from artex.vsm import vectorize
 
 
 @pytest.fixture()
@@ -58,6 +59,27 @@ def test_summarize_scores_table_goes_to_stderr(doc_file, capsys):
     assert main(["summarize", str(doc_file), "--scores"]) == 0
     err = capsys.readouterr().err
     assert "index\traw\tnormalized\tselected" in err
+
+
+def test_summarize_scores_table_matches_the_scores(doc_file, capsys):
+    assert main(["summarize", str(doc_file), "--scores"]) == 0
+    captured = capsys.readouterr()
+    raw = RawDocument(id="doc", text=doc_file.read_text(encoding="utf-8"), language="en")
+    doc = preprocess_document(raw, StopList.bundled("en"), Stem().normalizer("en"))
+    _, matrix = vectorize(doc.terms)
+    scores = score(matrix)
+    summary = select(scores, doc.sentences, WordRatio(0.2))
+    assert captured.out == summary.text + "\n"
+    lines = captured.err.splitlines()
+    header = lines.index("index\traw\tnormalized\tselected")
+    rows = [line.split("\t") for line in lines[header + 1 :]]
+    assert len(rows) == len(scores) > 1
+    peak = max(scores)
+    for i, (index, raw_score, normalized, flag) in enumerate(rows):
+        assert index == str(i)
+        assert raw_score == repr(scores[i])
+        assert normalized == repr(scores[i] / peak)
+        assert flag == ("*" if i in summary.selected else "-")
 
 
 def test_summarize_missing_file_is_io_error(tmp_path):
@@ -180,6 +202,15 @@ def test_batch_writes_output_tree(corpus_dir, tmp_path):
         assert len(files) == 2
     lines = (out / "report.jsonl").read_text(encoding="utf-8").splitlines()
     assert len(lines) == 6
+
+
+def test_batch_without_timing_removes_a_stale_timings_file(corpus_dir, tmp_path):
+    out = tmp_path / "out"
+    args = ["batch", str(corpus_dir), "--out", str(out)]
+    assert main(args + ["--timing"]) == 0
+    assert (out / "timings.csv").exists()
+    assert main(args) == 0
+    assert not (out / "timings.csv").exists()
 
 
 def test_batch_missing_corpus_is_io_error(tmp_path):

@@ -10,18 +10,18 @@ import artex.evaluation
 from artex.baselines import lead_baseline, random_baseline
 from artex.errors import EmptySource
 from artex.evaluation import (
-    Bigram,
     DivergenceReport,
     NgramProfile,
-    SkipBigram,
     SourceProfile,
-    Unigram,
+    bigrams,
     evaluation_tokens,
     fresa_report,
     ngram_profile,
     prepare_profile,
     prepare_source,
+    skip_bigrams,
     stem_types,
+    unigrams,
 )
 from artex.preprocess import (
     RawDocument,
@@ -40,27 +40,27 @@ segment_lists = st.lists(st.lists(st.sampled_from("abcde"), max_size=7), max_siz
 source_segments = segment_lists.filter(lambda segments: any(len(s) >= 2 for s in segments))
 
 
-def _profile(counts: dict, order) -> NgramProfile:
-    return NgramProfile(order=order, counts=counts, total=sum(counts.values()))
+def _profile(counts: dict) -> NgramProfile:
+    return NgramProfile(counts=counts, total=sum(counts.values()))
 
 
 # --- n-gram profiles ---------------------------------------------------------
 
 
 def test_bigram_consecutive_pairs():
-    profile = ngram_profile([["a", "b", "c"]], Bigram())
+    profile = ngram_profile([["a", "b", "c"]], bigrams)
     assert profile.counts == {("a", "b"): 1, ("b", "c"): 1}
     assert profile.total == 2
 
 
 def test_bigram_under_length_input():
-    profile = ngram_profile([["a"]], Bigram())
+    profile = ngram_profile([["a"]], bigrams)
     assert profile.counts == {} and profile.total == 0
 
 
 def test_skip_bigram_matches_pair_enumeration():
     tokens = ["a", "b", "c", "d"]
-    profile = ngram_profile([tokens], SkipBigram(4))
+    profile = ngram_profile([tokens], skip_bigrams)
     expected = Counter(
         (tokens[i], tokens[i + g])
         for i in range(len(tokens))
@@ -73,15 +73,15 @@ def test_skip_bigram_matches_pair_enumeration():
 
 def test_ngrams_do_not_cross_segment_boundaries():
     segments = [["a", "b"], ["c", "d", "e"]]
-    bigrams = ngram_profile(segments, Bigram())
-    assert ("b", "c") not in bigrams.counts
-    assert bigrams.total == 3
-    skips = ngram_profile(segments, SkipBigram(4))
+    pairs = ngram_profile(segments, bigrams)
+    assert ("b", "c") not in pairs.counts
+    assert pairs.total == 3
+    skips = ngram_profile(segments, skip_bigrams)
     assert all(pair[0] != "a" or pair[1] in ("b",) for pair in skips.counts)
 
 
 def test_unigram_total_spans_segments():
-    profile = ngram_profile([["a", "b"], ["a"]], Unigram())
+    profile = ngram_profile([["a", "b"], ["a"]], unigrams)
     assert profile.counts == {("a",): 2, ("b",): 1}
     assert profile.total == 3
 
@@ -89,7 +89,7 @@ def test_unigram_total_spans_segments():
 def test_flat_token_list_raises_type_error():
     # Read as segments, each string of a flat list would be counted as
     # character n-grams.
-    for order in (Unigram(), Bigram(), SkipBigram(4)):
+    for order in (unigrams, bigrams, skip_bigrams):
         with pytest.raises(TypeError):
             ngram_profile(["ab", "cd"], order)
         assert ngram_profile([], order).total == 0
@@ -102,18 +102,13 @@ def test_fresa_report_rejects_flat_streams():
         fresa_report([["a", "b", "a"]], ["a"])
 
 
-def test_skip_bigram_rejects_nonpositive_gap():
-    with pytest.raises(ValueError):
-        SkipBigram(0)
-
-
-@given(token_lists, st.integers(min_value=1, max_value=5))
-def test_skip_bigram_property_enumeration(tokens, gap):
-    profile = ngram_profile([tokens], SkipBigram(gap))
+@given(token_lists)
+def test_skip_bigram_property_enumeration(tokens):
+    profile = ngram_profile([tokens], skip_bigrams)
     expected = Counter(
         (tokens[i], tokens[i + g])
         for i in range(len(tokens))
-        for g in range(1, gap + 1)
+        for g in range(1, 5)
         if i + g < len(tokens)
     )
     assert profile.counts == dict(expected)
@@ -122,29 +117,27 @@ def test_skip_bigram_property_enumeration(tokens, gap):
 
 def _per_position_units(segments, order) -> list:
     # The per-position loop that counted units before each order had its
-    # own units(): every unit that starts at position i, for i in order.
+    # own function: every unit that starts at position i, for i in order.
     counts: Counter = Counter()
     for segment in segments:
         for i, first in enumerate(segment):
-            if isinstance(order, Unigram):
+            if order is unigrams:
                 counts[(first,)] += 1
-            elif isinstance(order, Bigram):
+            elif order is bigrams:
                 if i + 1 < len(segment):
                     counts[(first, segment[i + 1])] += 1
             else:
-                for second in segment[i + 1 : i + 1 + order.max_gap]:
+                for second in segment[i + 1 : i + 1 + 4]:
                     counts[(first, second)] += 1
     return list(counts.items())
 
 
-all_orders = st.sampled_from(
-    [Unigram(), Bigram()] + [SkipBigram(gap) for gap in range(1, 6)]
-)
+all_orders = st.sampled_from([unigrams, bigrams, skip_bigrams])
 
 
 @given(segment_lists, all_orders)
-@example([[], ["a", "b"], []], SkipBigram(5))
-@example([["a"], ["b", "a", "b"]], SkipBigram(4))
+@example([[], ["a", "b"], []], skip_bigrams)
+@example([["a"], ["b", "a", "b"]], skip_bigrams)
 def test_profile_keys_units_in_first_occurrence_order(segments, order):
     # Every divergence adds its terms in profile order, so the order of the
     # keys, not only the counts, must match the per-position loop.
@@ -166,29 +159,28 @@ def test_divergence_sums_left_to_right_in_plain_float_arithmetic(monkeypatch):
     assert math.fsum(terms) == 1.000000000000001
     monkeypatch.setattr(artex.evaluation, "sum", math.fsum, raising=False)
     source = SourceProfile(
-        order=Unigram(),
         index={(str(i),): i for i in range(len(terms))},
         terms=terms,
         empty_divergence=1.0,
     )
-    assert source.divergence(_profile({}, Unigram())) == 1.0
-    assert source.divergence(_profile({("foreign",): 3}, Unigram())) == 1.0
+    assert source.divergence(_profile({})) == 1.0
+    assert source.divergence(_profile({("foreign",): 3})) == 1.0
 
 
 def test_divergence_of_identical_profiles_is_zero():
-    profile = _profile({("a",): 2, ("b",): 1}, Unigram())
+    profile = _profile({("a",): 2, ("b",): 1})
     assert prepare_profile(profile).divergence(profile) == 0.0
 
 
 def test_divergence_single_term_empty_summary_is_log_two():
-    source = _profile({("a",): 1}, Unigram())
-    empty = _profile({}, Unigram())
+    source = _profile({("a",): 1})
+    empty = _profile({})
     assert prepare_profile(source).divergence(empty) == pytest.approx(math.log(2), rel=1e-12)
 
 
 def test_divergence_matches_per_term_oracle():
-    source = _profile({("a",): 3, ("b",): 1, ("c",): 2}, Unigram())
-    summary = _profile({("a",): 1, ("c",): 4, ("d",): 2}, Unigram())
+    source = _profile({("a",): 3, ("b",): 1, ("c",): 2})
+    summary = _profile({("a",): 1, ("c",): 4, ("d",): 2})
     expected = sum(
         abs(math.log1p(c / source.total) - math.log1p(summary.counts.get(t, 0) / summary.total))
         for t, c in source.counts.items()
@@ -198,13 +190,13 @@ def test_divergence_matches_per_term_oracle():
 
 def test_divergence_requires_nonempty_source():
     with pytest.raises(EmptySource):
-        prepare_profile(_profile({}, Unigram()))
+        prepare_profile(_profile({}))
 
 
 @given(token_lists.filter(bool), token_lists)
 def test_divergence_nonnegative(source_tokens, summary_tokens):
-    source = ngram_profile([source_tokens], Unigram())
-    summary = ngram_profile([summary_tokens], Unigram())
+    source = ngram_profile([source_tokens], unigrams)
+    summary = ngram_profile([summary_tokens], unigrams)
     assert prepare_profile(source).divergence(summary) >= 0.0
 
 
@@ -212,9 +204,9 @@ def test_empty_summary_is_maximal_among_nonexcess_summaries():
     # Enumerate all small summaries whose per-type proportion does not
     # exceed the source proportion; none diverges more than the empty one.
     source_tokens = ["a", "a", "a", "b", "b", "c"]
-    source = ngram_profile([source_tokens], Unigram())
+    source = ngram_profile([source_tokens], unigrams)
     prepared = prepare_profile(source)
-    d_empty = prepared.divergence(_profile({}, Unigram()))
+    d_empty = prepared.divergence(_profile({}))
     for size in range(1, 7):
         for summary_tokens in combinations_with_replacement("abc", size):
             counts = Counter(summary_tokens)
@@ -222,7 +214,7 @@ def test_empty_summary_is_maximal_among_nonexcess_summaries():
                 counts[t] / size > source.counts[(t,)] / source.total for t in counts
             ):
                 continue
-            d = prepared.divergence(ngram_profile([list(summary_tokens)], Unigram()))
+            d = prepared.divergence(ngram_profile([list(summary_tokens)], unigrams))
             assert d <= d_empty
 
 
@@ -401,11 +393,11 @@ def _direct_divergence(source: NgramProfile, summary: NgramProfile) -> float:
 
 def _direct_report(source_tokens, summary_tokens) -> DivergenceReport:
     raw, normalized = [], []
-    for order in (Unigram(), Bigram(), SkipBigram(4)):
+    for order in (unigrams, bigrams, skip_bigrams):
         source = ngram_profile(source_tokens, order)
         summary = ngram_profile(summary_tokens, order)
         d = _direct_divergence(source, summary)
-        d_empty = _direct_divergence(source, NgramProfile(order=order, counts={}, total=0))
+        d_empty = _direct_divergence(source, NgramProfile(counts={}, total=0))
         raw.append(d)
         normalized.append(min(1.0, max(0.0, 1.0 - d / d_empty)))
     f1, f2, f_su4 = normalized
@@ -415,19 +407,19 @@ def _direct_report(source_tokens, summary_tokens) -> DivergenceReport:
 @given(source_segments, segment_lists)
 def test_prepared_path_equals_direct_formula_bit_for_bit(source, summary):
     assert fresa_report(source, summary) == _direct_report(source, summary)
-    for order in (Unigram(), Bigram(), SkipBigram(4)):
+    for order in (unigrams, bigrams, skip_bigrams):
         source_profile = ngram_profile(source, order)
         summary_profile = ngram_profile(summary, order)
         expected = _direct_divergence(source_profile, summary_profile)
         prepared = prepare_profile(source_profile)
         assert prepared.divergence(summary_profile) == expected
-        empty = NgramProfile(order=order, counts={}, total=0)
+        empty = NgramProfile(counts={}, total=0)
         assert prepared.empty_divergence == _direct_divergence(source_profile, empty)
 
 
 def test_prepare_profile_rejects_empty_source():
     with pytest.raises(EmptySource):
-        prepare_profile(ngram_profile([["a"]], Bigram()))
+        prepare_profile(ngram_profile([["a"]], bigrams))
 
 
 # --- prepared sources --------------------------------------------------------------

@@ -189,21 +189,21 @@ def _sentence(tokens: list[str]) -> Sentence:
 
 
 def test_filter_drops_stopwords_keeps_repeats():
-    stoplist = StopList(language="en", words=frozenset({"the"}))
+    stoplist = StopList(words=frozenset({"the"}))
     sentence = _sentence(["The", "cat", "cat"])
     frequencies = document_frequencies([sentence])
     assert filter_sentence(sentence, stoplist, frequencies) == ("cat", "cat")
 
 
 def test_filter_hand_trace_punctuation():
-    stoplist = StopList(language="en", words=frozenset())
+    stoplist = StopList(words=frozenset())
     sentence = _sentence(["Run,", "run!"])
     frequencies = document_frequencies([sentence])
     assert filter_sentence(sentence, stoplist, frequencies) == ("run", "run")
 
 
 def test_filter_drops_document_hapax():
-    stoplist = StopList(language="en", words=frozenset({"the"}))
+    stoplist = StopList(words=frozenset({"the"}))
     sentences = [_sentence(["The", "cat", "sat"]), _sentence(["The", "cat", "ran"])]
     frequencies = document_frequencies(sentences)
     assert filter_sentence(sentences[0], stoplist, frequencies) == ("cat",)
@@ -225,7 +225,7 @@ def test_document_frequencies_count_cleaned_stream():
 def test_filtering_soundness(token_lists):
     # After filtering: no stop-list member, and every retained type has
     # document frequency >= 2 on an independent recount.
-    stoplist = StopList(language="en", words=frozenset({"the"}))
+    stoplist = StopList(words=frozenset({"the"}))
     sentences = [_sentence(tokens) for tokens in token_lists]
     frequencies = document_frequencies(sentences)
     recount = Counter(
@@ -285,7 +285,7 @@ def test_ultrastem_idempotent_and_bounded(token, n):
 def test_stoplist_from_file_skips_comments(tmp_path):
     path = tmp_path / "stop.txt"
     path.write_text("# comment\nThe\n\nand\n", encoding="utf-8")
-    stoplist = StopList.from_file(path, "en")
+    stoplist = StopList.from_file(path)
     assert "the" in stoplist and "and" in stoplist
     assert "# comment" not in stoplist.words
 
@@ -293,7 +293,7 @@ def test_stoplist_from_file_skips_comments(tmp_path):
 def test_stoplist_from_file_drops_byte_order_mark(tmp_path):
     path = tmp_path / "stop.txt"
     path.write_bytes(b"\xef\xbb\xbfsolar\npanels\n")
-    assert StopList.from_file(path, "en").words == frozenset({"solar", "panels"})
+    assert StopList.from_file(path).words == frozenset({"solar", "panels"})
 
 
 def test_bundled_stoplists_exist(stoplist_en):
@@ -342,7 +342,7 @@ def test_preprocess_document_end_to_end(small_doc_text, stoplist_en):
     raw = RawDocument(id="d", text=small_doc_text, language="en")
     doc = preprocess_document(raw, stoplist_en, Raw().normalizer("en"))
     assert isinstance(doc, Document)
-    assert len(doc) == 6
+    assert len(doc.sentences) == 6
     # The split's sentences survive untouched.
     split = split_sentences(raw)
     assert [s.surface for s in doc.sentences] == [s.surface for s in split]
@@ -423,7 +423,7 @@ def test_single_pass_equals_two_pass_reference(lemma_file, words, separators, mo
     normalize = mode.normalizer("en")
     text = " ".join(word + sep for word, sep in zip(words, separators))
     raw = _raw(text)
-    stoplist = StopList(language="en", words=frozenset({"the", "of"}))
+    stoplist = StopList(words=frozenset({"the", "of"}))
     try:
         sentences = split_sentences(raw)
     except EmptyDocument:

@@ -3,6 +3,7 @@ import csv
 import hashlib
 import json
 from collections import Counter
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -196,6 +197,16 @@ def test_run_corpus_all_systems_and_timing(flat_corpus, tmp_path):
         assert timing.total_seconds == timing.preprocess_seconds + timing.score_seconds
 
 
+def test_run_without_timing_removes_a_stale_timings_file(flat_corpus, tmp_path):
+    # A timings.csv left beside this run's report would name another run's documents.
+    out = tmp_path / "out"
+    spec = CorpusSpec(root=flat_corpus)
+    run_corpus(spec, RunConfig(out_dir=out, timing=True))
+    assert (out / "timings.csv").exists()
+    run_corpus(spec, RunConfig(out_dir=out, timing=False))
+    assert not (out / "timings.csv").exists()
+
+
 def test_run_corpus_deterministic_outputs(flat_corpus, tmp_path):
     spec = CorpusSpec(root=flat_corpus)
     outputs = []
@@ -339,6 +350,13 @@ def test_benchmark_cardinality_and_summary(flat_corpus, tmp_path):
     assert medians == sorted(medians)
     by_label = {row["normalization"]: row["vocabulary_size"] for row in summary}
     assert by_label["fix1"] <= by_label["fix2"] <= by_label["raw"]
+
+
+def test_benchmark_names_a_relative_corpus_root_by_its_directory(flat_corpus, monkeypatch):
+    # Path(".").name is "": the corpus is named after the directory it resolves to.
+    monkeypatch.chdir(flat_corpus)
+    records = benchmark(CorpusSpec(root=Path(".")), [Raw()], 3)
+    assert [record.corpus_id for record in records] == [flat_corpus.name] * 3
 
 
 def test_benchmark_runs_every_mode_in_each_repetition(flat_corpus):

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from artex.preprocess import RawDocument, Sentence, preprocess_document
 from artex.scorer import (
     DEFAULT_BUDGET,
-    ScoreVector,
     SentenceCount,
     Summary,
     WordRatio,
@@ -40,6 +39,11 @@ def _naive_scores(counts: list[list[int]]) -> list[float]:
         (1.0 / (n * p)) * sum(counts[i][j] * b[j] for j in range(n)) * a[i]
         for i in range(p)
     ]
+
+
+def _normalized_column(scores: tuple[float, ...]) -> list[float]:
+    """The normalized column of the score table, read back as floats."""
+    return [float(line.split("\t")[2]) for line in score_table(scores).splitlines()[1:]]
 
 
 def _sentences_with_words(word_counts: list[int]) -> list[Sentence]:
@@ -78,14 +82,14 @@ def test_pseudo_vectors_match_dense_oracle():
 def test_score_hand_check_exact():
     matrix = from_dense([[1, 0], [0, 1]])
     scores = score(matrix)
-    assert scores.raw == (0.0625, 0.0625)
-    assert scores.normalized == (1.0, 1.0)
+    assert scores == (0.0625, 0.0625)
+    assert _normalized_column(scores) == [1.0, 1.0]
 
 
 def test_score_empty_row_is_exactly_zero():
     matrix = from_dense([[0, 0], [1, 2]])
     scores = score(matrix)
-    assert scores.raw[0] == 0.0
+    assert scores[0] == 0.0
 
 
 def test_score_matches_dense_oracle():
@@ -93,16 +97,16 @@ def test_score_matches_dense_oracle():
     counts = [[rng.randint(0, 5) for _ in range(9)] for _ in range(6)]
     matrix = from_dense(counts)
     scores = score(matrix)
-    for got, want in zip(scores.raw, _naive_scores(counts)):
+    for got, want in zip(scores, _naive_scores(counts)):
         assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_score_normalized_hand_checks():
     matrix = from_dense([[1, 0], [0, 1]])
     scores = score_normalized(matrix)
-    assert scores.raw == (0.015625, 0.015625)
+    assert scores == (0.015625, 0.015625)
     single = from_dense([[1]])
-    assert score_normalized(single).raw == (1.0,)
+    assert score_normalized(single) == (1.0,)
 
 
 @given(matrices)
@@ -112,7 +116,7 @@ def test_rank_equivalence_and_constant_factor(counts):
     normalized = score_normalized(matrix)
     assert ranked_indices(plain) == ranked_indices(normalized)
     factor = math.sqrt(matrix.N**5 * matrix.P**3) / (matrix.N * matrix.P)
-    for a, b in zip(plain.raw, normalized.raw):
+    for a, b in zip(plain, normalized):
         assert a == pytest.approx(b * factor, rel=1e-10, abs=1e-300)
 
 
@@ -122,8 +126,8 @@ def test_positive_scaling_invariance(counts, c):
     scaled = from_dense(
         [[c * value for value in row] for row in counts]
     )
-    raw0 = score(base).raw
-    raw1 = score(scaled).raw
+    raw0 = score(base)
+    raw1 = score(scaled)
     for a, b in zip(raw0, raw1):
         assert b == pytest.approx(a * c**3, rel=1e-10, abs=1e-300)
     assert ranked_indices(score(base)) == ranked_indices(score(scaled))
@@ -142,7 +146,7 @@ def test_integer_numerators_match_mean_based_evaluation(counts):
         * pv.lexical_weight[i]
         for i in range(matrix.P)
     ]
-    for a, b in zip(plain.raw, mean_based):
+    for a, b in zip(plain, mean_based):
         assert a == pytest.approx(b, rel=1e-12, abs=1e-300)
 
 
@@ -150,15 +154,14 @@ def test_integer_numerators_match_mean_based_evaluation(counts):
 def test_normalized_scores_in_unit_interval(counts):
     matrix = from_dense(counts)
     scores = score(matrix)
-    assert all(0.0 <= value <= 1.0 for value in scores.normalized)
-    if any(value > 0.0 for value in scores.raw):
-        assert max(scores.normalized) == 1.0
+    normalized = _normalized_column(scores)
+    assert all(0.0 <= value <= 1.0 for value in normalized)
+    if any(value > 0.0 for value in scores):
+        assert max(normalized) == 1.0
     else:
-        assert set(scores.normalized) == {0.0}
-    by_raw = sorted(range(len(scores.raw)), key=lambda i: (-scores.raw[i], i))
-    by_norm = sorted(
-        range(len(scores.normalized)), key=lambda i: (-scores.normalized[i], i)
-    )
+        assert set(normalized) == {0.0}
+    by_raw = sorted(range(len(scores)), key=lambda i: (-scores[i], i))
+    by_norm = sorted(range(len(normalized)), key=lambda i: (-normalized[i], i))
     assert by_raw == by_norm
 
 
@@ -166,24 +169,24 @@ def test_normalized_scores_in_unit_interval(counts):
 
 
 def test_ranked_indices_ties_toward_earlier_index():
-    scores = ScoreVector(raw=(0.5, 0.7, 0.5), normalized=(0.5, 0.7, 0.5))
+    scores = (0.5, 0.7, 0.5)
     assert ranked_indices(scores) == [1, 0, 2]
 
 
 def test_select_top_k_in_source_order():
-    scores = ScoreVector(raw=(0.2, 0.9, 0.5), normalized=(0.2, 0.9, 0.5))
+    scores = (0.2, 0.9, 0.5)
     sentences = _sentences_with_words([4, 4, 4])
     assert select(scores, sentences, SentenceCount(2)).selected == (1, 2)
 
 
 def test_select_tie_break():
-    scores = ScoreVector(raw=(0.5, 0.5), normalized=(1.0, 1.0))
+    scores = (0.5, 0.5)
     sentences = _sentences_with_words([4, 4])
     assert select(scores, sentences, SentenceCount(1)).selected == (0,)
 
 
 def test_select_clamps_oversized_budget(caplog):
-    scores = ScoreVector(raw=(0.5,), normalized=(1.0,))
+    scores = (0.5,)
     sentences = _sentences_with_words([4])
     with caplog.at_level(logging.WARNING, logger="artex.scorer"):
         summary = select(scores, sentences, SentenceCount(3))
@@ -192,22 +195,21 @@ def test_select_clamps_oversized_budget(caplog):
 
 
 def test_select_requires_matching_lengths():
-    scores = ScoreVector(raw=(0.5,), normalized=(1.0,))
+    scores = (0.5,)
     with pytest.raises(ValueError):
         select(scores, _sentences_with_words([4, 4]), SentenceCount(1))
 
 
 def test_select_default_budget_is_fifth_of_words():
     assert DEFAULT_BUDGET == WordRatio(0.20)
-    scores = ScoreVector(raw=tuple(range(10, 0, -1)), normalized=(1.0,) * 10)
+    scores = tuple(range(10, 0, -1))
     sentences = _sentences_with_words([5] * 10)
     assert select(scores, sentences).selected == (0, 1)
 
 
 def test_ratio_selection_matches_prefix_enumeration_oracle():
     rng = random.Random(9)
-    raw = tuple(rng.random() for _ in range(10))
-    scores = ScoreVector(raw=raw, normalized=raw)
+    scores = tuple(rng.random() for _ in range(10))
     words = [rng.randint(3, 12) for _ in range(10)]
     sentences = _sentences_with_words(words)
     summary = select(scores, sentences, WordRatio(0.3))
@@ -222,7 +224,7 @@ def test_ratio_selection_matches_prefix_enumeration_oracle():
 
 
 def test_ratio_one_selects_every_sentence():
-    scores = ScoreVector(raw=(0.1, 0.9, 0.5), normalized=(0.1, 0.9, 0.5))
+    scores = (0.1, 0.9, 0.5)
     sentences = _sentences_with_words([3, 7, 5])
     summary = extract(ranked_indices(scores), sentences, WordRatio(1.0))
     assert summary.selected == (0, 1, 2)
@@ -249,7 +251,6 @@ def test_extract_joins_in_source_order():
     summary = extract([2, 0, 1], sentences, SentenceCount(2))
     assert summary.selected == (0, 2)
     assert summary.text == "First one. Third one."
-    assert summary.compression == SentenceCount(2)
 
 
 def test_sentence_words_counts_whitespace_tokens():
@@ -266,8 +267,8 @@ def test_sentence_words_counts_whitespace_tokens():
 
 
 def test_score_table_flags_selected_rows():
-    scores = ScoreVector(raw=(0.5, 0.25), normalized=(1.0, 0.5))
-    summary = Summary(selected=(0,), text="", compression=SentenceCount(1))
+    scores = (0.5, 0.25)
+    summary = Summary(selected=(0,), text="")
     table = score_table(scores, summary).splitlines()
     assert table[0] == "index\traw\tnormalized\tselected"
     assert table[1] == "0\t0.5\t1.0\t*"
