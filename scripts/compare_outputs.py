@@ -7,20 +7,28 @@ Usage:
 PARENT_SRC and CHANGE_SRC are directories holding an ``artex`` package
 (a checkout's ``src``). WORK_DIR must be empty or missing. The inputs are
 written once, under WORK_DIR/inputs, with PARENT_SRC's artex.synthetic:
-two seeded English corpora, a lemma dictionary, a few edge-case texts and
-a Spanish and a French text. Each side then runs the same list of calls
-in one fresh interpreter, in-process through ``artex.cli.main``:
+two seeded English corpora, a lemma dictionary, a few edge-case texts
+(one of them with no word that occurs twice, which artex cannot
+summarize) and a Spanish and a French text. Each side then runs the same
+list of calls in one fresh interpreter, in-process through
+``artex.cli.main``:
 
 - ``batch`` with all three systems over each English corpus and over the
   edge texts, in five normalization and budget settings, at 1 and at 2
   workers, and over the Spanish and French texts at ``--budget k:2``;
 - ``summarize --scores`` at ``ratio:0.2`` and ``k:2`` on the edge texts,
   on five short documents and on the Spanish and French texts;
-- ``eval`` of each of those summaries against its source.
+- ``eval`` of each of those summaries against its source;
+- ``bench --modes raw,fix:3,stem,lemma --reps 3`` over each English
+  corpus and over the edge texts.
 
 Every call's exit code, stdout and stderr, and every file the calls
 write under WORK_DIR/parent and WORK_DIR/change, are compared byte for
-byte; a side's own directory is masked in its stderr. The first 20
+byte; a side's own directory is masked in its stderr. Seconds are not
+compared: ``bench`` output is compared without its seconds fields and
+with its modes in label order, and ``timings.csv`` without its seconds
+columns, so what it compares is each mode's vocabulary size per
+repetition and the skip warnings. The first 20
 differences are printed and the exit status is 1 if there are any;
 otherwise the counts compared are printed and the exit status is 0.
 Standard library only.
@@ -28,6 +36,8 @@ Standard library only.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import os
 import subprocess
@@ -72,6 +82,7 @@ plan_path.write_text(json.dumps(calls), encoding="utf-8")
 """
 
 EDGE_TEXTS = {
+    "hapax": "The sun rose. A moon set.\n",
     "repeats": "Solar. Solar! Power. Power? Grid. Grid.\n",
     "year": (
         "2024.\tSolar panels\tstore power for the grid. The grid feeds\tsolar power"
@@ -159,7 +170,34 @@ def plan(inputs: Path, texts: dict[str, Path], out: Path) -> list[dict]:
                           "--lang", language], "stdout_to": str(summary)}
             )
             calls.append({"argv": ["eval", str(path), str(summary), "--lang", language]})
+    for corpus in ("long", "short", "edge"):
+        calls.append(
+            {"argv": ["bench", str(inputs / corpus), "--modes", "raw,fix:3,stem,lemma",
+                      "--reps", "3", "--lemma-dict", dictionary,
+                      "--out", str(out / "bench" / corpus)]}
+        )
     return calls
+
+
+SECONDS_FIELDS = ("median_seconds", "min_seconds", "max_seconds")
+SECONDS_COLUMNS = ("preprocess_seconds", "score_seconds", "total_seconds")
+
+
+def without_seconds(bench_stdout: str) -> str:
+    """A ``bench`` summary without its seconds, its modes in label order."""
+    rows = json.loads(bench_stdout)
+    for row in rows:
+        for field in SECONDS_FIELDS:
+            del row[field]
+    return json.dumps(sorted(rows, key=lambda row: row["normalization"]), indent=2)
+
+
+def timings_without_seconds(data: bytes) -> bytes:
+    rows = list(csv.reader(io.StringIO(data.decode("utf-8"))))
+    drop = {rows[0].index(column) for column in SECONDS_COLUMNS}
+    return "\n".join(
+        ",".join(value for i, value in enumerate(row) if i not in drop) for row in rows
+    ).encode("utf-8")
 
 
 def run_side(src: Path, inputs: Path, texts: dict[str, Path], out: Path) -> list[dict]:
@@ -174,15 +212,20 @@ def run_side(src: Path, inputs: Path, texts: dict[str, Path], out: Path) -> list
     calls = json.loads(plan_path.read_text(encoding="utf-8"))
     for call in calls:
         call["stderr"] = call["stderr"].replace(str(out), "<side>")
+        if call["argv"][0] == "bench" and call["exit"] == 0:
+            call["stdout"] = without_seconds(call["stdout"])
     return calls
 
 
 def files_under(root: Path) -> dict[str, bytes]:
-    return {
-        path.relative_to(root).as_posix(): path.read_bytes()
-        for path in sorted(root.rglob("*"))
-        if path.is_file()
-    }
+    files = {}
+    for path in sorted(root.rglob("*")):
+        if path.is_file():
+            data = path.read_bytes()
+            if path.name == "timings.csv":
+                data = timings_without_seconds(data)
+            files[path.relative_to(root).as_posix()] = data
+    return files
 
 
 def compare(parent: list[dict], change: list[dict], work: Path) -> tuple[list[str], int]:

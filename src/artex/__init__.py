@@ -67,7 +67,6 @@ from .scorer import (
     select,
 )
 from .stemming import stemmer_for
-from .vsm import SentenceTermMatrix, vectorize
 
 __version__ = "0.1.0"
 
@@ -94,7 +93,6 @@ __all__ = [
     "RunResult",
     "Sentence",
     "SentenceCount",
-    "SentenceTermMatrix",
     "Stem",
     "StopList",
     "Summary",
@@ -124,6 +122,5 @@ __all__ = [
     "split_sentences",
     "stemmer_for",
     "unigrams",
-    "vectorize",
     "__version__",
 ]

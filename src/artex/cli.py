@@ -40,7 +40,6 @@ from .runner import (
 )
 from .scorer import SentenceCount, WordRatio, score, score_table, select
 from .stemming import SUPPORTED_LANGUAGES
-from .vsm import vectorize
 
 logger = logging.getLogger(__name__)
 
@@ -142,8 +141,7 @@ def cmd_summarize(args) -> int:
     budget = parse_budget(args.budget)
     raw = RawDocument(id=path.stem, text=text, language=args.lang)
     doc = preprocess_document(raw, stoplist, normalize)
-    _, matrix = vectorize(doc.terms)
-    scores = score(matrix)
+    scores = score(doc.terms)
     summary = select(scores, doc.sentences, budget)
     print(summary.text)
     if args.scores:

@@ -14,7 +14,7 @@ class MissingDictionary(ArtexError):
 
 
 class EmptyVocabulary(ArtexError):
-    """No sentence retained any token, so no term matrix can be built."""
+    """No sentence retained any token, so no sentence can be scored."""
 
 
 class EmptySource(ArtexError):

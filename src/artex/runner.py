@@ -18,6 +18,7 @@ import json
 import logging
 import time
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -37,7 +38,6 @@ from .preprocess import (
     preprocess_document,
 )
 from .scorer import DEFAULT_BUDGET, CompressionSpec, Summary, score, select
-from .vsm import vectorize
 
 logger = logging.getLogger(__name__)
 
@@ -107,11 +107,12 @@ class RunConfig:
 class TimingRecord:
     """Wall-clock phase timings for one processed unit (monotonic clock).
 
-    The preprocessing phase covers splitting, filtering, normalization, and
-    matrix construction, plus stemming every word for the evaluator in batch
-    mode and per-repetition resource loading in benchmark mode; the scoring
-    phase covers scoring and selection. The total is the sum of both
-    phases.
+    The preprocessing phase covers splitting, filtering and normalization,
+    plus stemming every word for the evaluator in batch mode and
+    per-repetition resource loading in benchmark mode. The scoring phase
+    covers the system's sentence scoring (artex only) and its selection; a
+    batch scores before it prepares the source for evaluation, and adds that
+    time to artex's scoring phase. The total is the sum of both phases.
     """
 
     system: str
@@ -246,9 +247,12 @@ def _process_document(
     cleaned = clean_document(raw, stoplist)
     stems = stem_types(cleaned)
     doc = normalize_document(cleaned, normalize or stems.__getitem__)
-    _, matrix = vectorize(doc.terms)
     t1 = clock()
     preprocess_seconds = t1 - t0
+    # Scored before the source is prepared, so that a document artex cannot
+    # summarize fails before the costliest step.
+    scores = score(doc.terms) if "artex" in cfg.systems else None
+    scoring_seconds = clock() - t1
 
     source = prepare_source(cleaned, stems)
     results = []
@@ -257,7 +261,8 @@ def _process_document(
             continue
         s0 = clock()
         if system == "artex":
-            summary = select(score(matrix), doc.sentences, cfg.budget)
+            s0 -= scoring_seconds  # artex's phase holds its scoring too
+            summary = select(scores, doc.sentences, cfg.budget)
         elif system == "lead":
             summary = lead_baseline(doc.sentences, cfg.budget)
         else:
@@ -359,16 +364,19 @@ def run_corpus(corpus: CorpusSpec, cfg: RunConfig) -> list[RunResult]:
 def write_outputs(results: Sequence[RunResult], out_dir: Path, timing: bool = False) -> None:
     """Write summary files, report.jsonl, and (optionally) timings.csv.
 
-    Without ``timing`` a timings.csv left by an earlier run is removed, so
-    that it cannot pass for this run's.
+    Outputs an earlier run left are removed, so that they cannot pass for
+    this run's: every ``<system>/<mode>/*.summary.txt`` this run did not
+    write and, without ``timing``, timings.csv. Other files are left alone.
     """
     out_dir.mkdir(parents=True, exist_ok=True)
+    written = set()
     with open(out_dir / "report.jsonl", "w", encoding="utf-8") as reports:
         for result in results:
             directory = out_dir / result.system / result.normalization
             directory.mkdir(parents=True, exist_ok=True)
             path = directory / f"{result.doc_id}.summary.txt"
             path.write_text(result.summary.text + "\n", encoding="utf-8")
+            written.add(path)
             line = {
                 "doc_id": result.doc_id,
                 "system": result.system,
@@ -383,6 +391,10 @@ def write_outputs(results: Sequence[RunResult], out_dir: Path, timing: bool = Fa
         )
     else:
         (out_dir / "timings.csv").unlink(missing_ok=True)
+    for system in SYSTEMS:
+        for path in out_dir.glob(f"{system}/*/*.summary.txt"):
+            if path not in written:
+                path.unlink()
 
 
 def write_timings(records: Sequence[TimingRecord], path: Path) -> None:
@@ -472,18 +484,17 @@ def _timed_repetition(
             t0 = clock()
             try:
                 doc = preprocess_document(raw, stoplist, normalize)
-                vocabulary, matrix = vectorize(doc.terms)
+                t1 = clock()
+                select(score(doc.terms), doc.sentences, DEFAULT_BUDGET)
             except ArtexError as exc:
                 preprocess_seconds[position] += clock() - t0
                 failed[position].add(raw.id)
                 logger.warning("benchmark skips document %s: %s", raw.id, exc)
                 continue
-            t1 = clock()
-            select(score(matrix), doc.sentences, DEFAULT_BUDGET)
             t2 = clock()
             preprocess_seconds[position] += t1 - t0
             score_seconds[position] += t2 - t1
-            sizes[position] += len(vocabulary)
+            sizes[position] += len(set(chain.from_iterable(doc.terms)))
     return [
         TimingRecord(
             system="artex",

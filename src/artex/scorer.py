@@ -1,26 +1,32 @@
 """Sentence scoring by inner products against two pseudo-vectors.
 
-Each sentence row of the occurrence matrix is scored by its inner product
-with the global-topic vector (the average sentence vector, column means)
-scaled by its own lexical weight (its average term occurrence, row mean).
-A hypersphere-normalized variant divides by the product of the vector norm
+The paper's vectors live in the P x N sentence-term occurrence matrix of a
+document: P sentences, N distinct terms, each entry a term's count in a
+sentence. Each sentence is scored by its inner product with the
+global-topic vector (the average sentence vector, column means) scaled by
+its own lexical weight (its average term occurrence, row mean). A
+hypersphere-normalized variant divides by the product of the vector norm
 bounds instead; the two differ by a constant positive factor and therefore
-rank sentences identically. Both variants factor the mean denominators out
-of the inner products and evaluate an exact integer numerator per sentence,
-rounding only in the final division, which makes that rank identity hold
-exactly in floating point. Summaries are the top-scoring sentences under a
-budget, re-ordered to source order.
+rank sentences identically. Both reduce to integers the sentences' term
+streams already hold, so the matrix is never built: a sentence's inner
+product with the column totals is the sum, over its term occurrences, of
+each term's count in the document, and its row total is its length. Each
+score is that exact integer numerator divided once, which makes the rank
+identity hold exactly in floating point. Summaries are the top-scoring
+sentences under a budget, re-ordered to source order.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
 
+from .errors import EmptyVocabulary
 from .preprocess import Sentence
-from .vsm import SentenceTermMatrix
 
 logger = logging.getLogger(__name__)
 
@@ -74,20 +80,32 @@ class Summary:
     text: str
 
 
-def pseudo_vectors(matrix: SentenceTermMatrix) -> PseudoVectors:
+def pseudo_vectors(terms: Sequence[Sequence[str]]) -> PseudoVectors:
     """Compute row means (lexical weight) and column means (global topic).
 
-    This is the paper's formulation of the two pseudo-vectors; :func:`score`
-    reaches the same values from the matrix's integer totals and does not
-    call it.
+    ``terms`` holds one term stream per sentence, such as Document.terms;
+    the columns are the terms in first-occurrence order. This is the paper's
+    formulation of the two pseudo-vectors; :func:`score` reaches the same
+    values from the integer totals and does not call it.
     """
-    n, p = matrix.N, matrix.P
-    lexical = tuple(matrix.row_sum(i) / n for i in range(p))
-    topic = tuple(total / p for total in matrix.column_sums())
+    totals = _totals(terms)
+    n, p = len(totals), len(terms)
+    lexical = tuple(len(stream) / n for stream in terms)
+    topic = tuple(total / p for total in totals.values())
     return PseudoVectors(lexical_weight=lexical, global_topic=topic)
 
 
-def _scores(matrix: SentenceTermMatrix, denominator: float) -> tuple[float, ...]:
+def _totals(terms: Sequence[Sequence[str]]) -> Counter[str]:
+    """Each term's count in the document, in first-occurrence order."""
+    totals = Counter(chain.from_iterable(terms))
+    if not totals:
+        raise EmptyVocabulary("no sentence retained any token")
+    return totals
+
+
+def _scores(
+    terms: Sequence[Sequence[str]], totals: Counter[str], denominator: float
+) -> tuple[float, ...]:
     """Scores from exact integer numerators: (row x column totals) x row total.
 
     The mean-based product (sum_j s_ij * b_j) * a_i equals this integer
@@ -101,23 +119,22 @@ def _scores(matrix: SentenceTermMatrix, denominator: float) -> tuple[float, ...]
     sentences, and a later scale constant can then collapse the pair into a
     tie in one scaling but not the other, reordering the tie-broken sort.
     """
-    totals = matrix.column_sums()
-    raw = []
-    for i in range(matrix.P):
-        dot = sum(count * totals[j] for j, count in matrix.rows[i].items())
-        raw.append(dot * matrix.row_sum(i) / denominator)
-    return tuple(raw)
+    count = totals.__getitem__
+    return tuple(sum(map(count, stream)) * len(stream) / denominator for stream in terms)
 
 
-def score(matrix: SentenceTermMatrix) -> tuple[float, ...]:
+def score(terms: Sequence[Sequence[str]]) -> tuple[float, ...]:
     """Raw sentence scores: (topic inner product) x (lexical weight) / (N*P).
 
-    An empty sentence row has lexical weight 0 and scores exactly 0.
+    ``terms`` holds one term stream per sentence. An empty stream has
+    lexical weight 0 and scores exactly 0. Raises EmptyVocabulary when no
+    sentence retains any term.
     """
-    return _scores(matrix, (matrix.N * matrix.P) ** 2)
+    totals = _totals(terms)
+    return _scores(terms, totals, (len(totals) * len(terms)) ** 2)
 
 
-def score_normalized(matrix: SentenceTermMatrix) -> tuple[float, ...]:
+def score_normalized(terms: Sequence[Sequence[str]]) -> tuple[float, ...]:
     """Hypersphere-normalized scores: same products over sqrt(N^5 * P^3).
 
     The divisor is the product of the norm bounds of the three vectors
@@ -126,12 +143,17 @@ def score_normalized(matrix: SentenceTermMatrix) -> tuple[float, ...]:
     :func:`score` by the constant positive factor sqrt(N^5 * P^3) / (N*P)
     and ranks sentences identically.
     """
-    return _scores(matrix, matrix.N * matrix.P * math.sqrt(matrix.N**5 * matrix.P**3))
+    totals = _totals(terms)
+    n, p = len(totals), len(terms)
+    return _scores(terms, totals, n * p * math.sqrt(n**5 * p**3))
 
 
 def ranked_indices(scores: Sequence[float]) -> list[int]:
-    """Sentence indices from best to worst, ties toward the earlier index."""
-    return sorted(range(len(scores)), key=lambda i: (-scores[i], i))
+    """Sentence indices from best to worst, ties toward the earlier index.
+
+    The sort is stable, so equal scores keep their source order.
+    """
+    return sorted(range(len(scores)), key=scores.__getitem__, reverse=True)
 
 
 def extract(

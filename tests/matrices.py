@@ -1,20 +1,97 @@
-"""Dense construction of sentence-term matrices for tests.
+"""The sentence-term matrix, as the scorer's test oracle.
 
-``vectorize`` is the only constructor the package needs; tests that state a
-matrix by its counts build it here.
+The package scores sentences from their term streams and never builds the
+matrix. This module keeps the matrix path it replaced: ``vectorize`` counts
+the streams into one column -> count mapping per sentence, and
+``oracle_score`` and ``oracle_score_normalized`` score those rows with the
+same exact integer numerators. ``from_dense`` turns a count matrix into
+term streams, so that tests can state their inputs by their counts.
 """
 
-from typing import Sequence
+import math
+from dataclasses import dataclass
+from typing import Mapping, Sequence
 
-from artex.vsm import SentenceTermMatrix
+from artex.errors import EmptyVocabulary
 
 
-def from_dense(counts: Sequence[Sequence[int]]) -> SentenceTermMatrix:
-    """Build a matrix from dense nested lists; zeros are not stored."""
-    n = len(counts[0]) if counts else 0
+@dataclass(frozen=True)
+class SentenceTermMatrix:
+    """P x N occurrence-count matrix; absent entries mean zero.
+
+    ``rows[i]`` maps column index j to the count of term j in sentence i.
+    Stored counts are positive integers; fully-filtered sentences keep an
+    empty row so that row indices line up with sentence indices.
+    """
+
+    P: int
+    N: int
+    rows: tuple[Mapping[int, int], ...]
+
+    def row_sum(self, i: int) -> int:
+        return sum(self.rows[i].values())
+
+    def column_sums(self) -> list[int]:
+        sums = [0] * self.N
+        for row in self.rows:
+            for j, count in row.items():
+                sums[j] += count
+        return sums
+
+
+def vectorize(streams: Sequence[Sequence[str]]) -> tuple[dict[str, int], SentenceTermMatrix]:
+    """Count term occurrences per sentence over a shared vocabulary.
+
+    Returns the vocabulary as a term -> column index in first-occurrence
+    order over the streams, together with the matrix. Raises
+    EmptyVocabulary when no sentence retains any term.
+    """
+    index: dict[str, int] = {}
     rows = []
+    for stream in streams:
+        row: dict[int, int] = {}
+        for term in stream:
+            j = index.setdefault(term, len(index))
+            row[j] = row.get(j, 0) + 1
+        rows.append(row)
+    if not index:
+        raise EmptyVocabulary("no sentence retained any token")
+    return index, SentenceTermMatrix(P=len(streams), N=len(index), rows=tuple(rows))
+
+
+def _matrix_scores(matrix: SentenceTermMatrix, denominator: float) -> tuple[float, ...]:
+    totals = matrix.column_sums()
+    raw = []
+    for i in range(matrix.P):
+        dot = sum(count * totals[j] for j, count in matrix.rows[i].items())
+        raw.append(dot * matrix.row_sum(i) / denominator)
+    return tuple(raw)
+
+
+def oracle_score(streams: Sequence[Sequence[str]]) -> tuple[float, ...]:
+    """``score`` computed over the rows of the vectorized matrix."""
+    _, matrix = vectorize(streams)
+    return _matrix_scores(matrix, (matrix.N * matrix.P) ** 2)
+
+
+def oracle_score_normalized(streams: Sequence[Sequence[str]]) -> tuple[float, ...]:
+    """``score_normalized`` computed over the rows of the vectorized matrix."""
+    _, matrix = vectorize(streams)
+    n, p = matrix.N, matrix.P
+    return _matrix_scores(matrix, n * p * math.sqrt(n**5 * p**3))
+
+
+def from_dense(counts: Sequence[Sequence[int]]) -> list[list[str]]:
+    """One term stream per row: term ``t<j>`` repeated ``counts[i][j]`` times.
+
+    A column of zeros names no term, so the streams hold only the columns
+    that occur.
+    """
+    n = len(counts[0]) if counts else 0
+    names = [f"t{j}" for j in range(n)]
+    streams = []
     for dense_row in counts:
         if len(dense_row) != n:
             raise ValueError("ragged count matrix")
-        rows.append({j: int(c) for j, c in enumerate(dense_row) if c})
-    return SentenceTermMatrix(P=len(counts), N=n, rows=tuple(rows))
+        streams.append([names[j] for j, c in enumerate(dense_row) for _ in range(int(c))])
+    return streams

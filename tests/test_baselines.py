@@ -3,7 +3,6 @@ from collections import Counter
 from artex.baselines import lead_baseline, random_baseline
 from artex.preprocess import Sentence
 from artex.scorer import SentenceCount, WordRatio, score, select
-from artex.vsm import vectorize
 
 
 def _sentences(word_counts):
@@ -94,9 +93,9 @@ def test_systems_split_each_surface_once():
 
     surfaces = [f"Sentence {i} has {'more ' * i}words." for i in range(8)]
     sentences = [Sentence(surface=Surface(text), tokens=tuple(text.split())) for text in surfaces]
-    _, matrix = vectorize([("w", f"t{i % 3}") for i in range(len(surfaces))])
+    scores = score([("w", f"t{i % 3}") for i in range(len(surfaces))])
     budget = WordRatio(0.3)
-    select(score(matrix), sentences, budget)
+    select(scores, sentences, budget)
     lead_baseline(sentences, budget)
     random_baseline(sentences, budget, seed=1)
     assert splits == []

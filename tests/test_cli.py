@@ -14,7 +14,6 @@ from artex.evaluation import evaluation_tokens, fresa_report
 from artex.preprocess import RawDocument, Stem, StopList, clean_document, preprocess_document
 from artex.scorer import SentenceCount, WordRatio, score, select
 from artex.synthetic import generate_document
-from artex.vsm import vectorize
 
 
 @pytest.fixture()
@@ -66,8 +65,7 @@ def test_summarize_scores_table_matches_the_scores(doc_file, capsys):
     captured = capsys.readouterr()
     raw = RawDocument(id="doc", text=doc_file.read_text(encoding="utf-8"), language="en")
     doc = preprocess_document(raw, StopList.bundled("en"), Stem().normalizer("en"))
-    _, matrix = vectorize(doc.terms)
-    scores = score(matrix)
+    scores = score(doc.terms)
     summary = select(scores, doc.sentences, WordRatio(0.2))
     assert captured.out == summary.text + "\n"
     lines = captured.err.splitlines()
@@ -228,6 +226,28 @@ def test_batch_all_documents_failing_is_empty_result(tmp_path):
     root.mkdir()
     (root / "doc.txt").write_text("The of and in. To is was it.", encoding="utf-8")
     assert main(["batch", str(root), "--out", str(tmp_path / "out")]) == 3
+
+
+def test_batch_baselines_summarize_a_document_artex_cannot(tmp_path, caplog):
+    # No word occurs twice, so no term survives for artex to score; the
+    # baselines need no term and are evaluated on the source's own words.
+    root = tmp_path / "corpus"
+    root.mkdir()
+    (root / "hapax.txt").write_text("The sun rose. A moon set.", encoding="utf-8")
+    out = tmp_path / "baselines"
+    assert main(["batch", str(root), "--systems", "lead,random", "--out", str(out)]) == 0
+    for system in ("lead", "random"):
+        summary = (out / system / "stem" / "hapax.summary.txt").read_text(encoding="utf-8")
+        assert summary in ("The sun rose.\n", "A moon set.\n")
+    assert len((out / "report.jsonl").read_text(encoding="utf-8").splitlines()) == 2
+    assert "skipping" not in caplog.text
+    out = tmp_path / "artex"
+    assert main(["batch", str(root), "--systems", "artex", "--out", str(out)]) == 3
+    assert (
+        "skipping document hapax: EmptyVocabulary: no sentence retained any token"
+        in caplog.messages
+    )
+    assert not list(out.glob("*/*/*.summary.txt"))
 
 
 def test_batch_summary_file_drops_byte_order_mark(tmp_path):

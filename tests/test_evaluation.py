@@ -33,7 +33,6 @@ from artex.preprocess import (
 from artex.scorer import SentenceCount, WordRatio, score, select
 from artex.stemming import stemmer_for
 from artex.synthetic import generate_document
-from artex.vsm import vectorize
 
 token_lists = st.lists(st.sampled_from("abcd"), max_size=8)
 segment_lists = st.lists(st.lists(st.sampled_from("abcde"), max_size=7), max_size=6)
@@ -438,10 +437,10 @@ def test_extract_segments_equal_evaluation_tokens_of_summaries(stoplist_en):
         cleaned, stems, source = _prepared(text, stoplist_en)
         assert [list(s) for s in source.segments] == evaluation_tokens(text, "en", stoplist_en)
         doc = normalize_document(cleaned, stems.__getitem__)
-        _, matrix = vectorize(doc.terms)
+        scores = score(doc.terms)
         for budget in (WordRatio(0.2), SentenceCount(1), SentenceCount(4)):
             summaries = [
-                select(score(matrix), doc.sentences, budget),
+                select(scores, doc.sentences, budget),
                 lead_baseline(doc.sentences, budget),
                 random_baseline(doc.sentences, budget, number),
             ]

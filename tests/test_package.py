@@ -45,21 +45,21 @@ PUBLIC = (
     "EmptyDocument", "EmptySource", "EmptyVocabulary", "Lemmatize",
     "MissingDictionary", "NgramProfile", "NormalizationMode", "PseudoVectors",
     "Raw", "RawDocument", "RunConfig", "RunResult", "Sentence",
-    "SentenceCount", "SentenceTermMatrix", "Stem", "StopList",
+    "SentenceCount", "Stem", "StopList",
     "Summary", "TimingRecord", "UltraStem", "WordRatio",
     "benchmark", "benchmark_summary", "bigrams", "clean_token",
     "evaluation_tokens", "fresa_report", "lead_baseline", "load_corpus",
     "load_lemma_dictionary", "ngram_profile", "parse_mode",
     "preprocess_document", "pseudo_vectors", "random_baseline", "run_corpus",
     "score", "score_normalized", "score_table", "select", "skip_bigrams",
-    "split_sentences", "stemmer_for", "unigrams", "vectorize", "__version__",
+    "split_sentences", "stemmer_for", "unigrams", "__version__",
 )
 
 
 def test_every_exported_name_resolves():
     assert [name for name in artex.__all__ if not hasattr(artex, name)] == []
     assert len(set(artex.__all__)) == len(artex.__all__)
-    assert len(PUBLIC) == 54
+    assert len(PUBLIC) == 52
     assert sorted(artex.__all__) == sorted(PUBLIC)
 
 

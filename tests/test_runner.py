@@ -207,6 +207,36 @@ def test_run_without_timing_removes_a_stale_timings_file(flat_corpus, tmp_path):
     assert not (out / "timings.csv").exists()
 
 
+def test_rerun_removes_the_summaries_it_did_not_write(flat_corpus, tmp_path):
+    # A summary left from an earlier run would name a document this run lacks.
+    out = tmp_path / "out"
+    cfg = RunConfig(systems=("artex", "lead", "random"), out_dir=out)
+    run_corpus(CorpusSpec(root=flat_corpus), cfg)
+    assert len(list(out.glob("*/stem/doc_2.summary.txt"))) == 3
+    notes = out / "artex" / "stem" / "notes.txt"
+    notes.write_text("kept", encoding="utf-8")
+    elsewhere = out / "drafts" / "stem" / "doc_2.summary.txt"
+    elsewhere.parent.mkdir(parents=True)
+    elsewhere.write_text("kept", encoding="utf-8")
+    (flat_corpus / "doc_2.txt").unlink()
+    run_corpus(CorpusSpec(root=flat_corpus), cfg)
+    summaries = sorted(
+        path.relative_to(out).as_posix() for path in out.glob("*/*/*.summary.txt")
+    )
+    assert summaries == [
+        "artex/stem/doc_0.summary.txt",
+        "artex/stem/doc_1.summary.txt",
+        "drafts/stem/doc_2.summary.txt",
+        "lead/stem/doc_0.summary.txt",
+        "lead/stem/doc_1.summary.txt",
+        "random/stem/doc_0.summary.txt",
+        "random/stem/doc_1.summary.txt",
+    ]
+    assert len((out / "report.jsonl").read_text(encoding="utf-8").splitlines()) == 6
+    assert notes.read_text(encoding="utf-8") == "kept"
+    assert elsewhere.read_text(encoding="utf-8") == "kept"
+
+
 def test_run_corpus_deterministic_outputs(flat_corpus, tmp_path):
     spec = CorpusSpec(root=flat_corpus)
     outputs = []

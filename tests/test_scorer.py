@@ -1,11 +1,14 @@
 import logging
 import math
 import random
+from collections import Counter
+from itertools import chain
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+from artex.errors import EmptyVocabulary
 from artex.preprocess import RawDocument, Sentence, preprocess_document
 from artex.scorer import (
     DEFAULT_BUDGET,
@@ -20,18 +23,38 @@ from artex.scorer import (
     score_table,
     select,
 )
-from matrices import from_dense
+from matrices import from_dense, oracle_score, oracle_score_normalized
 
-matrices = st.lists(
-    st.lists(st.integers(min_value=0, max_value=5), min_size=1, max_size=8),
-    min_size=1,
-    max_size=8,
-).map(lambda rows: [row[: len(rows[0])] + [0] * (len(rows[0]) - len(row)) for row in rows])
+# Count matrices with at least one occurrence: with none there is no term
+# to score against (EmptyVocabulary).
+matrices = (
+    st.lists(
+        st.lists(st.integers(min_value=0, max_value=5), min_size=1, max_size=8),
+        min_size=1,
+        max_size=8,
+    )
+    .map(lambda rows: [row[: len(rows[0])] + [0] * (len(rows[0]) - len(row)) for row in rows])
+    .filter(lambda rows: any(map(any, rows)))
+)
+
+# Term streams: empty sentences, repeated terms and single sentences.
+streams = st.lists(st.lists(st.sampled_from("abcdef"), max_size=8), min_size=1, max_size=6)
+
+
+def _occurring_columns(counts: list[list[int]]) -> list[list[int]]:
+    """The count matrix without its all-zero columns, which name no term."""
+    keep = [j for j in range(len(counts[0])) if any(row[j] for row in counts)]
+    return [[row[j] for j in keep] for row in counts]
+
+
+def _vocabulary_size(terms) -> int:
+    return len(set(chain.from_iterable(terms)))
 
 
 def _naive_scores(counts: list[list[int]]) -> list[float]:
     # Dense reference: a_i = row mean, b_j = column mean,
-    # raw_i = (1/(N*P)) * (sum_j s_ij * b_j) * a_i.
+    # raw_i = (1/(N*P)) * (sum_j s_ij * b_j) * a_i, over the columns that occur.
+    counts = _occurring_columns(counts)
     p, n = len(counts), len(counts[0])
     a = [sum(row) / n for row in counts]
     b = [sum(counts[i][j] for i in range(p)) / p for j in range(n)]
@@ -68,54 +91,81 @@ def test_pseudo_vectors_single_row():
 def test_pseudo_vectors_match_dense_oracle():
     rng = random.Random(3)
     counts = [[rng.randint(0, 5) for _ in range(6)] for _ in range(4)]
-    pv = pseudo_vectors(from_dense(counts))
+    terms = from_dense(counts)
+    pv = pseudo_vectors(terms)
+    n = len(_occurring_columns(counts)[0])
     for i in range(4):
-        assert pv.lexical_weight[i] == pytest.approx(sum(counts[i]) / 6, rel=1e-12)
+        assert pv.lexical_weight[i] == pytest.approx(sum(counts[i]) / n, rel=1e-12)
+    # Columns are the terms in first-occurrence order.
+    topic = dict(zip(dict.fromkeys(chain.from_iterable(terms)), pv.global_topic))
+    assert len(topic) == n
     for j in range(6):
         column = sum(counts[i][j] for i in range(4))
-        assert pv.global_topic[j] == pytest.approx(column / 4, rel=1e-12)
+        if column:
+            assert topic[f"t{j}"] == pytest.approx(column / 4, rel=1e-12)
+
+
+def test_pseudo_vectors_columns_in_first_occurrence_order():
+    pv = pseudo_vectors([["b"], [], ["a", "b", "b"]])
+    assert pv.lexical_weight == (0.5, 0.0, 1.5)
+    assert pv.global_topic == (1.0, 1 / 3)
 
 
 # --- raw scoring ------------------------------------------------------------
 
 
 def test_score_hand_check_exact():
-    matrix = from_dense([[1, 0], [0, 1]])
-    scores = score(matrix)
+    terms = from_dense([[1, 0], [0, 1]])
+    scores = score(terms)
     assert scores == (0.0625, 0.0625)
     assert _normalized_column(scores) == [1.0, 1.0]
 
 
 def test_score_empty_row_is_exactly_zero():
-    matrix = from_dense([[0, 0], [1, 2]])
-    scores = score(matrix)
+    terms = from_dense([[0, 0], [1, 2]])
+    scores = score(terms)
     assert scores[0] == 0.0
 
 
 def test_score_matches_dense_oracle():
     rng = random.Random(5)
     counts = [[rng.randint(0, 5) for _ in range(9)] for _ in range(6)]
-    matrix = from_dense(counts)
-    scores = score(matrix)
+    terms = from_dense(counts)
+    scores = score(terms)
     for got, want in zip(scores, _naive_scores(counts)):
         assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_score_normalized_hand_checks():
-    matrix = from_dense([[1, 0], [0, 1]])
-    scores = score_normalized(matrix)
+    terms = from_dense([[1, 0], [0, 1]])
+    scores = score_normalized(terms)
     assert scores == (0.015625, 0.015625)
     single = from_dense([[1]])
     assert score_normalized(single) == (1.0,)
 
 
+@given(streams)
+@example([["a"]])
+@example([["a", "a", "b"]])
+@example([[], ["a", "a"], []])
+def test_scores_equal_the_matrix_oracle(terms):
+    if not any(terms):
+        for scorer in (score, score_normalized, oracle_score):
+            with pytest.raises(EmptyVocabulary, match="no sentence retained any token"):
+                scorer(terms)
+        return
+    assert score(terms) == oracle_score(terms)
+    assert score_normalized(terms) == oracle_score_normalized(terms)
+
+
 @given(matrices)
 def test_rank_equivalence_and_constant_factor(counts):
-    matrix = from_dense(counts)
-    plain = score(matrix)
-    normalized = score_normalized(matrix)
+    terms = from_dense(counts)
+    plain = score(terms)
+    normalized = score_normalized(terms)
     assert ranked_indices(plain) == ranked_indices(normalized)
-    factor = math.sqrt(matrix.N**5 * matrix.P**3) / (matrix.N * matrix.P)
+    n, p = _vocabulary_size(terms), len(terms)
+    factor = math.sqrt(n**5 * p**3) / (n * p)
     for a, b in zip(plain, normalized):
         assert a == pytest.approx(b * factor, rel=1e-10, abs=1e-300)
 
@@ -137,14 +187,16 @@ def test_positive_scaling_invariance(counts, c):
 def test_integer_numerators_match_mean_based_evaluation(counts):
     # The production path folds the mean denominators into one division;
     # summing against rounded float means must land on the same values.
-    matrix = from_dense(counts)
-    pv = pseudo_vectors(matrix)
-    plain = score(matrix)
+    terms = from_dense(counts)
+    pv = pseudo_vectors(terms)
+    topic = dict(zip(dict.fromkeys(chain.from_iterable(terms)), pv.global_topic))
+    plain = score(terms)
+    n, p = len(topic), len(terms)
     mean_based = [
-        (1.0 / (matrix.N * matrix.P))
-        * sum(count * pv.global_topic[j] for j, count in matrix.rows[i].items())
+        (1.0 / (n * p))
+        * sum(count * topic[term] for term, count in Counter(stream).items())
         * pv.lexical_weight[i]
-        for i in range(matrix.P)
+        for i, stream in enumerate(terms)
     ]
     for a, b in zip(plain, mean_based):
         assert a == pytest.approx(b, rel=1e-12, abs=1e-300)
@@ -152,8 +204,7 @@ def test_integer_numerators_match_mean_based_evaluation(counts):
 
 @given(matrices)
 def test_normalized_scores_in_unit_interval(counts):
-    matrix = from_dense(counts)
-    scores = score(matrix)
+    scores = score(from_dense(counts))
     normalized = _normalized_column(scores)
     assert all(0.0 <= value <= 1.0 for value in normalized)
     if any(value > 0.0 for value in scores):

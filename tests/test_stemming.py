@@ -7,6 +7,7 @@ tests do not depend on any external stemming package at run time.
 
 import hashlib
 import random
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import given, settings
@@ -273,41 +274,96 @@ def test_region_matches_the_loop_oracle(language, word):
     assert (r1, region(r1, module._VOWEL_THEN_NON_VOWEL)) == _loop_regions(word, module.VOWELS)
 
 
-def _suffix_combination_words(count: int, seed: int) -> list[str]:
-    """Seeded words built to reach every branch of the English stemmer.
+@dataclass(frozen=True)
+class SuffixWords:
+    """What the seeded words of one language are built from."""
 
-    Each word is a special word or a short random stem (sometimes behind
-    'gener', 'commun', 'arsen', 'y' or an apostrophe), followed by up to
-    three suffixes drawn from the step tables, with an apostrophe or a 'y'
-    sometimes inserted anywhere.
+    tables: tuple[tuple[str, ...], ...]
+    letters: str
+    heads: tuple[str, ...]
+    inserts: str
+    specials: tuple[str, ...] = ()
+
+
+SUFFIX_WORDS = {
+    # English reaches the special words, the 'gener', 'commun' and 'arsen'
+    # prefixes and the apostrophe and y handling.
+    "en": SuffixWords(
+        tables=(
+            english.STEP0_SUFFIXES,
+            english.STEP1A_SUFFIXES,
+            english.STEP1B_SUFFIXES,
+            english.STEP2_SUFFIXES,
+            english.STEP3_SUFFIXES,
+            english.STEP4_SUFFIXES,
+            ("y", "e", "l", "ll", "ly", "li", "at", "bl", "iz", "ee"),
+        ),
+        letters="aeiouyaeiouybcdfghjklmnpqrstvwxzbcdglmnrst",
+        heads=("", "", "", "", "gener", "commun", "arsen", "y", "'", "’", "‘"),
+        inserts="'’‘‛y",
+        specials=tuple(sorted(english.SPECIAL_WORDS)),
+    ),
+    # Spanish reaches the attached pronouns after gerunds and infinitives,
+    # the step 1 residues (iv, at, os, ic, ad, abil; long heads put them in
+    # R2) and the gu/u endings.
+    "es": SuffixWords(
+        tables=(
+            spanish.STEP0_SUFFIXES,
+            spanish.STEP1_SUFFIXES,
+            spanish.STEP2A_SUFFIXES,
+            spanish.STEP2B_SUFFIXES,
+            spanish.STEP3_SUFFIXES,
+            spanish._GERUND_INFINITIVE,
+            ("iv", "at", "ativ", "os", "ic", "ad", "abil", "gu", "u", "uy", "ante", "able", "ible"),
+        ),
+        letters="aeiouaeiouáéíóúübcdfghjlmnñpqrstvyzbcdlmnrst",
+        heads=("", "", "", "", "qu", "gu", "des", "re", "in", "ai", "comunic", "desarrol"),
+        inserts="uyü",
+    ),
+    # French reaches the vowels in a consonant role (qu, u or i between
+    # vowels, y beside one), the par/col/tap prefixes of RV, the step 1
+    # residues (long heads put them in R2) and the ç and guë endings; the
+    # marked U and I of the tables are written lowercase.
+    "fr": SuffixWords(
+        tables=(
+            french.STEP1_SUFFIXES,
+            french.STEP2A_SUFFIXES,
+            french.STEP2B_SUFFIXES,
+            french.STEP4_SUFFIXES,
+            ("ic", "iv", "at", "ativ", "abl", "abil", "iqU", "eus", "ell", "eil", "enn", "onn"),
+            ("ett", "icit", "s", "Y", "ç", "guë"),
+        ),
+        letters="aeiouyaeiouyâàëéêèïîôûùbcdfghjlmnpqrstvxzbcdlmnrst",
+        heads=("", "", "", "", "par", "col", "tap", "qu", "ai", "y", "construct", "nation"),
+        inserts="uiyq",
+    ),
+}
+
+
+def _suffix_combination_words(count: int, seed: int, language: str = "en") -> list[str]:
+    """Seeded words built to reach every branch of a language's stemmer.
+
+    Each word is a special word (English only) or a short random stem,
+    sometimes behind one of the language's heads, followed by up to three
+    suffixes drawn from its suffix tables, with one of its insert
+    characters sometimes inserted anywhere.
     """
+    spec = SUFFIX_WORDS[language]
     rng = random.Random(seed)
-    tables = (
-        english.STEP0_SUFFIXES,
-        english.STEP1A_SUFFIXES,
-        english.STEP1B_SUFFIXES,
-        english.STEP2_SUFFIXES,
-        english.STEP3_SUFFIXES,
-        english.STEP4_SUFFIXES,
-        ("y", "e", "l", "ll", "ly", "li", "at", "bl", "iz", "ee"),
-    )
-    letters = "aeiouyaeiouybcdfghjklmnpqrstvwxzbcdglmnrst"
-    heads = ("", "", "", "", "gener", "commun", "arsen", "y", "'", "’", "‘")
-    specials = sorted(english.SPECIAL_WORDS)
     words = []
     for _ in range(count):
-        if rng.random() < 0.05:
-            word = rng.choice(specials)
+        if spec.specials and rng.random() < 0.05:
+            word = rng.choice(spec.specials)
         else:
-            word = rng.choice(heads) + "".join(
-                rng.choice(letters) for _ in range(rng.randint(0, 6))
+            word = rng.choice(spec.heads) + "".join(
+                rng.choice(spec.letters) for _ in range(rng.randint(0, 6))
             )
         for _ in range(rng.randint(0, 3)):
-            word += rng.choice(rng.choice(tables))
+            word += rng.choice(rng.choice(spec.tables))
         if rng.random() < 0.1:
             cut = rng.randint(0, len(word))
-            word = word[:cut] + rng.choice("'’‘‛y") + word[cut:]
-        words.append(word)
+            word = word[:cut] + rng.choice(spec.inserts) + word[cut:]
+        words.append(word.lower())
     return words
 
 
@@ -316,9 +372,27 @@ def _suffix_combination_words(count: int, seed: int) -> list[str]:
 EN_SUFFIX_COMBINATION_DIGEST = (
     "66501edddc495c76905e25e09a3177cd609db1d1ab1ec34057e9b855d731597d"
 )
+ES_SUFFIX_COMBINATION_DIGEST = (
+    "f0bd8c49f77dfbfd090d051e6c1f85bb58c7be4db7f696fe71fd25a7241d531f"
+)
+FR_SUFFIX_COMBINATION_DIGEST = (
+    "57a249ddbcb46bef37cc85967ba576512d813f854c2bf75c2cd7b5274b216b4b"
+)
 
 
 def test_english_stems_of_suffix_combinations_are_pinned():
     words = _suffix_combination_words(200_000, seed=2012)
     stems = "\n".join(english.stem(word) for word in words)
     assert hashlib.sha256(stems.encode("utf-8")).hexdigest() == EN_SUFFIX_COMBINATION_DIGEST
+
+
+def test_spanish_stems_of_suffix_combinations_are_pinned():
+    words = _suffix_combination_words(200_000, seed=2012, language="es")
+    stems = "\n".join(spanish.stem(word) for word in words)
+    assert hashlib.sha256(stems.encode("utf-8")).hexdigest() == ES_SUFFIX_COMBINATION_DIGEST
+
+
+def test_french_stems_of_suffix_combinations_are_pinned():
+    words = _suffix_combination_words(200_000, seed=2012, language="fr")
+    stems = "\n".join(french.stem(word) for word in words)
+    assert hashlib.sha256(stems.encode("utf-8")).hexdigest() == FR_SUFFIX_COMBINATION_DIGEST

@@ -1,3 +1,5 @@
+"""The matrix oracle of tests/matrices.py: vectorize and from_dense."""
+
 from collections import Counter
 
 import pytest
@@ -5,8 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from artex.errors import EmptyVocabulary
-from artex.vsm import SentenceTermMatrix, vectorize
-from matrices import from_dense
+from matrices import SentenceTermMatrix, from_dense, vectorize
 
 
 def _dense(matrix: SentenceTermMatrix) -> list[list[int]]:
@@ -74,13 +75,14 @@ def test_mass_and_sparsity_conservation(token_lists):
 
 
 def test_from_dense_roundtrip():
-    matrix = from_dense([[0, 3], [2, 0]])
-    assert _dense(matrix) == [[0, 3], [2, 0]]
-    assert matrix.rows[0] == {1: 3}  # zeros are not stored
-    # The helper builds what vectorize builds for the same counts.
-    assert vectorize([["a", "b", "b", "b"], ["a", "a"]])[1] == from_dense(
-        [[1, 3], [2, 0]]
-    )
+    streams = from_dense([[0, 3], [2, 0]])
+    assert streams == [["t1", "t1", "t1"], ["t0", "t0"]]
+    vocabulary, matrix = vectorize(streams)
+    assert list(vocabulary) == ["t1", "t0"]  # first-occurrence order
+    assert _dense(matrix) == [[3, 0], [0, 2]]
+    assert matrix.rows[1] == {1: 2}  # zeros are not stored
+    # A column of zeros names no term.
+    assert vectorize(from_dense([[1, 0, 3], [2, 0, 0]]))[1].N == 2
 
 
 def test_from_dense_rejects_ragged_input():
