@@ -101,7 +101,6 @@ def build_parser() -> argparse.ArgumentParser:
     batch.add_argument("--lemma-dict", default=None, help="word<TAB>lemma file")
     batch.add_argument("--out", required=True, help="output directory")
     batch.add_argument("--seed", type=int, default=0)
-    batch.add_argument("--timing", action="store_true", help="also write timings.csv")
     batch.add_argument("--workers", type=int, default=1, help="parallel document workers")
     batch.set_defaults(func=cmd_batch)
 
@@ -160,7 +159,6 @@ def cmd_batch(args) -> int:
         systems=systems,
         seed=args.seed,
         out_dir=Path(args.out),
-        timing=args.timing,
         workers=args.workers,
     )
     results = run_corpus(corpus, cfg)

@@ -90,7 +90,6 @@ class RunConfig:
     systems: tuple[str, ...] = ("artex",)
     seed: int = 0
     out_dir: Path | None = None
-    timing: bool = False
     workers: int = 1
 
     def __post_init__(self) -> None:
@@ -112,7 +111,9 @@ class TimingRecord:
     per-repetition resource loading in benchmark mode. The scoring phase
     covers the system's sentence scoring (artex only) and its selection; a
     batch scores before it prepares the source for evaluation, and adds that
-    time to artex's scoring phase. The total is the sum of both phases.
+    time to artex's scoring phase. The total is the sum of both phases. In a
+    batch, ``corpus_id`` holds the document ID, and ``repetition`` and
+    ``vocabulary_size`` are None (empty in timings.csv).
     """
 
     system: str
@@ -153,14 +154,14 @@ class TimingRecord:
 
 @dataclass(frozen=True)
 class RunResult:
-    """One summary with its evaluation (and timing, when enabled)."""
+    """One summary with its evaluation and its phase timings."""
 
     doc_id: str
     system: str
     normalization: str
     summary: Summary
     report: DivergenceReport
-    timing: TimingRecord | None = None
+    timing: TimingRecord
 
 
 def load_corpus(spec: CorpusSpec) -> list[RawDocument]:
@@ -219,6 +220,14 @@ def _read_text(path: Path) -> str | None:
     return text
 
 
+def _check_out_dir(corpus: CorpusSpec, out_dir: Path | None) -> None:
+    """Raise CorpusError if a later run would read ``out_dir`` as documents."""
+    if out_dir is not None:
+        root, out = Path(corpus.root).resolve(), Path(out_dir).resolve()
+        if out == root or (corpus.layout == CLUSTERS and out.parent == root):
+            raise CorpusError(f"output directory {out_dir} would be read as corpus input")
+
+
 def document_seed(seed: int, doc_id: str) -> int:
     """Per-document seed for the random baseline, stable across runs."""
     import hashlib
@@ -270,24 +279,20 @@ def _process_document(
                 doc.sentences, cfg.budget, document_seed(cfg.seed, raw.id)
             )
         s1 = clock()
-        report = source.evaluate(summary.selected)
-        timing = None
-        if cfg.timing:
-            timing = TimingRecord(
-                system=system,
-                normalization=label,
-                corpus_id=raw.id,
-                preprocess_seconds=preprocess_seconds,
-                score_seconds=s1 - s0,
-            )
         results.append(
             RunResult(
                 doc_id=raw.id,
                 system=system,
                 normalization=label,
                 summary=summary,
-                report=report,
-                timing=timing,
+                report=source.evaluate(summary.selected),
+                timing=TimingRecord(
+                    system=system,
+                    normalization=label,
+                    corpus_id=raw.id,
+                    preprocess_seconds=preprocess_seconds,
+                    score_seconds=s1 - s0,
+                ),
             )
         )
     return results
@@ -330,8 +335,10 @@ def run_corpus(corpus: CorpusSpec, cfg: RunConfig) -> list[RunResult]:
     token) is logged and skipped.
     The mode's normalizer (with its lemma dictionary) is loaded once, here,
     before the corpus, so that a missing or unreadable dictionary fails the
-    run rather than each document or worker.
+    run rather than each document or worker. An ``out_dir`` that a later
+    run would read as documents raises CorpusError before any work.
     """
+    _check_out_dir(corpus, cfg.out_dir)
     mode = cfg.normalization
     # In Stem mode the summarizer reads the evaluator's stems of each document.
     normalize = None if isinstance(mode, Stem) else mode.normalizer(corpus.language)
@@ -357,16 +364,15 @@ def run_corpus(corpus: CorpusSpec, cfg: RunConfig) -> list[RunResult]:
             logger.warning("skipping document %s: %s", doc_id, error)
         results.extend(doc_results)
     if cfg.out_dir is not None:
-        write_outputs(results, Path(cfg.out_dir), timing=cfg.timing)
+        write_outputs(results, Path(cfg.out_dir))
     return results
 
 
-def write_outputs(results: Sequence[RunResult], out_dir: Path, timing: bool = False) -> None:
-    """Write summary files, report.jsonl, and (optionally) timings.csv.
+def write_outputs(results: Sequence[RunResult], out_dir: Path) -> None:
+    """Write summary files, report.jsonl and timings.csv, in result order.
 
-    Outputs an earlier run left are removed, so that they cannot pass for
-    this run's: every ``<system>/<mode>/*.summary.txt`` this run did not
-    write and, without ``timing``, timings.csv. Other files are left alone.
+    Every ``<system>/<mode>/*.summary.txt`` this run did not write is removed,
+    so that an earlier run's cannot pass for this run's; other files stay.
     """
     out_dir.mkdir(parents=True, exist_ok=True)
     written = set()
@@ -384,13 +390,7 @@ def write_outputs(results: Sequence[RunResult], out_dir: Path, timing: bool = Fa
             }
             line.update(result.report.as_dict())
             reports.write(json.dumps(line) + "\n")
-    if timing:
-        write_timings(
-            [r.timing for r in results if r.timing is not None],
-            out_dir / "timings.csv",
-        )
-    else:
-        (out_dir / "timings.csv").unlink(missing_ok=True)
+    write_timings([result.timing for result in results], out_dir / "timings.csv")
     for system in SYSTEMS:
         for path in out_dir.glob(f"{system}/*/*.summary.txt"):
             if path not in written:
@@ -426,7 +426,10 @@ def benchmark(
     measurements are uncontended. Corpus file reading happens once, outside
     the timed regions, because it is identical for every mode. Records are
     told apart by mode label, so two modes with one label raise ValueError.
+    An ``out_dir`` that a later run would read as documents raises
+    CorpusError before any work.
     """
+    _check_out_dir(corpus, out_dir)
     if repetitions < 3:
         raise ValueError(f"need at least 3 repetitions, got {repetitions}")
     labels = [mode.label for mode in modes]

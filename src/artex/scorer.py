@@ -196,11 +196,9 @@ def extract(
 def select(
     scores: Sequence[float],
     sentences: Sequence[Sentence],
-    budget: CompressionSpec | None = None,
+    budget: CompressionSpec = DEFAULT_BUDGET,
 ) -> Summary:
     """Pick the top-scoring sentences under the budget, in source order."""
-    if budget is None:
-        budget = DEFAULT_BUDGET
     if len(scores) != len(sentences):
         raise ValueError("score vector length does not match sentence count")
     return extract(ranked_indices(scores), sentences, budget)

@@ -228,7 +228,6 @@ def test_criterion_8_batch_determinism(tmp_path):
             "--norm", "stem",
             "--budget", "ratio:0.2",
             "--seed", "5",
-            "--timing",
             "--out", str(out),
         ]
         assert main(args) == 0

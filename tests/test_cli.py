@@ -190,7 +190,6 @@ def test_batch_writes_output_tree(corpus_dir, tmp_path):
         "--norm", "fix:1",
         "--budget", "k:2",
         "--out", str(out),
-        "--timing",
     ]
     assert main(args) == 0
     assert (out / "report.jsonl").exists()
@@ -202,13 +201,37 @@ def test_batch_writes_output_tree(corpus_dir, tmp_path):
     assert len(lines) == 6
 
 
-def test_batch_without_timing_removes_a_stale_timings_file(corpus_dir, tmp_path):
-    out = tmp_path / "out"
-    args = ["batch", str(corpus_dir), "--out", str(out)]
-    assert main(args + ["--timing"]) == 0
-    assert (out / "timings.csv").exists()
-    assert main(args) == 0
-    assert not (out / "timings.csv").exists()
+def _tree(root):
+    return sorted(path.relative_to(root).as_posix() for path in root.rglob("*"))
+
+
+@pytest.mark.parametrize(
+    "command,layout,out",
+    [
+        ("batch", "flat", "."),
+        ("batch", "clusters", "results"),
+        ("bench", "flat", "."),
+    ],
+)
+def test_out_dir_read_back_as_corpus_is_corpus_error(tmp_path, command, layout, out):
+    # A second run would summarize the first run's report and timings.
+    root = tmp_path / "corpus"
+    documents = root / "cluster" if layout == "clusters" else root
+    documents.mkdir(parents=True)
+    for number in range(2):
+        text = generate_document(22, number, words=250)
+        (documents / f"doc_{number}.txt").write_text(text, encoding="utf-8")
+    before = _tree(root)
+    args = [command, str(root), "--layout", layout, "--out", str(root / out)]
+    if command == "bench":
+        args += ["--reps", "3"]
+    assert main(args) == 2
+    assert _tree(root) == before
+
+
+def test_batch_timing_flag_is_usage_error(corpus_dir, tmp_path):
+    assert main(["batch", str(corpus_dir), "--out", str(tmp_path / "out"), "--timing"]) == 1
+    assert not (tmp_path / "out").exists()
 
 
 def test_batch_missing_corpus_is_io_error(tmp_path):

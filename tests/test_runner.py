@@ -174,6 +174,10 @@ def test_run_corpus_minimal_batch(flat_corpus, tmp_path):
     assert record["normalization"] == "fix1"
     assert set(record) == {"doc_id", "system", "normalization",
                            "d1", "d2", "d_su4", "f1", "f2", "f_su4", "f_avg"}
+    with open(out / "timings.csv", encoding="utf-8", newline="") as handle:
+        rows = list(csv.reader(handle))
+    assert rows[0] == list(TimingRecord.CSV_COLUMNS)
+    assert len(rows) == 4
 
 
 def test_run_corpus_all_systems_and_timing(flat_corpus, tmp_path):
@@ -183,7 +187,6 @@ def test_run_corpus_all_systems_and_timing(flat_corpus, tmp_path):
         budget=WordRatio(0.2),
         systems=("artex", "lead", "random"),
         out_dir=out,
-        timing=True,
     )
     results = run_corpus(CorpusSpec(root=flat_corpus), cfg)
     assert len(results) == 9
@@ -197,14 +200,16 @@ def test_run_corpus_all_systems_and_timing(flat_corpus, tmp_path):
         assert timing.total_seconds == timing.preprocess_seconds + timing.score_seconds
 
 
-def test_run_without_timing_removes_a_stale_timings_file(flat_corpus, tmp_path):
-    # A timings.csv left beside this run's report would name another run's documents.
+def test_rerun_timings_name_only_this_runs_documents(flat_corpus, tmp_path):
+    # A timings row left from an earlier run would name a document this run lacks.
     out = tmp_path / "out"
     spec = CorpusSpec(root=flat_corpus)
-    run_corpus(spec, RunConfig(out_dir=out, timing=True))
-    assert (out / "timings.csv").exists()
-    run_corpus(spec, RunConfig(out_dir=out, timing=False))
-    assert not (out / "timings.csv").exists()
+    run_corpus(spec, RunConfig(out_dir=out))
+    (flat_corpus / "doc_2.txt").unlink()
+    run_corpus(spec, RunConfig(out_dir=out))
+    with open(out / "timings.csv", encoding="utf-8", newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    assert [row["corpus_id"] for row in rows] == ["doc_0", "doc_1"]
 
 
 def test_rerun_removes_the_summaries_it_did_not_write(flat_corpus, tmp_path):
@@ -264,9 +269,12 @@ def test_run_corpus_parallel_matches_sequential(flat_corpus):
     spec = CorpusSpec(root=flat_corpus)
     sequential = run_corpus(spec, RunConfig(systems=("artex", "random"), seed=3))
     parallel = run_corpus(spec, RunConfig(systems=("artex", "random"), seed=3, workers=2))
-    assert [(r.doc_id, r.system, r.summary, r.report) for r in sequential] == [
-        (r.doc_id, r.system, r.summary, r.report) for r in parallel
-    ]
+
+    def comparable(r):
+        timing = (r.timing.system, r.timing.normalization, r.timing.corpus_id)
+        return r.doc_id, r.system, r.summary, r.report, timing
+
+    assert [comparable(r) for r in sequential] == [comparable(r) for r in parallel]
 
 
 @pytest.mark.parametrize("documents,workers,pool_size", [(3, 64, 3), (3, 2, 2), (1, 4, None)])
