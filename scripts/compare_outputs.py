@@ -9,9 +9,9 @@ PARENT_SRC and CHANGE_SRC are directories holding an ``artex`` package
 written once, under WORK_DIR/inputs, with PARENT_SRC's artex.synthetic:
 two seeded English corpora, a lemma dictionary, a few edge-case texts
 (one of them with no word that occurs twice, which artex cannot
-summarize) and a Spanish and a French text. Each side then runs the same
-list of calls in one fresh interpreter, in-process through
-``artex.cli.main``:
+summarize, and one whose words reach the English stemmer's R2 rules) and
+a Spanish and a French text. Each side then runs the same list of calls
+in one fresh interpreter, in-process through ``artex.cli.main``:
 
 - ``batch`` with all three systems over each English corpus and over the
   edge texts, in five normalization and budget settings, at 1 and at 2
@@ -28,9 +28,12 @@ byte; a side's own directory is masked in its stderr. Seconds are not
 compared: ``bench`` output is compared without its seconds fields and
 with its modes in label order, and ``timings.csv`` without its seconds
 columns, so what it compares is each mode's vocabulary size per
-repetition and the skip warnings. The first 20
-differences are printed and the exit status is 1 if there are any;
-otherwise the counts compared are printed and the exit status is 0.
+repetition and the skip warnings. The first 20 differences are printed,
+then each kind of difference with its count (a file's kind masks its
+batch or bench run directory as ``<run>``; a call's kind is its
+subcommand and whether its exit code, stdout or stderr differs), and the
+exit status is 1 if there are any; otherwise the counts compared are
+printed and the exit status is 0.
 Standard library only.
 """
 
@@ -42,6 +45,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 SIDES = ("parent", "change")
@@ -87,6 +91,14 @@ EDGE_TEXTS = {
     "year": (
         "2024.\tSolar panels\tstore power for the grid. The grid feeds\tsolar power"
         " to homes.\nHomes store\tpower when the panels rest. Panels rest at night.\n"
+    ),
+    # Each repeated word's stem depends on one of the English stemmer's two
+    # R2 rules: realization and realizer stem to realize (realized to
+    # realiz), and sprated to sprat, merging with sprats.
+    "regions": (
+        "The realization came late. The realization came again. Nobody realized"
+        " it. Everybody realized it late. The realizer realized nothing. The"
+        " sprats sprated late. The sprats sprated again.\n"
     ),
     "bom": (
         "\ufeffSolar panels store power. Solar panels feed the grid. "
@@ -228,26 +240,41 @@ def files_under(root: Path) -> dict[str, bytes]:
     return files
 
 
-def compare(parent: list[dict], change: list[dict], work: Path) -> tuple[list[str], int]:
-    """The differences between the two sides, and the number of files compared."""
+def run_masked(name: str) -> str:
+    """``name`` with its batch or bench run directory written as ``<run>``."""
+    parts = name.split("/")
+    if parts[0] in ("batch", "bench") and len(parts) > 2:
+        parts[1] = "<run>"
+    return "/".join(parts)
+
+
+def compare(
+    parent: list[dict], change: list[dict], work: Path
+) -> tuple[list[tuple[str, str]], int]:
+    """The differences between the two sides, each as (kind, message), and
+    the number of files compared."""
     differences = []
     for number, (before, after) in enumerate(zip(parent, change), 1):
         command = " ".join(before["argv"][:2])
         for key in ("exit", "stdout", "stderr"):
             if before[key] != after[key]:
-                differences.append(
+                differences.append((
+                    f"{before['argv'][0]}: {key} differs",
                     f"call {number} ({command}): {key} differs:"
-                    f" {before[key]!r:.200} != {after[key]!r:.200}"
-                )
+                    f" {before[key]!r:.200} != {after[key]!r:.200}",
+                ))
     before_files = files_under(work / SIDES[0])
     after_files = files_under(work / SIDES[1])
     for name in sorted(before_files.keys() | after_files.keys()):
         if name not in after_files:
-            differences.append(f"{name}: only in {SIDES[0]}")
+            outcome = f"only in {SIDES[0]}"
         elif name not in before_files:
-            differences.append(f"{name}: only in {SIDES[1]}")
+            outcome = f"only in {SIDES[1]}"
         elif before_files[name] != after_files[name]:
-            differences.append(f"{name}: contents differ")
+            outcome = "contents differ"
+        else:
+            continue
+        differences.append((f"{run_masked(name)}: {outcome}", f"{name}: {outcome}"))
     return differences, len(before_files)
 
 
@@ -264,9 +291,12 @@ def main(argv: list[str]) -> int:
     parent = run_side(parent_src, inputs, texts, work / SIDES[0])
     change = run_side(change_src, inputs, texts, work / SIDES[1])
     differences, files = compare(parent, change, work)
-    for line in differences[:SHOWN]:
-        print(line)
+    for _, message in differences[:SHOWN]:
+        print(message)
     if differences:
+        print("by kind:")
+        for kind, count in sorted(Counter(kind for kind, _ in differences).items()):
+            print(f"{count:6d}  {kind}")
         print(f"{len(differences)} differences")
         return 1
     print(f"identical: {len(parent)} calls (exit code, stdout, stderr) and {files} files")

@@ -5,7 +5,8 @@ imported by the first ``stemmer_for`` call for its language, not by
 ``import artex``: a process that stems only English never loads the
 Spanish and French rules. ``sys.modules`` keeps each module once loaded.
 The stem functions are module-level, so they pickle by name. The Snowball
-region rule that all three languages share is :func:`region`.
+region rule that all three languages share is :func:`region`, which returns
+the start position of a region.
 """
 
 from __future__ import annotations
@@ -30,12 +31,14 @@ def stemmer_for(language: str) -> Callable[[str], str]:
     return import_module(f"{__name__}.{name}").stem
 
 
-def region(word: str, vowel_then_non_vowel: Callable[[str], re.Match | None]) -> str:
-    """The part of ``word`` after its first non-vowel that follows a vowel.
+def region(
+    word: str, vowel_then_non_vowel: Callable[[str, int], re.Match | None], start: int = 0
+) -> int:
+    """Where the region of ``word`` after ``start`` begins: after its first
+    non-vowel that follows a vowel, or at ``len(word)`` if there is none.
 
     ``vowel_then_non_vowel`` is the language's compiled ``[V][^V]`` search.
-    R1 is the region of the word and R2 the region of R1; either is empty
-    when there is no such non-vowel.
+    R1 is the region from 0 and R2 the region from R1's start.
     """
-    match = vowel_then_non_vowel(word)
-    return word[match.end():] if match else ""
+    match = vowel_then_non_vowel(word, start)
+    return match.end() if match else len(word)

@@ -1,8 +1,18 @@
 """English suffix-stripping stemmer (Porter2 / Snowball family).
 
-The regions R1 and R2 are tracked as trailing substrings of the evolving
-word; every rewrite touches only the tail, so the three strings are
-trimmed in lockstep.
+R1 and R2 are start positions, fixed once before any suffix is removed: a
+suffix is in a region when it starts at or after the region's start, so
+every rewrite changes only the word. Two rules still move R2, and each is
+one commented line:
+
+- ``_replace``: when R2 began inside the replaced suffix, R2 becomes empty,
+  or the final ``e`` after step 2's ``ate`` and ``ive``;
+- step 1b: the ``e`` added after ``at``, ``bl`` or ``iz`` joins R2 in a word
+  of six letters or more.
+
+Snowball's fixed positions have neither rule. Without the first,
+realization and realizer would stem to realiz, as realize does; without
+the second, rjhized would stem to rjhize.
 
 Each suffix step first asks ``word.endswith(STEPn_SUFFIXES)`` once with the
 whole table, a single call that runs in C; most words end in no suffix of
@@ -110,23 +120,21 @@ def stem(word: str) -> str:
             if word[i - 1] in VOWELS and word[i] == "y":
                 word = word[:i] + "Y" + word[i + 1:]
 
-    # R1 follows a fixed prefix or else the first non-vowel after a vowel;
-    # R2 is the same rule applied within R1.
+    # R1 starts after a fixed prefix or else after the first non-vowel that
+    # follows a vowel; R2 starts by the same rule, searched from R1.
     if word.startswith(("gener", "arsen")):
-        r1 = word[5:]
+        p1 = 5
     elif word.startswith("commun"):
-        r1 = word[6:]
+        p1 = 6
     else:
-        r1 = region(word, _VOWEL_THEN_NON_VOWEL)
-    r2 = region(r1, _VOWEL_THEN_NON_VOWEL)
+        p1 = region(word, _VOWEL_THEN_NON_VOWEL)
+    p2 = region(word, _VOWEL_THEN_NON_VOWEL, p1)
 
     # Step 0: possessives
     if word.endswith(STEP0_SUFFIXES):
         for suffix in STEP0_SUFFIXES:
             if word.endswith(suffix):
                 word = word[:-len(suffix)]
-                r1 = r1[:-len(suffix)]
-                r2 = r2[:-len(suffix)]
                 break
 
     # Step 1a: plural-ish endings
@@ -134,15 +142,12 @@ def stem(word: str) -> str:
         for suffix in STEP1A_SUFFIXES:
             if word.endswith(suffix):
                 if suffix == "sses":
-                    word, r1, r2 = word[:-2], r1[:-2], r2[:-2]
+                    word = word[:-2]
                 elif suffix in ("ied", "ies"):
-                    if len(word[:-len(suffix)]) > 1:
-                        word, r1, r2 = word[:-2], r1[:-2], r2[:-2]
-                    else:
-                        word, r1, r2 = word[:-1], r1[:-1], r2[:-1]
+                    word = word[:-2] if len(word) > 4 else word[:-1]
                 elif suffix == "s":
                     if _HAS_VOWEL(word[:-2]):
-                        word, r1, r2 = word[:-1], r1[:-1], r2[:-1]
+                        word = word[:-1]
                 break
 
     # Step 1b: -ed / -ing families
@@ -150,124 +155,101 @@ def stem(word: str) -> str:
         for suffix in STEP1B_SUFFIXES:
             if word.endswith(suffix):
                 if suffix in ("eed", "eedly"):
-                    if r1.endswith(suffix):
+                    if len(word) - len(suffix) >= p1:
                         word = word[:-len(suffix)] + "ee"
-                        r1 = r1[:-len(suffix)] + "ee" if len(r1) >= len(suffix) else ""
-                        r2 = r2[:-len(suffix)] + "ee" if len(r2) >= len(suffix) else ""
-                else:
-                    if _HAS_VOWEL(word[:-len(suffix)]):
-                        word = word[:-len(suffix)]
-                        r1 = r1[:-len(suffix)]
-                        r2 = r2[:-len(suffix)]
-                        if word.endswith(("at", "bl", "iz")):
-                            word += "e"
-                            r1 += "e"
-                            if len(word) > 5 or len(r1) >= 3:
-                                r2 += "e"
-                        elif word.endswith(DOUBLE_CONSONANTS):
-                            word, r1, r2 = word[:-1], r1[:-1], r2[:-1]
-                        elif (
-                            r1 == ""
-                            and len(word) >= 3
+                elif _HAS_VOWEL(word[:-len(suffix)]):
+                    word = word[:-len(suffix)]
+                    if word.endswith(("at", "bl", "iz")):
+                        word += "e"
+                        # The added e joins R2 in a word of six letters or more.
+                        if len(word) > 5:
+                            p2 = min(p2, len(word) - 1)
+                    elif word.endswith(DOUBLE_CONSONANTS):
+                        word = word[:-1]
+                    # A short word (R1 empty, a short final syllable) gets an e.
+                    elif len(word) <= p1 and (
+                        (
+                            len(word) >= 3
                             and word[-1] not in VOWELS
                             and word[-1] not in "wxY"
                             and word[-2] in VOWELS
                             and word[-3] not in VOWELS
                         ) or (
-                            r1 == ""
-                            and len(word) == 2
+                            len(word) == 2
                             and word[0] in VOWELS
                             and word[1] not in VOWELS
-                        ):
-                            word += "e"
-                            if r1:
-                                r1 += "e"
-                            if r2:
-                                r2 += "e"
+                        )
+                    ):
+                        word += "e"
                 break
 
     # Step 1c: final y -> i after a consonant
     if len(word) > 2 and word[-1] in "yY" and word[-2] not in VOWELS:
         word = word[:-1] + "i"
-        r1 = r1[:-1] + "i" if r1 else ""
-        r2 = r2[:-1] + "i" if r2 else ""
 
     # Step 2: derivational suffixes, rewritten in R1
     if word.endswith(STEP2_SUFFIXES):
         for suffix in STEP2_SUFFIXES:
             if word.endswith(suffix):
-                if r1.endswith(suffix):
-                    if suffix == "tional":
-                        word, r1, r2 = word[:-2], r1[:-2], r2[:-2]
+                if len(word) - len(suffix) >= p1:
+                    if suffix in ("tional", "entli", "fulli", "lessli"):
+                        word = word[:-2]
                     elif suffix in ("enci", "anci", "abli"):
                         word = word[:-1] + "e"
-                        r1 = r1[:-1] + "e" if r1 else ""
-                        r2 = r2[:-1] + "e" if r2 else ""
-                    elif suffix == "entli":
-                        word, r1, r2 = word[:-2], r1[:-2], r2[:-2]
                     elif suffix in ("izer", "ization"):
-                        word, r1, r2 = _replace(word, r1, r2, suffix, "ize")
+                        word, p2 = _replace(word, p2, suffix, "ize")
                     elif suffix in ("ational", "ation", "ator"):
-                        word, r1, r2 = _replace(word, r1, r2, suffix, "ate", r2_fallback="e")
+                        word, p2 = _replace(word, p2, suffix, "ate", r2_fallback="e")
                     elif suffix in ("alism", "aliti", "alli"):
-                        word, r1, r2 = _replace(word, r1, r2, suffix, "al")
+                        word, p2 = _replace(word, p2, suffix, "al")
                     elif suffix == "fulness":
-                        word, r1, r2 = word[:-4], r1[:-4], r2[:-4]
+                        word = word[:-4]
                     elif suffix in ("ousli", "ousness"):
-                        word, r1, r2 = _replace(word, r1, r2, suffix, "ous")
+                        word, p2 = _replace(word, p2, suffix, "ous")
                     elif suffix in ("iveness", "iviti"):
-                        word, r1, r2 = _replace(word, r1, r2, suffix, "ive", r2_fallback="e")
+                        word, p2 = _replace(word, p2, suffix, "ive", r2_fallback="e")
                     elif suffix in ("biliti", "bli"):
-                        word, r1, r2 = _replace(word, r1, r2, suffix, "ble")
+                        word, p2 = _replace(word, p2, suffix, "ble")
                     elif suffix == "ogi" and word[-4] == "l":
-                        word, r1, r2 = word[:-1], r1[:-1], r2[:-1]
-                    elif suffix in ("fulli", "lessli"):
-                        word, r1, r2 = word[:-2], r1[:-2], r2[:-2]
+                        word = word[:-1]
                     elif suffix == "li" and word[-3] in LI_ENDING:
-                        word, r1, r2 = word[:-2], r1[:-2], r2[:-2]
+                        word = word[:-2]
                 break
 
     # Step 3: more derivational suffixes, in R1 (one case needs R2)
     if word.endswith(STEP3_SUFFIXES):
         for suffix in STEP3_SUFFIXES:
             if word.endswith(suffix):
-                if r1.endswith(suffix):
+                if len(word) - len(suffix) >= p1:
                     if suffix == "tional":
-                        word, r1, r2 = word[:-2], r1[:-2], r2[:-2]
+                        word = word[:-2]
                     elif suffix == "ational":
-                        word, r1, r2 = _replace(word, r1, r2, suffix, "ate")
+                        word, p2 = _replace(word, p2, suffix, "ate")
                     elif suffix == "alize":
-                        word, r1, r2 = word[:-3], r1[:-3], r2[:-3]
+                        word = word[:-3]
                     elif suffix in ("icate", "iciti", "ical"):
-                        word, r1, r2 = _replace(word, r1, r2, suffix, "ic")
+                        word, p2 = _replace(word, p2, suffix, "ic")
                     elif suffix in ("ful", "ness"):
                         word = word[:-len(suffix)]
-                        r1 = r1[:-len(suffix)]
-                        r2 = r2[:-len(suffix)]
-                    elif suffix == "ative" and r2.endswith(suffix):
-                        word, r1, r2 = word[:-5], r1[:-5], r2[:-5]
+                    elif suffix == "ative" and len(word) - 5 >= p2:
+                        word = word[:-5]
                 break
 
     # Step 4: residual suffixes, in R2
     if word.endswith(STEP4_SUFFIXES):
         for suffix in STEP4_SUFFIXES:
             if word.endswith(suffix):
-                if r2.endswith(suffix):
-                    if suffix == "ion":
-                        if word[-4] in "st":
-                            word, r1, r2 = word[:-3], r1[:-3], r2[:-3]
-                    else:
+                if len(word) - len(suffix) >= p2:
+                    if suffix != "ion":
                         word = word[:-len(suffix)]
-                        r1 = r1[:-len(suffix)]
-                        r2 = r2[:-len(suffix)]
+                    elif word[-4] in "st":
+                        word = word[:-3]
                 break
 
     # Step 5: final -e / -ll cleanup
-    if r2.endswith("l") and word[-2] == "l":
+    if word.endswith(("e", "ll")) and len(word) - 1 >= p2:
         word = word[:-1]
-    elif r2.endswith("e"):
-        word = word[:-1]
-    elif r1.endswith("e"):
+    elif word.endswith("e") and len(word) - 1 >= p1:
         if len(word) >= 4 and (
             word[-2] in VOWELS
             or word[-2] in "wxY"
@@ -280,10 +262,11 @@ def stem(word: str) -> str:
 
 
 def _replace(
-    word: str, r1: str, r2: str, suffix: str, repl: str, r2_fallback: str = ""
-) -> tuple[str, str, str]:
-    """Swap ``suffix`` for ``repl``, keeping the region strings aligned."""
+    word: str, p2: int, suffix: str, repl: str, r2_fallback: str = ""
+) -> tuple[str, int]:
+    """Swap ``suffix`` for ``repl``; return the new word and R2's start."""
     word = word[:-len(suffix)] + repl
-    r1 = r1[:-len(suffix)] + repl if len(r1) >= len(suffix) else ""
-    r2 = r2[:-len(suffix)] + repl if len(r2) >= len(suffix) else r2_fallback
-    return word, r1, r2
+    if p2 > len(word) - len(repl):
+        # R2 began inside the suffix, so it becomes ``r2_fallback``.
+        p2 = len(word) - len(r2_fallback)
+    return word, p2

@@ -93,8 +93,9 @@ def stem(word: str) -> str:
     step2b_success = False
 
     word = _mark_consonant_vowels(word)
-    r1 = region(word, _VOWEL_THEN_NON_VOWEL)
-    r2 = region(r1, _VOWEL_THEN_NON_VOWEL)
+    p1 = region(word, _VOWEL_THEN_NON_VOWEL)
+    r1 = word[p1:]
+    r2 = word[region(word, _VOWEL_THEN_NON_VOWEL, p1):]
     rv = _rv_region(word)
 
     # Step 1: standard suffixes

@@ -1,7 +1,9 @@
 """Spanish suffix-stripping stemmer (Snowball family).
 
-R1, R2 and RV are carried as trailing substrings of the evolving word and
-trimmed alongside it; accents are removed from the final stem.
+R1, R2 and RV are start positions, fixed once before any suffix is
+removed: ``word.endswith(suffix, p2)`` asks whether ``suffix`` is in R2, so
+every rewrite changes only the word. Accents are removed from the final
+stem.
 """
 
 from __future__ import annotations
@@ -65,22 +67,19 @@ def _unaccent(word: str) -> str:
     )
 
 
-def _rv_region(word: str) -> str:
-    rv = ""
+def _rv_start(word: str) -> int:
     if len(word) >= 2:
         if word[1] not in VOWELS:
             for i in range(2, len(word)):
                 if word[i] in VOWELS:
-                    rv = word[i + 1:]
-                    break
+                    return i + 1
         elif word[0] in VOWELS and word[1] in VOWELS:
             for i in range(2, len(word)):
                 if word[i] not in VOWELS:
-                    rv = word[i + 1:]
-                    break
+                    return i + 1
         else:
-            rv = word[3:]
-    return rv
+            return 3
+    return len(word)
 
 
 def stem(word: str) -> str:
@@ -88,109 +87,87 @@ def stem(word: str) -> str:
     word = word.lower()
 
     step1_success = False
-    r1 = region(word, _VOWEL_THEN_NON_VOWEL)
-    r2 = region(r1, _VOWEL_THEN_NON_VOWEL)
-    rv = _rv_region(word)
+    p1 = region(word, _VOWEL_THEN_NON_VOWEL)
+    p2 = region(word, _VOWEL_THEN_NON_VOWEL, p1)
+    pv = _rv_start(word)
 
     # Step 0: attached pronouns after a gerund or infinitive
     for suffix in STEP0_SUFFIXES:
-        if not (word.endswith(suffix) and rv.endswith(suffix)):
+        if not word.endswith(suffix, pv):
             continue
-        head = rv[:-len(suffix)]
-        if head.endswith(_GERUND_INFINITIVE) or (
-            head.endswith("yendo") and word[:-len(suffix)].endswith("uyendo")
+        head = word[:-len(suffix)]
+        if head.endswith(_GERUND_INFINITIVE, pv) or (
+            head.endswith("uyendo") and head.endswith("yendo", pv)
         ):
-            word = _unaccent(word[:-len(suffix)])
-            r1 = _unaccent(r1[:-len(suffix)])
-            r2 = _unaccent(r2[:-len(suffix)])
-            rv = _unaccent(rv[:-len(suffix)])
+            word = _unaccent(head)
         break
 
     # Step 1: standard suffixes
     for suffix in STEP1_SUFFIXES:
         if not word.endswith(suffix):
             continue
-        if suffix == "amente" and r1.endswith(suffix):
+        if suffix == "amente" and word.endswith(suffix, p1):
             step1_success = True
-            word, r2, rv = word[:-6], r2[:-6], rv[:-6]
-            if r2.endswith("iv"):
-                word, r2, rv = word[:-2], r2[:-2], rv[:-2]
-                if r2.endswith("at"):
-                    word, rv = word[:-2], rv[:-2]
-            elif r2.endswith(("os", "ic", "ad")):
-                word, rv = word[:-2], rv[:-2]
-        elif r2.endswith(suffix):
+            word = word[:-6]
+            if word.endswith("iv", p2):
+                word = word[:-2]
+                if word.endswith("at", p2):
+                    word = word[:-2]
+            elif word.endswith(("os", "ic", "ad"), p2):
+                word = word[:-2]
+        elif word.endswith(suffix, p2):
             step1_success = True
             if suffix in (
                 "adora", "ador", "aci\xf3n", "adoras", "adores", "acion",
                 "aciones", "ante", "antes", "ancia", "ancias",
             ):
                 word = word[:-len(suffix)]
-                r2 = r2[:-len(suffix)]
-                rv = rv[:-len(suffix)]
-                if r2.endswith("ic"):
-                    word, rv = word[:-2], rv[:-2]
+                if word.endswith("ic", p2):
+                    word = word[:-2]
             elif suffix in ("log\xeda", "log\xedas"):
                 word = word[:-len(suffix)] + "log"
-                rv = rv[:-len(suffix)] + "log"
             elif suffix in ("uci\xf3n", "uciones"):
                 word = word[:-len(suffix)] + "u"
-                rv = rv[:-len(suffix)] + "u"
             elif suffix in ("encia", "encias"):
                 word = word[:-len(suffix)] + "ente"
-                rv = rv[:-len(suffix)] + "ente"
             elif suffix == "mente":
                 word = word[:-len(suffix)]
-                r2 = r2[:-len(suffix)]
-                rv = rv[:-len(suffix)]
-                if r2.endswith(("ante", "able", "ible")):
-                    word, rv = word[:-4], rv[:-4]
+                if word.endswith(("ante", "able", "ible"), p2):
+                    word = word[:-4]
             elif suffix in ("idad", "idades"):
                 word = word[:-len(suffix)]
-                r2 = r2[:-len(suffix)]
-                rv = rv[:-len(suffix)]
                 for pre in ("abil", "ic", "iv"):
-                    if r2.endswith(pre):
+                    if word.endswith(pre, p2):
                         word = word[:-len(pre)]
-                        rv = rv[:-len(pre)]
+                        break
             elif suffix in ("ivo", "iva", "ivos", "ivas"):
                 word = word[:-len(suffix)]
-                r2 = r2[:-len(suffix)]
-                rv = rv[:-len(suffix)]
-                if r2.endswith("at"):
-                    word, rv = word[:-2], rv[:-2]
+                if word.endswith("at", p2):
+                    word = word[:-2]
             else:
                 word = word[:-len(suffix)]
-                rv = rv[:-len(suffix)]
         break
 
     # Steps 2a/2b: verb suffixes, only when step 1 removed nothing
     if not step1_success:
         for suffix in STEP2A_SUFFIXES:
-            if rv.endswith(suffix) and word[-len(suffix) - 1:-len(suffix)] == "u":
+            if word.endswith(suffix, pv) and word[-len(suffix) - 1:-len(suffix)] == "u":
                 word = word[:-len(suffix)]
-                rv = rv[:-len(suffix)]
                 break
 
         for suffix in STEP2B_SUFFIXES:
-            if rv.endswith(suffix):
+            if word.endswith(suffix, pv):
                 word = word[:-len(suffix)]
-                rv = rv[:-len(suffix)]
-                if suffix in ("en", "es", "\xe9is", "emos"):
-                    if word.endswith("gu"):
-                        word = word[:-1]
-                    if rv.endswith("gu"):
-                        rv = rv[:-1]
+                if suffix in ("en", "es", "\xe9is", "emos") and word.endswith("gu"):
+                    word = word[:-1]
                 break
 
     # Step 3: residual vowel suffixes
     for suffix in STEP3_SUFFIXES:
-        if rv.endswith(suffix):
+        if word.endswith(suffix, pv):
             word = word[:-len(suffix)]
-            if suffix in ("e", "\xe9"):
-                rv = rv[:-len(suffix)]
-                if word[-2:] == "gu" and rv.endswith("u"):
-                    word = word[:-1]
+            if suffix in ("e", "\xe9") and word.endswith("gu") and word.endswith("u", pv):
+                word = word[:-1]
             break
 
     return _unaccent(word)

@@ -210,6 +210,21 @@ def test_frozen_vectors(language):
         assert stemmer_for(language)(word) == expected, (language, word)
 
 
+# What the English stemmer's two R2 rules give, one entry per rule (see
+# english.py). Snowball's fixed positions, without these rules, would give
+# "realiz" for realization and realizer and "rjhize" for rjhized.
+EN_KEPT_R2_RULE_VECTORS = {
+    "replace_fallback": {"realization": "realize", "realizer": "realize"},
+    "step1b_added_e": {"rjhized": "rjhiz"},
+}
+
+
+@pytest.mark.parametrize("rule", sorted(EN_KEPT_R2_RULE_VECTORS))
+def test_english_kept_r2_rule(rule):
+    for word, expected in EN_KEPT_R2_RULE_VECTORS[rule].items():
+        assert english.stem(word) == expected, (rule, word)
+
+
 def test_supported_languages():
     assert SUPPORTED_LANGUAGES == ("en", "es", "fr")
 
@@ -270,8 +285,9 @@ REGION_ALPHABET = "".join(
 @settings(max_examples=500)
 def test_region_matches_the_loop_oracle(language, word):
     module = STEMMER_MODULES[language]
-    r1 = region(word, module._VOWEL_THEN_NON_VOWEL)
-    assert (r1, region(r1, module._VOWEL_THEN_NON_VOWEL)) == _loop_regions(word, module.VOWELS)
+    p1 = region(word, module._VOWEL_THEN_NON_VOWEL)
+    p2 = region(word, module._VOWEL_THEN_NON_VOWEL, p1)
+    assert (word[p1:], word[p2:]) == _loop_regions(word, module.VOWELS)
 
 
 @dataclass(frozen=True)
