@@ -9,9 +9,10 @@ PARENT_SRC and CHANGE_SRC are directories holding an ``artex`` package
 written once, under WORK_DIR/inputs, with PARENT_SRC's artex.synthetic:
 two seeded English corpora, a lemma dictionary, a few edge-case texts
 (one of them with no word that occurs twice, which artex cannot
-summarize, and one whose words reach the English stemmer's R2 rules) and
-a Spanish and a French text. Each side then runs the same list of calls
-in one fresh interpreter, in-process through ``artex.cli.main``:
+summarize, and one whose words reach the English stemmer's R2 rules), a
+Spanish text and two French texts (one whose words reach the French
+stemmer's kept rules). Each side then runs the same list of calls in one
+fresh interpreter, in-process through ``artex.cli.main``:
 
 - ``batch`` with all three systems over each English corpus and over the
   edge texts, in five normalization and budget settings, at 1 and at 2
@@ -106,21 +107,35 @@ EDGE_TEXTS = {
     ),
 }
 
+# Each language's texts, batched from one directory. Each repeated word of
+# "fr-regions" has a stem that depends on one of the French stemmer's two
+# kept rules: fabricatrice stems to fabr (fabrication to fabriqu), and
+# finissemment to finissent (finissent to fin).
 LANGUAGE_TEXTS = {
-    "es": (
-        "La energía solar crece cada año en las ciudades. Las ciudades instalan"
-        " paneles solares en los techos. Los paneles solares producen energía"
-        " limpia durante el día. La energía limpia reduce la contaminación de las"
-        " ciudades. Los técnicos revisan los paneles cada mes. La contaminación"
-        " baja cuando crece la energía solar.\n"
-    ),
-    "fr": (
-        "L'énergie solaire progresse chaque année dans les villes. Les villes"
-        " installent des panneaux solaires sur les toits. Les panneaux solaires"
-        " produisent une énergie propre pendant la journée. Cette énergie propre"
-        " réduit la pollution des villes. Les techniciens vérifient les panneaux"
-        " chaque mois. La pollution baisse quand l'énergie solaire progresse.\n"
-    ),
+    "es": {
+        "es": (
+            "La energía solar crece cada año en las ciudades. Las ciudades instalan"
+            " paneles solares en los techos. Los paneles solares producen energía"
+            " limpia durante el día. La energía limpia reduce la contaminación de las"
+            " ciudades. Los técnicos revisan los paneles cada mes. La contaminación"
+            " baja cuando crece la energía solar.\n"
+        ),
+    },
+    "fr": {
+        "fr": (
+            "L'énergie solaire progresse chaque année dans les villes. Les villes"
+            " installent des panneaux solaires sur les toits. Les panneaux solaires"
+            " produisent une énergie propre pendant la journée. Cette énergie propre"
+            " réduit la pollution des villes. Les techniciens vérifient les panneaux"
+            " chaque mois. La pollution baisse quand l'énergie solaire progresse.\n"
+        ),
+        "fr-regions": (
+            "La fabricatrice fabrique les panneaux. La fabricatrice vend les panneaux"
+            " aux villes. La fabrication des panneaux finit tard. Les ouvriers"
+            " finissent la fabrication finissemment. Les villes paient finissemment"
+            " les ouvriers qui finissent.\n"
+        ),
+    },
 }
 
 ENGLISH_SETTINGS = (
@@ -140,11 +155,11 @@ def write_inputs(parent_src: Path, inputs: Path) -> dict[str, Path]:
         check=True,
     )
     texts = {}
-    for name, text in [*EDGE_TEXTS.items(), *LANGUAGE_TEXTS.items()]:
-        path = inputs / ("edge" if name in EDGE_TEXTS else name) / f"{name}.txt"
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text, encoding="utf-8")
-        texts[name] = path
+    for directory, named in [("edge", EDGE_TEXTS), *LANGUAGE_TEXTS.items()]:
+        (inputs / directory).mkdir(parents=True)
+        for name, text in named.items():
+            texts[name] = inputs / directory / f"{name}.txt"
+            texts[name].write_text(text, encoding="utf-8")
     return texts
 
 
@@ -171,8 +186,9 @@ def plan(inputs: Path, texts: dict[str, Path], out: Path) -> list[dict]:
     documents = {name: (path, "en") for name, path in texts.items() if name in EDGE_TEXTS}
     for path in sorted((inputs / "short").iterdir())[:5]:
         documents[path.stem] = (path, "en")
-    for language in LANGUAGE_TEXTS:
-        documents[language] = (texts[language], language)
+    for language, named in LANGUAGE_TEXTS.items():
+        for name in named:
+            documents[name] = (texts[name], language)
     (out / "summaries").mkdir(parents=True)
     for name, (path, language) in documents.items():
         for budget in ("ratio:0.2", "k:2"):

@@ -6,7 +6,8 @@ imported by the first ``stemmer_for`` call for its language, not by
 Spanish and French rules. ``sys.modules`` keeps each module once loaded.
 The stem functions are module-level, so they pickle by name. The Snowball
 region rule that all three languages share is :func:`region`, which returns
-the start position of a region.
+the start position of a region; each stemmer fixes its regions as such
+positions once per word.
 """
 
 from __future__ import annotations

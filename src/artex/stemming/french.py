@@ -2,7 +2,14 @@
 
 Vowels playing a consonant role (u after q, u/i between vowels, y next to
 a vowel) are upper-cased before the regions are computed and restored at
-the end. R1/R2/RV are trailing substrings of the marked word.
+the end. R1, R2 and RV are start positions in the marked word, fixed once
+before any suffix is removed: ``word.endswith(suffix, p2)`` asks whether
+``suffix`` is in R2. Two step-1 rules are not positional, each one
+commented rule: after ``atrice(s)`` is removed, a preceding ``ic`` is
+deleted wherever it starts; after ``emment`` becomes ``ent``, steps 2a and
+2b are skipped. Snowball has neither rule: without them, fabricatrice
+would stem to fabriqu (as fabrication does) and finissemment to fin (as
+finissent does).
 """
 
 from __future__ import annotations
@@ -67,179 +74,163 @@ def _mark_consonant_vowels(word: str) -> str:
     return word
 
 
-def _rv_region(word: str) -> str:
+def _rv_start(word: str) -> int:
     # "par", "col" and "tap" prefixes count like a leading double vowel.
-    rv = ""
     if len(word) >= 2:
         if word.startswith(("par", "col", "tap")) or (
             word[0] in VOWELS and word[1] in VOWELS
         ):
-            rv = word[3:]
-        else:
-            for i in range(1, len(word)):
-                if word[i] in VOWELS:
-                    rv = word[i + 1:]
-                    break
-    return rv
+            return 3
+        for i in range(1, len(word)):
+            if word[i] in VOWELS:
+                return i + 1
+    return len(word)
 
 
 def stem(word: str) -> str:
     """Return the stem of a lowercase French word."""
     word = word.lower()
 
-    step1_success = False
-    rv_ending_found = False
-    step2a_success = False
-    step2b_success = False
-
+    removed = False
     word = _mark_consonant_vowels(word)
     p1 = region(word, _VOWEL_THEN_NON_VOWEL)
-    r1 = word[p1:]
-    r2 = word[region(word, _VOWEL_THEN_NON_VOWEL, p1):]
-    rv = _rv_region(word)
+    p2 = region(word, _VOWEL_THEN_NON_VOWEL, p1)
+    pv = _rv_start(word)
 
     # Step 1: standard suffixes
     for suffix in STEP1_SUFFIXES:
         if word.endswith(suffix):
             if suffix == "eaux":
                 word = word[:-1]
-                step1_success = True
+                removed = True
             elif suffix in ("euse", "euses"):
-                if suffix in r2:
+                if word.endswith(suffix, p2):
                     word = word[:-len(suffix)]
-                    step1_success = True
-                elif suffix in r1:
+                    removed = True
+                elif word.endswith(suffix, p1):
                     word = word[:-len(suffix)] + "eux"
-                    step1_success = True
-            elif suffix in ("ement", "ements") and suffix in rv:
+                    removed = True
+            elif suffix in ("ement", "ements") and word.endswith(suffix, pv):
                 word = word[:-len(suffix)]
-                step1_success = True
-                if word[-2:] == "iv" and "iv" in r2:
+                removed = True
+                if word.endswith("iv", p2):
                     word = word[:-2]
-                    if word[-2:] == "at" and "at" in r2:
+                    if word.endswith("at", p2):
                         word = word[:-2]
-                elif word[-3:] == "eus":
-                    if "eus" in r2:
+                elif word.endswith("eus"):
+                    if word.endswith("eus", p2):
                         word = word[:-3]
-                    elif "eus" in r1:
+                    elif word.endswith("eus", p1):
                         word = word[:-1] + "x"
-                elif word[-3:] in ("abl", "iqU"):
-                    if "abl" in r2 or "iqU" in r2:
-                        word = word[:-3]
-                elif word[-3:] in ("i\xe8r", "I\xe8r"):
-                    if "i\xe8r" in rv or "I\xe8r" in rv:
-                        word = word[:-3] + "i"
-            elif suffix == "amment" and suffix in rv:
+                elif word.endswith(("abl", "iqU"), p2):
+                    word = word[:-3]
+                elif word.endswith(("i\xe8r", "I\xe8r"), pv):
+                    word = word[:-3] + "i"
+            elif suffix == "amment" and word.endswith(suffix, pv):
                 word = word[:-6] + "ant"
-                rv = rv[:-6] + "ant"
-                rv_ending_found = True
-            elif suffix == "emment" and suffix in rv:
+            elif suffix == "emment" and word.endswith(suffix, pv):
                 word = word[:-6] + "ent"
-                rv_ending_found = True
+                # Kept rule: steps 2a and 2b read RV from the word before this
+                # rewrite, where none of their suffixes ends, so they are
+                # skipped (steps 3 and 4 both keep the final t).
+                removed = True
             elif (
                 suffix in ("ment", "ments")
-                and suffix in rv
-                and not rv.startswith(suffix)
-                and rv[rv.rindex(suffix) - 1] in VOWELS
+                and word.endswith(suffix, pv)
+                and not word.startswith(suffix, pv)
+                and word[-len(suffix) - 1] in VOWELS
             ):
                 word = word[:-len(suffix)]
-                rv = rv[:-len(suffix)]
-                rv_ending_found = True
-            elif suffix == "aux" and suffix in r1:
+            elif suffix == "aux" and word.endswith(suffix, p1):
                 word = word[:-2] + "l"
-                step1_success = True
+                removed = True
             elif (
                 suffix in ("issement", "issements")
-                and suffix in r1
+                and word.endswith(suffix, p1)
                 and word[-len(suffix) - 1] not in VOWELS
             ):
                 word = word[:-len(suffix)]
-                step1_success = True
+                removed = True
             elif suffix in (
                 "ance", "iqUe", "isme", "able", "iste", "eux",
                 "ances", "iqUes", "ismes", "ables", "istes",
-            ) and suffix in r2:
+            ) and word.endswith(suffix, p2):
                 word = word[:-len(suffix)]
-                step1_success = True
+                removed = True
             elif suffix in (
                 "atrice", "ateur", "ation", "atrices", "ateurs", "ations",
-            ) and suffix in r2:
+            ) and word.endswith(suffix, p2):
                 word = word[:-len(suffix)]
-                step1_success = True
-                if word[-2:] == "ic":
-                    if "ic" in r2:
+                removed = True
+                if word.endswith("ic"):
+                    # Kept rule: the ic inside a removed atrice(s) counts as in R2.
+                    if word.endswith("ic", p2) or "ic" in suffix:
                         word = word[:-2]
                     else:
                         word = word[:-2] + "iqU"
-            elif suffix in ("logie", "logies") and suffix in r2:
+            elif suffix in ("logie", "logies") and word.endswith(suffix, p2):
                 word = word[:-len(suffix)] + "log"
-                step1_success = True
-            elif suffix in ("usion", "ution", "usions", "utions") and suffix in r2:
+                removed = True
+            elif suffix in ("usion", "ution", "usions", "utions") and word.endswith(suffix, p2):
                 word = word[:-len(suffix)] + "u"
-                step1_success = True
-            elif suffix in ("ence", "ences") and suffix in r2:
+                removed = True
+            elif suffix in ("ence", "ences") and word.endswith(suffix, p2):
                 word = word[:-len(suffix)] + "ent"
-                step1_success = True
-            elif suffix in ("it\xe9", "it\xe9s") and suffix in r2:
+                removed = True
+            elif suffix in ("it\xe9", "it\xe9s") and word.endswith(suffix, p2):
                 word = word[:-len(suffix)]
-                step1_success = True
-                if word[-4:] == "abil":
-                    if "abil" in r2:
+                removed = True
+                if word.endswith("abil"):
+                    if word.endswith("abil", p2):
                         word = word[:-4]
                     else:
                         word = word[:-2] + "l"
-                elif word[-2:] == "ic":
-                    if "ic" in r2:
+                elif word.endswith("ic"):
+                    if word.endswith("ic", p2):
                         word = word[:-2]
                     else:
                         word = word[:-2] + "iqU"
-                elif word[-2:] == "iv":
-                    if "iv" in r2:
-                        word = word[:-2]
-            elif suffix in ("if", "ive", "ifs", "ives") and suffix in r2:
-                word = word[:-len(suffix)]
-                step1_success = True
-                if word[-2:] == "at" and "at" in r2:
+                elif word.endswith("iv", p2):
                     word = word[:-2]
-                    if word[-2:] == "ic":
-                        if "ic" in r2:
+            elif suffix in ("if", "ive", "ifs", "ives") and word.endswith(suffix, p2):
+                word = word[:-len(suffix)]
+                removed = True
+                if word.endswith("at", p2):
+                    word = word[:-2]
+                    if word.endswith("ic"):
+                        if word.endswith("ic", p2):
                             word = word[:-2]
                         else:
                             word = word[:-2] + "iqU"
             break
 
-    # Steps 2a/2b: verb suffixes
-    if not step1_success or rv_ending_found:
+    # Steps 2a/2b: verb suffixes, only when step 1 removed nothing
+    if not removed:
         for suffix in STEP2A_SUFFIXES:
             if word.endswith(suffix):
-                if (
-                    suffix in rv
-                    and len(rv) > len(suffix)
-                    and rv[rv.rindex(suffix) - 1] not in VOWELS
-                ):
+                if word.endswith(suffix, pv + 1) and word[-len(suffix) - 1] not in VOWELS:
                     word = word[:-len(suffix)]
-                    step2a_success = True
+                    removed = True
                 break
 
-        if not step2a_success:
-            for suffix in STEP2B_SUFFIXES:
-                if rv.endswith(suffix):
-                    if suffix == "ions" and "ions" in r2:
-                        word = word[:-4]
-                        step2b_success = True
-                    elif suffix in _ER_LIKE:
-                        word = word[:-len(suffix)]
-                        step2b_success = True
-                    elif suffix in _A_LIKE:
-                        word = word[:-len(suffix)]
-                        rv = rv[:-len(suffix)]
-                        step2b_success = True
-                        if rv.endswith("e"):
-                            word = word[:-1]
-                    break
+    if not removed:
+        for suffix in STEP2B_SUFFIXES:
+            if word.endswith(suffix, pv):
+                if suffix == "ions" and word.endswith(suffix, p2):
+                    word = word[:-4]
+                    removed = True
+                elif suffix in _ER_LIKE:
+                    word = word[:-len(suffix)]
+                    removed = True
+                elif suffix in _A_LIKE:
+                    word = word[:-len(suffix)]
+                    removed = True
+                    if word.endswith("e", pv):
+                        word = word[:-1]
+                break
 
     # Step 3: tidy a trailing marked Y or cedilla
-    if step1_success or step2a_success or step2b_success:
+    if removed:
         if word[-1] == "Y":
             word = word[:-1] + "i"
         elif word[-1] == "\xe7":
@@ -250,17 +241,17 @@ def stem(word: str) -> str:
         if len(word) >= 2 and word[-1] == "s" and word[-2] not in "aiou\xe8s":
             word = word[:-1]
         for suffix in STEP4_SUFFIXES:
-            if word.endswith(suffix):
-                if suffix in rv:
-                    if suffix == "ion" and suffix in r2 and len(rv) >= 4 and rv[-4] in "st":
-                        word = word[:-3]
-                    elif suffix in ("ier", "i\xe8re", "Ier", "I\xe8re"):
-                        word = word[:-len(suffix)] + "i"
-                    elif suffix == "e":
-                        word = word[:-1]
-                    elif suffix == "\xeb" and word[-3:-1] == "gu":
-                        word = word[:-1]
-                    break
+            if word.endswith(suffix, pv):
+                # R2 starts after RV does, so an s or t before an ion in R2 is in RV.
+                if suffix == "ion" and word.endswith(suffix, p2) and word[-4:-3] in ("s", "t"):
+                    word = word[:-3]
+                elif suffix in ("ier", "i\xe8re", "Ier", "I\xe8re"):
+                    word = word[:-len(suffix)] + "i"
+                elif suffix == "e":
+                    word = word[:-1]
+                elif suffix == "\xeb" and word[-3:-1] == "gu":
+                    word = word[:-1]
+                break
 
     # Step 5: undouble
     if word.endswith(("enn", "onn", "ett", "ell", "eill")):

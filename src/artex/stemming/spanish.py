@@ -148,19 +148,19 @@ def stem(word: str) -> str:
                 word = word[:-len(suffix)]
         break
 
-    # Steps 2a/2b: verb suffixes, only when step 1 removed nothing
+    # Steps 2a/2b: verb suffixes, each only when the step before removed nothing
     if not step1_success:
         for suffix in STEP2A_SUFFIXES:
             if word.endswith(suffix, pv) and word[-len(suffix) - 1:-len(suffix)] == "u":
                 word = word[:-len(suffix)]
                 break
-
-        for suffix in STEP2B_SUFFIXES:
-            if word.endswith(suffix, pv):
-                word = word[:-len(suffix)]
-                if suffix in ("en", "es", "\xe9is", "emos") and word.endswith("gu"):
-                    word = word[:-1]
-                break
+        else:
+            for suffix in STEP2B_SUFFIXES:
+                if word.endswith(suffix, pv):
+                    word = word[:-len(suffix)]
+                    if suffix in ("en", "es", "\xe9is", "emos") and word.endswith("gu"):
+                        word = word[:-1]
+                    break
 
     # Step 3: residual vowel suffixes
     for suffix in STEP3_SUFFIXES:

@@ -225,6 +225,21 @@ def test_english_kept_r2_rule(rule):
         assert english.stem(word) == expected, (rule, word)
 
 
+# What the French stemmer's two kept rules give, one entry per rule (see
+# french.py). Snowball's fixed positions, without these rules, would give
+# "fabriqu" for fabricatrice(s) and "fin" for finissemment.
+FR_KEPT_RULE_VECTORS = {
+    "atrice_ic": {"fabricatrice": "fabr", "fabricatrices": "fabr"},
+    "emment_rv": {"finissemment": "finissent"},
+}
+
+
+@pytest.mark.parametrize("rule", sorted(FR_KEPT_RULE_VECTORS))
+def test_french_kept_rule(rule):
+    for word, expected in FR_KEPT_RULE_VECTORS[rule].items():
+        assert french.stem(word) == expected, (rule, word)
+
+
 def test_supported_languages():
     assert SUPPORTED_LANGUAGES == ("en", "es", "fr")
 
@@ -288,6 +303,58 @@ def test_region_matches_the_loop_oracle(language, word):
     p1 = region(word, module._VOWEL_THEN_NON_VOWEL)
     p2 = region(word, module._VOWEL_THEN_NON_VOWEL, p1)
     assert (word[p1:], word[p2:]) == _loop_regions(word, module.VOWELS)
+
+
+def _french_rv_string(word: str) -> str:
+    """RV as the French stemmer once computed it."""
+    rv = ""
+    if len(word) >= 2:
+        if word.startswith(("par", "col", "tap")) or (
+            word[0] in french.VOWELS and word[1] in french.VOWELS
+        ):
+            rv = word[3:]
+        else:
+            for i in range(1, len(word)):
+                if word[i] in french.VOWELS:
+                    rv = word[i + 1:]
+                    break
+    return rv
+
+
+def _spanish_rv_string(word: str) -> str:
+    """RV as the Spanish stemmer once computed it."""
+    rv = ""
+    if len(word) >= 2:
+        if word[1] not in spanish.VOWELS:
+            for i in range(2, len(word)):
+                if word[i] in spanish.VOWELS:
+                    rv = word[i + 1:]
+                    break
+        elif word[0] in spanish.VOWELS and word[1] in spanish.VOWELS:
+            for i in range(2, len(word)):
+                if word[i] not in spanish.VOWELS:
+                    rv = word[i + 1:]
+                    break
+        else:
+            rv = word[3:]
+    return rv
+
+
+RV_ORACLES = {"es": _spanish_rv_string, "fr": _french_rv_string}
+
+
+@pytest.mark.parametrize("language", sorted(RV_ORACLES))
+@given(word=st.text(alphabet=REGION_ALPHABET, max_size=20))
+@settings(max_examples=500)
+def test_rv_start_matches_the_string_oracle(language, word):
+    # RV may start past the end of a short word, so compare the slices.
+    assert word[STEMMER_MODULES[language]._rv_start(word):] == RV_ORACLES[language](word)
+
+
+def test_spanish_step2b_suffixes_never_follow_a_step2a_removal():
+    # Step 2a removes a suffix only after a u, and no step 2b suffix ends in
+    # u, so running 2b after a 2a removal would remove nothing either.
+    assert not any(suffix.endswith("u") for suffix in spanish.STEP2B_SUFFIXES)
 
 
 @dataclass(frozen=True)
