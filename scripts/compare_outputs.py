@@ -3,10 +3,15 @@
 
 Usage:
     python scripts/compare_outputs.py PARENT_SRC CHANGE_SRC WORK_DIR
+        [--parent-python PYTHON] [--change-python PYTHON]
 
 PARENT_SRC and CHANGE_SRC are directories holding an ``artex`` package
-(a checkout's ``src``). WORK_DIR must be empty or missing. The inputs are
-written once, under WORK_DIR/inputs, with PARENT_SRC's artex.synthetic:
+(a checkout's ``src``). WORK_DIR must be empty or missing. Each side runs
+in the interpreter given by its option, by default the one running this
+script; naming two interpreters compares one source tree on two Python
+versions, or a change on one version against its parent on another. The
+inputs are written once, under WORK_DIR/inputs, with PARENT_SRC's
+artex.synthetic in the parent's interpreter:
 two seeded English corpora, a lemma dictionary, a few edge-case texts
 (one of them with no word that occurs twice, which artex cannot
 summarize, and one whose words reach the English stemmer's R2 rules), a
@@ -40,6 +45,7 @@ Standard library only.
 
 from __future__ import annotations
 
+import argparse
 import csv
 import io
 import json
@@ -147,10 +153,10 @@ ENGLISH_SETTINGS = (
 )
 
 
-def write_inputs(parent_src: Path, inputs: Path) -> dict[str, Path]:
+def write_inputs(python: str, parent_src: Path, inputs: Path) -> dict[str, Path]:
     """Generate the corpora with the parent's synthetic module; write the texts."""
     subprocess.run(
-        [sys.executable, "-c", GENERATE, str(inputs)],
+        [python, "-c", GENERATE, str(inputs)],
         env={**os.environ, "PYTHONPATH": str(parent_src)},
         check=True,
     )
@@ -228,12 +234,14 @@ def timings_without_seconds(data: bytes) -> bytes:
     ).encode("utf-8")
 
 
-def run_side(src: Path, inputs: Path, texts: dict[str, Path], out: Path) -> list[dict]:
+def run_side(
+    python: str, src: Path, inputs: Path, texts: dict[str, Path], out: Path
+) -> list[dict]:
     out.mkdir(parents=True)
     plan_path = out.parent / f"{out.name}-calls.json"
     plan_path.write_text(json.dumps(plan(inputs, texts, out)), encoding="utf-8")
     subprocess.run(
-        [sys.executable, "-c", RUN, str(plan_path), str(src)],
+        [python, "-c", RUN, str(plan_path), str(src)],
         env={**os.environ, "PYTHONPATH": str(src)},
         check=True,
     )
@@ -295,17 +303,28 @@ def compare(
 
 
 def main(argv: list[str]) -> int:
-    if len(argv) != 3:
-        print(__doc__.split("\n\n")[1], file=sys.stderr)
-        return 2
-    parent_src, change_src, work = (Path(arg).resolve() for arg in argv)
+    parser = argparse.ArgumentParser(
+        usage=__doc__.split("\n\n")[1].split("\n", 1)[1].strip(),
+        description=__doc__.split("\n\n")[0],
+    )
+    for name in ("PARENT_SRC", "CHANGE_SRC", "WORK_DIR"):
+        parser.add_argument(name, type=Path)
+    for side in SIDES:
+        parser.add_argument(
+            f"--{side}-python", default=sys.executable, metavar="PYTHON",
+            help=f"interpreter of the {side} side (default: {sys.executable})",
+        )
+    args = parser.parse_args(argv)
+    parent_src, change_src, work = (
+        path.resolve() for path in (args.PARENT_SRC, args.CHANGE_SRC, args.WORK_DIR)
+    )
     if work.exists() and any(work.iterdir()):
         print(f"error: {work} is not empty", file=sys.stderr)
         return 2
     inputs = work / "inputs"
-    texts = write_inputs(parent_src, inputs)
-    parent = run_side(parent_src, inputs, texts, work / SIDES[0])
-    change = run_side(change_src, inputs, texts, work / SIDES[1])
+    texts = write_inputs(args.parent_python, parent_src, inputs)
+    parent = run_side(args.parent_python, parent_src, inputs, texts, work / SIDES[0])
+    change = run_side(args.change_python, change_src, inputs, texts, work / SIDES[1])
     differences, files = compare(parent, change, work)
     for _, message in differences[:SHOWN]:
         print(message)

@@ -14,9 +14,9 @@ that run ``main`` in-process may redirect it per call.
 
 from __future__ import annotations
 
+# json is imported only by eval and bench, which print it: every CLI call pays for these imports.
 import argparse
 import functools
-import json
 import logging
 import sys
 from pathlib import Path
@@ -171,6 +171,8 @@ def cmd_batch(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    import json
+
     source_text = Path(args.source).read_text(encoding="utf-8-sig")
     summary_text = Path(args.summary).read_text(encoding="utf-8-sig")
     # Nearly every word of a summary is a source word: stem each once.
@@ -185,6 +187,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    import json
+
     corpus = CorpusSpec(
         root=Path(args.corpus_root), layout=args.layout, language=args.lang
     )

@@ -36,11 +36,10 @@ first-occurrence order, which each n-gram order function keeps.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import asdict, dataclass
 from itertools import chain, repeat
 from math import log1p
 from operator import truediv
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import EmptyDocument, EmptySource
 from .preprocess import (
@@ -76,16 +75,14 @@ def skip_bigrams(segment: Sequence[str]) -> Iterable[tuple[str, str]]:
 NgramOrder = Callable[[Sequence[str]], Iterable[tuple[str, ...]]]
 
 
-@dataclass(frozen=True)
-class NgramProfile:
+class NgramProfile(NamedTuple):
     """Occurrence counts of n-gram units plus the total number of units."""
 
     counts: Mapping[tuple[str, ...], int]
     total: int
 
 
-@dataclass(frozen=True)
-class DivergenceReport:
+class DivergenceReport(NamedTuple):
     """Raw divergences and normalized [0,1] scores per n-gram metric."""
 
     d1: float
@@ -97,7 +94,7 @@ class DivergenceReport:
     f_avg: float
 
     def as_dict(self) -> dict[str, float]:
-        return asdict(self)
+        return self._asdict()
 
 
 def ngram_profile(segments: Sequence[Sequence[str]], order: NgramOrder) -> NgramProfile:
@@ -116,8 +113,7 @@ def ngram_profile(segments: Sequence[Sequence[str]], order: NgramOrder) -> Ngram
     return NgramProfile(counts=counts, total=sum(counts.values()))
 
 
-@dataclass(frozen=True)
-class SourceProfile:
+class SourceProfile(NamedTuple):
     """A source profile indexed once: each unit's position and log term.
 
     ``index`` maps each of the source's n-gram types to its position in
@@ -213,15 +209,7 @@ def _report(
         raw.append(d)
         normalized.append(_clamp01(1.0 - d / source.empty_divergence))
     f1, f2, f_su4 = normalized
-    return DivergenceReport(
-        d1=raw[0],
-        d2=raw[1],
-        d_su4=raw[2],
-        f1=f1,
-        f2=f2,
-        f_su4=f_su4,
-        f_avg=(f1 + f2 + f_su4) / 3.0,
-    )
+    return DivergenceReport(*raw, f1, f2, f_su4, (f1 + f2 + f_su4) / 3.0)
 
 
 def fresa_report(
@@ -286,8 +274,7 @@ def _stem_segments(cleaned: CleanedDocument, stems: Mapping[str, str]) -> list[l
     return [list(map(stems.__getitem__, stream)) for stream in cleaned.streams]
 
 
-@dataclass(frozen=True)
-class PreparedSource:
+class PreparedSource(NamedTuple):
     """A source document prepared once to evaluate any number of its extracts.
 
     ``segments`` holds one stem stream per source sentence, as

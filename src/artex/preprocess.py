@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass, field
 from functools import cache, partial
 from importlib import resources
 from itertools import chain
 from pathlib import Path
-from typing import Callable, ClassVar, Mapping
+from typing import Callable, Mapping, NamedTuple
 
 from .errors import EmptyDocument, MissingDictionary
 from .stemming import SUPPORTED_LANGUAGES, stemmer_for
@@ -26,21 +25,27 @@ _TERMINATOR = re.compile("[.!?]")
 _ALNUM = re.compile(r"[^\W_]")
 
 
-@dataclass(frozen=True)
-class RawDocument:
-    """An input document: identifier, full text, and language code."""
-
+# Records are named tuples, cheap to create at import. A NamedTuple body may not
+# define __new__, so a checked record subclasses a private one with its fields.
+class _RawDocument(NamedTuple):
     id: str
     text: str
     language: str
 
-    def __post_init__(self) -> None:
+
+class RawDocument(_RawDocument):
+    """An input document: identifier, full text, and language code."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.language not in SUPPORTED_LANGUAGES:
             raise ValueError(f"unsupported language: {self.language!r}")
+        return self
 
 
-@dataclass(frozen=True)
-class Sentence:
+class Sentence(NamedTuple):
     """One sentence: its verbatim surface text and its whitespace tokens.
 
     ``tokens`` is ``tuple(surface.split())``, so its length is the
@@ -52,8 +57,7 @@ class Sentence:
     tokens: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class Document:
+class Document(NamedTuple):
     """A preprocessed document: the split's sentences and their term streams.
 
     ``terms[i]`` is sentence i's filtered, normalized term stream; a
@@ -81,35 +85,55 @@ def _looked_up(dictionary: Mapping[str, str], token: str) -> str:
     return dictionary.get(token, token)
 
 
-@dataclass(frozen=True)
-class Raw:
+class _Fieldless:
+    """A mode without fields: immutable, and equal to and hashed as its type."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return type(other) is type(self) or NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(type(self))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}()"
+
+
+class Raw(_Fieldless):
     """Identity normalization: tokens are kept as they are."""
 
-    label: ClassVar[str] = "raw"
+    __slots__ = ()
+    label = "raw"
 
     def normalizer(self, language: str) -> Callable[[str], str]:
         return _unchanged
 
 
-@dataclass(frozen=True)
-class Stem:
+class Stem(_Fieldless):
     """Suffix-stripping with the bundled stemmer for the document language."""
 
-    label: ClassVar[str] = "stem"
+    __slots__ = ()
+    label = "stem"
 
     def normalizer(self, language: str) -> Callable[[str], str]:
         return stemmer_for(language)
 
 
-@dataclass(frozen=True)
-class UltraStem:
-    """Truncation to the first ``n`` characters (the whole token if shorter)."""
-
+class _UltraStem(NamedTuple):
     n: int
 
-    def __post_init__(self) -> None:
+
+class UltraStem(_UltraStem):
+    """Truncation to the first ``n`` characters (the whole token if shorter)."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.n < 1:
             raise ValueError(f"truncation length must be >= 1, got {self.n}")
+        return self
 
     @property
     def label(self) -> str:
@@ -119,8 +143,7 @@ class UltraStem:
         return partial(_truncated, self.n)
 
 
-@dataclass(frozen=True)
-class Lemmatize:
+class Lemmatize(NamedTuple):
     """Dictionary lookup; a token missing from the dictionary maps to itself.
 
     The dictionary is read from ``dictionary_path`` by each normalizer()
@@ -128,8 +151,7 @@ class Lemmatize:
     again.
     """
 
-    label: ClassVar[str] = "lemma"
-
+    label = "lemma"
     dictionary_path: str | Path | None = None
 
     def normalizer(self, language: str) -> Callable[[str], str]:
@@ -142,11 +164,10 @@ class Lemmatize:
 NormalizationMode = Raw | Stem | UltraStem | Lemmatize
 
 
-@dataclass(frozen=True)
-class StopList:
+class StopList(NamedTuple):
     """The casefolded words removed during filtering."""
 
-    words: frozenset[str] = field(default_factory=frozenset)
+    words: frozenset[str] = frozenset()
 
     def __contains__(self, token: str) -> bool:
         return token in self.words
@@ -240,8 +261,8 @@ def split_sentences(doc: RawDocument) -> list[Sentence]:
         surface = piece.strip()
         if not _ALNUM.search(surface):
             continue
-        # Positional: keyword arguments cost a quarter of each construction.
-        sentences.append(Sentence(surface, tuple(surface.split())))
+        # tuple.__new__ skips Sentence's Python-level __new__: half the cost.
+        sentences.append(tuple.__new__(Sentence, (surface, tuple(surface.split()))))
     if not any(c.isalpha() for s in sentences for c in s.surface):
         raise EmptyDocument(f"document {doc.id!r} contains no alphabetic sentence")
     return sentences
@@ -263,8 +284,7 @@ def clean_token(token: str) -> str:
     return token[begin:end]
 
 
-@dataclass(frozen=True)
-class CleanedDocument:
+class CleanedDocument(NamedTuple):
     """A document after the one split-and-clean pass shared by every consumer.
 
     ``sentences`` are split_sentences' own, kept as they are by the final

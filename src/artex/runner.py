@@ -11,16 +11,14 @@ file.
 
 from __future__ import annotations
 
-# The process pool, statistics, csv and hashlib are imported in the calls
+# The process pool, statistics, csv, hashlib and json are imported in the calls
 # that use them: ``import artex`` is paid by every CLI process, and most of
-# them never start a pool, summarize timings or draw a random baseline.
-import json
+# them never start a pool, summarize timings, draw a random baseline or write JSON.
 import logging
 import time
-from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .baselines import lead_baseline, random_baseline
 from .errors import ArtexError, CorpusEmpty, CorpusError
@@ -68,23 +66,25 @@ def parse_mode(label: str, dictionary_path: str | Path | None = None) -> Normali
     raise ValueError(f"unknown normalization: {label!r} (want raw|lemma|stem|fix:N)")
 
 
-@dataclass(frozen=True)
-class CorpusSpec:
-    """Where a corpus lives and how its files map to documents."""
-
+class _CorpusSpec(NamedTuple):
     root: Path
     layout: str = FLAT
     language: str = "en"
 
-    def __post_init__(self) -> None:
+
+class CorpusSpec(_CorpusSpec):
+    """Where a corpus lives and how its files map to documents."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.layout not in (FLAT, CLUSTERS):
             raise ValueError(f"unknown layout: {self.layout!r}")
+        return self
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything a batch run needs besides the corpus itself."""
-
+class _RunConfig(NamedTuple):
     normalization: NormalizationMode = Stem()
     budget: CompressionSpec = DEFAULT_BUDGET
     systems: tuple[str, ...] = ("artex",)
@@ -92,7 +92,14 @@ class RunConfig:
     out_dir: Path | None = None
     workers: int = 1
 
-    def __post_init__(self) -> None:
+
+class RunConfig(_RunConfig):
+    """Everything a batch run needs besides the corpus itself."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         unknown = set(self.systems) - set(SYSTEMS)
         if unknown:
             raise ValueError(f"unknown systems: {sorted(unknown)}")
@@ -100,10 +107,10 @@ class RunConfig:
             raise ValueError("at least one system must be selected")
         if self.workers < 1:
             raise ValueError("worker count must be >= 1")
+        return self
 
 
-@dataclass(frozen=True)
-class TimingRecord:
+class TimingRecord(NamedTuple):
     """Wall-clock phase timings for one processed unit (monotonic clock).
 
     The preprocessing phase covers splitting, filtering and normalization,
@@ -152,8 +159,7 @@ class TimingRecord:
         ]
 
 
-@dataclass(frozen=True)
-class RunResult:
+class RunResult(NamedTuple):
     """One summary with its evaluation and its phase timings."""
 
     doc_id: str
@@ -374,6 +380,8 @@ def write_outputs(results: Sequence[RunResult], out_dir: Path) -> None:
     Every ``<system>/<mode>/*.summary.txt`` this run did not write is removed,
     so that an earlier run's cannot pass for this run's; other files stay.
     """
+    import json
+
     out_dir.mkdir(parents=True, exist_ok=True)
     written = set()
     with open(out_dir / "report.jsonl", "w", encoding="utf-8") as reports:

@@ -21,9 +21,8 @@ from __future__ import annotations
 import logging
 import math
 from collections import Counter
-from dataclasses import dataclass
 from itertools import chain
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import EmptyVocabulary
 from .preprocess import Sentence
@@ -31,8 +30,7 @@ from .preprocess import Sentence
 logger = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
-class PseudoVectors:
+class PseudoVectors(NamedTuple):
     """Row and column averages of the occurrence matrix.
 
     ``lexical_weight[i]`` is the average occurrence count over the N terms
@@ -45,26 +43,38 @@ class PseudoVectors:
     global_topic: tuple[float, ...]
 
 
-@dataclass(frozen=True)
-class SentenceCount:
-    """Budget: keep exactly ``k`` sentences (clamped to the document size)."""
-
+class _SentenceCount(NamedTuple):
     k: int
 
-    def __post_init__(self) -> None:
+
+class SentenceCount(_SentenceCount):
+    """Budget: keep exactly ``k`` sentences (clamped to the document size)."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        if not isinstance(self.k, int):
+            raise ValueError(f"sentence budget must be an integer, got {self.k!r}")
         if self.k < 1:
             raise ValueError(f"sentence budget must be >= 1, got {self.k}")
+        return self
 
 
-@dataclass(frozen=True)
-class WordRatio:
-    """Budget: smallest selection reaching ``ratio`` of the source words."""
-
+class _WordRatio(NamedTuple):
     ratio: float
 
-    def __post_init__(self) -> None:
+
+class WordRatio(_WordRatio):
+    """Budget: smallest selection reaching ``ratio`` of the source words."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not 0.0 < self.ratio <= 1.0:
             raise ValueError(f"word ratio must be in (0, 1], got {self.ratio}")
+        return self
 
 
 CompressionSpec = SentenceCount | WordRatio
@@ -72,8 +82,7 @@ CompressionSpec = SentenceCount | WordRatio
 DEFAULT_BUDGET = WordRatio(0.20)
 
 
-@dataclass(frozen=True)
-class Summary:
+class Summary(NamedTuple):
     """Selected sentence indices in source order plus the assembled text."""
 
     selected: tuple[int, ...]

@@ -8,16 +8,41 @@ from pathlib import Path
 import pytest
 
 import artex
+from artex import (
+    CorpusSpec,
+    DivergenceReport,
+    Document,
+    Lemmatize,
+    NgramProfile,
+    PseudoVectors,
+    Raw,
+    RawDocument,
+    RunConfig,
+    RunResult,
+    Sentence,
+    SentenceCount,
+    Stem,
+    StopList,
+    Summary,
+    TimingRecord,
+    UltraStem,
+    WordRatio,
+)
 from artex.stemming import SUPPORTED_LANGUAGES, stemmer_for
 from artex.synthetic import generate_document
 
 # Modules that only some calls need, so ``import artex`` must not load them.
+# Records are named tuples, so nothing loads dataclasses (nor the inspect
+# module it imports).
 DEFERRED = (
     "concurrent.futures",
     "multiprocessing",
     "statistics",
     "csv",
     "hashlib",
+    "json",
+    "dataclasses",
+    "inspect",
     "artex.stemming.english",
     "artex.stemming.french",
     "artex.stemming.spanish",
@@ -110,3 +135,84 @@ def test_readme_python_example_runs(monkeypatch, tmp_path, capsys):
     exec(compile(block, "README.md", "exec"), {})
     summary, f_avg = capsys.readouterr().out.splitlines()
     assert summary and 0.0 <= float(f_avg) <= 1.0
+
+
+SENTENCE = Sentence(surface="Sun rose.", tokens=("Sun", "rose."))
+SUMMARY = Summary(selected=(0,), text="Sun rose.")
+REPORT = DivergenceReport(d1=0.5, d2=0.25, d_su4=0.125, f1=0.5, f2=0.25, f_su4=0.125, f_avg=0.25)
+TIMING = TimingRecord(
+    system="artex", normalization="stem", corpus_id="d", preprocess_seconds=1.5, score_seconds=0.5
+)
+
+# Each public record built by keyword, leaving out every field that has a
+# default, beside the fields it must then hold, in field order.
+RECORDS = [
+    (RawDocument(id="d", text="Sun rose.", language="en"),
+     {"id": "d", "text": "Sun rose.", "language": "en"}),
+    (SENTENCE, {"surface": "Sun rose.", "tokens": ("Sun", "rose.")}),
+    (Document(sentences=(SENTENCE,), terms=(("sun",),)),
+     {"sentences": (SENTENCE,), "terms": (("sun",),)}),
+    (Raw(), {}),
+    (Stem(), {}),
+    (UltraStem(n=3), {"n": 3}),
+    (Lemmatize(), {"dictionary_path": None}),
+    (StopList(), {"words": frozenset()}),
+    (PseudoVectors(lexical_weight=(0.5,), global_topic=(1.0,)),
+     {"lexical_weight": (0.5,), "global_topic": (1.0,)}),
+    (SentenceCount(k=2), {"k": 2}),
+    (WordRatio(ratio=0.5), {"ratio": 0.5}),
+    (SUMMARY, {"selected": (0,), "text": "Sun rose."}),
+    (NgramProfile(counts={("sun",): 1}, total=1), {"counts": {("sun",): 1}, "total": 1}),
+    (REPORT, {"d1": 0.5, "d2": 0.25, "d_su4": 0.125, "f1": 0.5, "f2": 0.25, "f_su4": 0.125,
+              "f_avg": 0.25}),
+    (CorpusSpec(root=Path("corpus")),
+     {"root": Path("corpus"), "layout": "flat", "language": "en"}),
+    (RunConfig(), {"normalization": Stem(), "budget": WordRatio(0.2), "systems": ("artex",),
+                   "seed": 0, "out_dir": None, "workers": 1}),
+    (TIMING, {"system": "artex", "normalization": "stem", "corpus_id": "d",
+              "preprocess_seconds": 1.5, "score_seconds": 0.5, "repetition": None,
+              "vocabulary_size": None}),
+    (RunResult(doc_id="d", system="artex", normalization="stem", summary=SUMMARY,
+               report=REPORT, timing=TIMING),
+     {"doc_id": "d", "system": "artex", "normalization": "stem", "summary": SUMMARY,
+      "report": REPORT, "timing": TIMING}),
+]
+RECORD_IDS = [type(record).__name__ for record, _ in RECORDS]
+
+
+def fields_of(record) -> list[tuple[str, object]]:
+    # A record's positional fields, in order; Raw and Stem have none.
+    return [(name, getattr(record, name)) for name in getattr(record, "__match_args__", ())]
+
+
+def test_every_public_record_type_is_checked():
+    public = [getattr(artex, name) for name in artex.__all__]
+    records = {k for k in public if isinstance(k, type) and not issubclass(k, Exception)}
+    assert records == {type(record) for record, _ in RECORDS}
+
+
+@pytest.mark.parametrize("record,fields", RECORDS, ids=RECORD_IDS)
+def test_record_keyword_construction_keeps_fields(record, fields):
+    assert fields_of(record) == list(fields.items())
+
+
+@pytest.mark.parametrize("record,fields", RECORDS, ids=RECORD_IDS)
+def test_record_is_immutable(record, fields):
+    for name in [*fields, "label", "extra"]:
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+
+
+@pytest.mark.parametrize("record,fields", RECORDS, ids=RECORD_IDS)
+def test_record_pickles(record, fields):
+    # Pool workers receive a RunConfig and send back RunResults.
+    copy = pickle.loads(pickle.dumps(record))
+    assert type(copy) is type(record)
+    assert copy == record
+
+
+def test_fieldless_modes_compare_by_type():
+    assert Raw() == Raw() and Stem() == Stem()
+    assert Raw() != Stem() and hash(Raw()) != hash(Stem())
+    assert hash(Raw()) == hash(Raw())
+    assert len({Raw(), Stem(), Raw()}) == 2

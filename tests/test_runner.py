@@ -69,6 +69,7 @@ def test_parse_mode_round_trips_labels(mode, label):
     assert mode.label == label
     parsed = parse_mode(label.replace("fix", "fix:"), "lemmas.tsv")
     assert parsed == mode
+    assert type(parsed) is type(mode)
     assert parsed.label == label
 
 

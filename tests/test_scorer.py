@@ -281,7 +281,7 @@ def test_ratio_one_selects_every_sentence():
     assert summary.selected == (0, 1, 2)
 
 
-@pytest.mark.parametrize("bad", [0, -2])
+@pytest.mark.parametrize("bad", [0, -2, 2.5, 1.0])
 def test_sentence_count_requires_positive_k(bad):
     with pytest.raises(ValueError):
         SentenceCount(bad)
