@@ -15,9 +15,11 @@ artex.synthetic in the parent's interpreter:
 two seeded English corpora, a lemma dictionary, a few edge-case texts
 (one of them with no word that occurs twice, which artex cannot
 summarize, and one whose words reach the English stemmer's R2 rules), a
-Spanish text and two French texts (one whose words reach the French
-stemmer's kept rules). Each side then runs the same list of calls in one
-fresh interpreter, in-process through ``artex.cli.main``:
+Spanish text, two French texts (one whose words reach the French
+stemmer's kept rules) and two edge-case lemma dictionaries (one with
+every kind of line the loader reads, one that is not UTF-8). Each side
+then runs the same list of calls in one fresh interpreter, in-process
+through ``artex.cli.main``:
 
 - ``batch`` with all three systems over each English corpus and over the
   edge texts, in five normalization and budget settings, at 1 and at 2
@@ -26,7 +28,9 @@ fresh interpreter, in-process through ``artex.cli.main``:
   on five short documents and on the Spanish and French texts;
 - ``eval`` of each of those summaries against its source;
 - ``bench --modes raw,fix:3,stem,lemma --reps 3`` over each English
-  corpus and over the edge texts.
+  corpus and over the edge texts;
+- ``batch``, ``summarize`` and ``bench`` in lemma mode over the edge texts
+  with each edge-case dictionary.
 
 Every call's exit code, stdout and stderr, and every file the calls
 write under WORK_DIR/parent and WORK_DIR/change, are compared byte for
@@ -144,6 +148,26 @@ LANGUAGE_TEXTS = {
     },
 }
 
+# Lemma dictionaries for the edge texts. The first has CRLF lines after a
+# byte-order mark, lines without a tab and with two, ASCII and non-ASCII
+# whitespace around fields, entries that casefold to other words, a
+# duplicate word, a line longer than the loader's 64K-character block and no
+# final newline. The second is not UTF-8: byte 20,000 is 0xff.
+EDGE_DICTIONARIES = {
+    "edge-lemmas.tsv": (
+        "\ufeffSolar\tsun\r\n"
+        "panels\r\n"
+        "Panels\tpanel\tboard\r\n"
+        " grid \t\u3000Grid\u00a0\n"
+        "\u00a0stores\t store \x85\n"
+        "Straße\tstreet\nMASSE\tMaß\n"
+        "solar\tstar\n"
+        f"power\t{'P' * 70_000}\n"
+        "homes\thome"
+    ).encode("utf-8"),
+    "bad-lemmas.tsv": b"solar\tsun\n" * 2_000 + b"\xff\tx\ngrid\tnet\n",
+}
+
 ENGLISH_SETTINGS = (
     ("stem", "ratio:0.2"),
     ("stem", "k:3"),
@@ -160,6 +184,8 @@ def write_inputs(python: str, parent_src: Path, inputs: Path) -> dict[str, Path]
         env={**os.environ, "PYTHONPATH": str(parent_src)},
         check=True,
     )
+    for name, data in EDGE_DICTIONARIES.items():
+        (inputs / name).write_bytes(data)
     texts = {}
     for directory, named in [("edge", EDGE_TEXTS), *LANGUAGE_TEXTS.items()]:
         (inputs / directory).mkdir(parents=True)
@@ -210,6 +236,16 @@ def plan(inputs: Path, texts: dict[str, Path], out: Path) -> list[dict]:
                       "--reps", "3", "--lemma-dict", dictionary,
                       "--out", str(out / "bench" / corpus)]}
         )
+    for name in EDGE_DICTIONARIES:
+        lemmas = ["--lemma-dict", str(inputs / name)]
+        run = f"edge-{name.removesuffix('.tsv')}"
+        calls += [
+            {"argv": ["batch", str(inputs / "edge"), "--systems", "artex,lead,random",
+                      "--norm", "lemma", *lemmas, "--out", str(out / "batch" / run)]},
+            {"argv": ["summarize", str(texts["bom"]), "--scores", "--norm", "lemma", *lemmas]},
+            {"argv": ["bench", str(inputs / "edge"), "--modes", "lemma", "--reps", "3",
+                      *lemmas, "--out", str(out / "bench" / run)]},
+        ]
     return calls
 
 

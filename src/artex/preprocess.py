@@ -27,6 +27,7 @@ _ALNUM = re.compile(r"[^\W_]")
 
 # Records are named tuples, cheap to create at import. A NamedTuple body may not
 # define __new__, so a checked record subclasses a private one with its fields.
+# Its _make, which _replace calls, builds through cls so that the checks run.
 class _RawDocument(NamedTuple):
     id: str
     text: str
@@ -37,6 +38,7 @@ class RawDocument(_RawDocument):
     """An input document: identifier, full text, and language code."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, iterable: cls(*iterable))
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
@@ -128,6 +130,7 @@ class UltraStem(_UltraStem):
     """Truncation to the first ``n`` characters (the whole token if shorter)."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, iterable: cls(*iterable))
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
@@ -209,20 +212,29 @@ def _read_words(source) -> frozenset[str]:
 def load_lemma_dictionary(path: str | Path) -> dict[str, str]:
     """Load a word-to-lemma dictionary: UTF-8, ``word<TAB>lemma`` per line.
 
-    Entries are casefolded (``Straße`` becomes ``strasse``), as cleaned
-    tokens are; on duplicate words the last entry wins. Lines without a tab
-    separator are ignored, and a leading byte-order mark is dropped.
+    The word is the text up to a line's first tab and the lemma is the
+    rest; both are stripped and casefolded (``Straße`` becomes ``strasse``),
+    as cleaned tokens are. A line where either is empty (a line without a
+    tab, for one) is ignored; on duplicate words the last entry wins. A
+    leading byte-order mark is dropped, and ``\\r\\n`` and ``\\r`` end lines.
     """
+    # Each block of whole lines is casefolded once, before it is split:
+    # casefold maps every whitespace character (tab and newline included) to
+    # itself and no other character to whitespace or to nothing, so the
+    # fields come out as if each were stripped and casefolded alone.
     mapping: dict[str, str] = {}
+    tail = ""
     with open(path, encoding="utf-8-sig") as handle:
-        for line in handle:
-            word, sep, lemma = line.rstrip("\n").partition("\t")
-            if not sep:
-                continue
-            word = word.strip().casefold()
-            lemma = lemma.strip().casefold()
-            if word and lemma:
-                mapping[word] = lemma
+        # The unfinished last line of a block waits for the next; a final
+        # "\n" ends the file's last line.
+        for block in chain(iter(partial(handle.read, 1 << 16), ""), ["\n"]):
+            lines, _, tail = (tail + block).rpartition("\n")
+            for line in lines.casefold().split("\n"):
+                word, _, lemma = line.partition("\t")
+                word = word.strip()
+                lemma = lemma.strip()
+                if word and lemma:
+                    mapping[word] = lemma
     return mapping
 
 

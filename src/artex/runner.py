@@ -66,6 +66,7 @@ def parse_mode(label: str, dictionary_path: str | Path | None = None) -> Normali
     raise ValueError(f"unknown normalization: {label!r} (want raw|lemma|stem|fix:N)")
 
 
+# A checked record as in preprocess: _make, which _replace calls, runs __new__.
 class _CorpusSpec(NamedTuple):
     root: Path
     layout: str = FLAT
@@ -76,6 +77,7 @@ class CorpusSpec(_CorpusSpec):
     """Where a corpus lives and how its files map to documents."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, iterable: cls(*iterable))
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
@@ -97,6 +99,7 @@ class RunConfig(_RunConfig):
     """Everything a batch run needs besides the corpus itself."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, iterable: cls(*iterable))
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)

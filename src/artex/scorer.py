@@ -43,6 +43,7 @@ class PseudoVectors(NamedTuple):
     global_topic: tuple[float, ...]
 
 
+# A checked record as in preprocess: _make, which _replace calls, runs __new__.
 class _SentenceCount(NamedTuple):
     k: int
 
@@ -51,6 +52,7 @@ class SentenceCount(_SentenceCount):
     """Budget: keep exactly ``k`` sentences (clamped to the document size)."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, iterable: cls(*iterable))
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
@@ -69,6 +71,7 @@ class WordRatio(_WordRatio):
     """Budget: smallest selection reaching ``ratio`` of the source words."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, iterable: cls(*iterable))
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)

@@ -211,6 +211,28 @@ def test_record_pickles(record, fields):
     assert copy == record
 
 
+@pytest.mark.parametrize(
+    "record,field,bad",
+    [
+        (RawDocument(id="d", text="Sun rose.", language="en"), "language", "de"),
+        (UltraStem(n=3), "n", 0),
+        (SentenceCount(k=2), "k", 0),
+        (WordRatio(ratio=0.5), "ratio", 5.0),
+        (CorpusSpec(root=Path("corpus")), "layout", "bogus"),
+        (RunConfig(), "workers", 0),
+    ],
+    ids=lambda value: type(value).__name__ if isinstance(value, tuple) else None,
+)
+def test_checked_record_replace_and_make_run_the_checks(record, field, bad):
+    # namedtuple's _replace builds its result with _make.
+    with pytest.raises(ValueError):
+        record._replace(**{field: bad})
+    with pytest.raises(ValueError):
+        type(record)._make([bad if name == field else value for name, value in fields_of(record)])
+    copy = type(record)._make(record)
+    assert type(copy) is type(record) and copy == record
+
+
 def test_fieldless_modes_compare_by_type():
     assert Raw() == Raw() and Stem() == Stem()
     assert Raw() != Stem() and hash(Raw()) != hash(Stem())

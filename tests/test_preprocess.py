@@ -1,4 +1,6 @@
+import sys
 from collections import Counter
+from pathlib import Path
 from typing import Mapping
 
 import pytest
@@ -333,6 +335,58 @@ def test_load_lemma_dictionary_casefolds_entries(tmp_path):
     normalize = Lemmatize(path).normalizer("en")
     assert normalize("strasse") == "strasse"
     assert normalize("masse") == "mass"
+
+
+def reference_load_lemma_dictionary(path) -> dict[str, str]:
+    # The per-line loader that load_lemma_dictionary replaced: the oracle.
+    mapping: dict[str, str] = {}
+    with open(path, encoding="utf-8-sig") as handle:
+        for line in handle:
+            word, sep, lemma = line.rstrip("\n").partition("\t")
+            if not sep:
+                continue
+            word = word.strip().casefold()
+            lemma = lemma.strip().casefold()
+            if word and lemma:
+                mapping[word] = lemma
+    return mapping
+
+
+def test_casefold_keeps_whitespace_and_makes_none():
+    # load_lemma_dictionary casefolds whole blocks before it splits lines and
+    # strips fields; that gives the same strings only because of this.
+    for char in map(chr, range(sys.maxunicode + 1)):
+        folded = char.casefold()
+        if char.isspace():
+            assert folded == char
+        else:
+            assert folded and not any(c.isspace() for c in folded), repr(char)
+
+
+BLOCK = 1 << 16
+DICTIONARY_PIECES = [
+    "a", "Z", "ß", "Σ", "İ", "ﬁ", "\t", " ", "\u00a0", "\u3000", "\x85", "\x1c",
+    "\r", "\n", "\r\n",
+]
+
+
+@pytest.fixture(scope="module")
+def dictionary_path(tmp_path_factory) -> Path:
+    return tmp_path_factory.mktemp("lemmas") / "lemmas.tsv"
+
+
+@given(st.booleans(), st.lists(st.sampled_from(DICTIONARY_PIECES), max_size=60))
+# "\r\n" across a block edge
+@example(False, ["a\tb\n"] * (BLOCK // 4 - 1) + ["a\tZ\r", "\nZ\tß\n"])
+@example(False, ["Σ\t", "a" * (2 * BLOCK + 7), "\nZ\tİ\n"])  # a line longer than two blocks
+@example(True, ["ß\tZ\nSS\tﬁ"])  # no final newline
+@example(False, ["ﬁ\t ß "])  # no newline at all
+@example(False, [])  # an empty file
+@settings(max_examples=300)
+def test_load_lemma_dictionary_equals_per_line_reference(dictionary_path, bom, pieces):
+    dictionary_path.write_bytes(("\ufeff" * bom + "".join(pieces)).encode("utf-8"))
+    expected = list(reference_load_lemma_dictionary(dictionary_path).items())
+    assert list(load_lemma_dictionary(dictionary_path).items()) == expected
 
 
 # --- full pipeline -------------------------------------------------------
