@@ -14,12 +14,14 @@ inputs are written once, under WORK_DIR/inputs, with PARENT_SRC's
 artex.synthetic in the parent's interpreter:
 two seeded English corpora, a lemma dictionary, a few edge-case texts
 (one of them with no word that occurs twice, which artex cannot
-summarize, and one whose words reach the English stemmer's R2 rules), a
-Spanish text, two French texts (one whose words reach the French
-stemmer's kept rules) and two edge-case lemma dictionaries (one with
-every kind of line the loader reads, one that is not UTF-8). Each side
-then runs the same list of calls in one fresh interpreter, in-process
-through ``artex.cli.main``:
+summarize, one whose words reach the English stemmer's R2 rules and one
+whose words reach every entry of its step-2 and step-3 tables), a Spanish
+text, three French texts (one whose words reach the French stemmer's kept
+rules, one whose words reach every entry of its ``STEP1_IN_R2`` table),
+two edge-case lemma dictionaries (one with every kind of line the loader
+reads, one that is not UTF-8) and a text that is not UTF-8. Each side then
+runs the same list of calls in one fresh interpreter, in-process through
+``artex.cli.main``:
 
 - ``batch`` with all three systems over each English corpus and over the
   edge texts, in five normalization and budget settings, at 1 and at 2
@@ -30,7 +32,9 @@ through ``artex.cli.main``:
 - ``bench --modes raw,fix:3,stem,lemma --reps 3`` over each English
   corpus and over the edge texts;
 - ``batch``, ``summarize`` and ``bench`` in lemma mode over the edge texts
-  with each edge-case dictionary.
+  with each edge-case dictionary;
+- ``summarize`` of the non-UTF-8 text, ``summarize`` with it as the
+  stop-list, and ``eval`` with it as the summary.
 
 Every call's exit code, stdout and stderr, and every file the calls
 write under WORK_DIR/parent and WORK_DIR/change, are compared byte for
@@ -96,6 +100,16 @@ for call in calls:
 plan_path.write_text(json.dumps(calls), encoding="utf-8")
 """
 
+
+def twice_over(words: str) -> str:
+    """A text of ``words`` twice over, six to a sentence, so that artex keeps
+    every one of them (it drops words that occur once)."""
+    twice = words.split() * 2
+    return " ".join(
+        " ".join(twice[i:i + 6]).capitalize() + "." for i in range(0, len(twice), 6)
+    ) + "\n"
+
+
 EDGE_TEXTS = {
     "hapax": "The sun rose. A moon set.\n",
     "repeats": "Solar. Solar! Power. Power? Grid. Grid.\n",
@@ -110,6 +124,15 @@ EDGE_TEXTS = {
         "The realization came late. The realization came again. Nobody realized"
         " it. Everybody realized it late. The realizer realized nothing. The"
         " sprats sprated late. The sprats sprated again.\n"
+    ),
+    # Words that reach every entry of the English stemmer's step-2 and step-3
+    # tables (ogi and li with and without the letter they need before them).
+    "suffixes": twice_over(
+        "realization relational hopefulness callousness effectiveness conditional"
+        " sensibility carelessly recently information formalism formality generously"
+        " sensitivity hopefully urgency hesitancy reasonably realizer operator radically"
+        " possibly theology pedagogy warmly happily sensationally conditionally formalize"
+        " duplicate electricity demonstrative formative electrical kindness hopeful"
     ),
     "bom": (
         "\ufeffSolar panels store power. Solar panels feed the grid. "
@@ -145,6 +168,13 @@ LANGUAGE_TEXTS = {
             " finissent la fabrication finissemment. Les villes paient finissemment"
             " les ouvriers qui finissent.\n"
         ),
+        # Words that reach every entry of the French stemmer's STEP1_IN_R2.
+        "fr-suffixes": twice_over(
+            "importance politique capitalisme raisonnable capitaliste courageux"
+            " importances politiques capitalismes raisonnables capitalistes"
+            " m\xe9t\xe9orologie m\xe9t\xe9orologies d\xe9sillusion \xe9volution"
+            " d\xe9sillusions \xe9volutions diff\xe9rence diff\xe9rences"
+        ),
     },
 }
 
@@ -168,6 +198,10 @@ EDGE_DICTIONARIES = {
     "bad-lemmas.tsv": b"solar\tsun\n" * 2_000 + b"\xff\tx\ngrid\tnet\n",
 }
 
+# A text that is not UTF-8 (byte 40 is 0xff), read as a document, as a
+# stop-list and as a summary.
+BAD_TEXT = b"Solar panels store power for the grids.\n\xff\n"
+
 ENGLISH_SETTINGS = (
     ("stem", "ratio:0.2"),
     ("stem", "k:3"),
@@ -186,6 +220,7 @@ def write_inputs(python: str, parent_src: Path, inputs: Path) -> dict[str, Path]
     )
     for name, data in EDGE_DICTIONARIES.items():
         (inputs / name).write_bytes(data)
+    (inputs / "bad.txt").write_bytes(BAD_TEXT)
     texts = {}
     for directory, named in [("edge", EDGE_TEXTS), *LANGUAGE_TEXTS.items()]:
         (inputs / directory).mkdir(parents=True)
@@ -246,6 +281,12 @@ def plan(inputs: Path, texts: dict[str, Path], out: Path) -> list[dict]:
             {"argv": ["bench", str(inputs / "edge"), "--modes", "lemma", "--reps", "3",
                       *lemmas, "--out", str(out / "bench" / run)]},
         ]
+    bad = str(inputs / "bad.txt")
+    calls += [
+        {"argv": ["summarize", bad]},
+        {"argv": ["summarize", str(texts["bom"]), "--stoplist", bad]},
+        {"argv": ["eval", str(texts["bom"]), bad]},
+    ]
     return calls
 
 

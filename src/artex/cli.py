@@ -29,7 +29,7 @@ from .errors import (
     MissingDictionary,
 )
 from .evaluation import evaluation_tokens, fresa_report
-from .preprocess import RawDocument, StopList, preprocess_document
+from .preprocess import RawDocument, StopList, preprocess_document, read_text
 from .runner import (
     CorpusSpec,
     RunConfig,
@@ -131,7 +131,7 @@ def _shared_parser() -> argparse.ArgumentParser:
 
 def cmd_summarize(args) -> int:
     path = Path(args.file)
-    text = path.read_text(encoding="utf-8-sig")
+    text = read_text(path)
     normalize = parse_mode(args.norm, args.lemma_dict).normalizer(args.lang)
     if args.stoplist is not None:
         stoplist = StopList.from_file(args.stoplist)
@@ -173,8 +173,8 @@ def cmd_batch(args) -> int:
 def cmd_eval(args) -> int:
     import json
 
-    source_text = Path(args.source).read_text(encoding="utf-8-sig")
-    summary_text = Path(args.summary).read_text(encoding="utf-8-sig")
+    source_text = read_text(Path(args.source))
+    summary_text = read_text(Path(args.summary))
     # Nearly every word of a summary is a source word: stem each once.
     stoplist = StopList.bundled(args.lang)
     stems: dict[str, str] = {}

@@ -202,11 +202,28 @@ def _bundled_words(language: str) -> frozenset[str]:
 def _read_words(source) -> frozenset[str]:
     """The casefolded words of a stop-list file (a Path or a package resource)."""
     words = set()
-    for line in source.read_text(encoding="utf-8-sig").splitlines():
+    for line in read_text(source).splitlines():
         line = line.strip()
         if line and not line.startswith("#"):
             words.add(line.casefold())
     return frozenset(words)
+
+
+def read_text(source) -> str:
+    """The text of a UTF-8 file (a Path or a package resource), without a
+    leading byte-order mark. A UnicodeDecodeError names the file, and its
+    position counts bytes from the file's start.
+    """
+    try:
+        return source.read_text(encoding="utf-8-sig")
+    except UnicodeDecodeError as exc:
+        error = exc
+    # Decoded whole, byte-order mark included, the file gives that offset.
+    try:
+        source.read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        error = exc
+    raise UnicodeDecodeError(*error.args[:4], f"{error.reason} in {source}")
 
 
 def load_lemma_dictionary(path: str | Path) -> dict[str, str]:
@@ -224,17 +241,21 @@ def load_lemma_dictionary(path: str | Path) -> dict[str, str]:
     # fields come out as if each were stripped and casefolded alone.
     mapping: dict[str, str] = {}
     tail = ""
-    with open(path, encoding="utf-8-sig") as handle:
-        # The unfinished last line of a block waits for the next; a final
-        # "\n" ends the file's last line.
-        for block in chain(iter(partial(handle.read, 1 << 16), ""), ["\n"]):
-            lines, _, tail = (tail + block).rpartition("\n")
-            for line in lines.casefold().split("\n"):
-                word, _, lemma = line.partition("\t")
-                word = word.strip()
-                lemma = lemma.strip()
-                if word and lemma:
-                    mapping[word] = lemma
+    try:
+        with open(path, encoding="utf-8-sig") as handle:
+            # The unfinished last line of a block waits for the next; a final
+            # "\n" ends the file's last line.
+            for block in chain(iter(partial(handle.read, 1 << 16), ""), ["\n"]):
+                lines, _, tail = (tail + block).rpartition("\n")
+                for line in lines.casefold().split("\n"):
+                    word, _, lemma = line.partition("\t")
+                    word = word.strip()
+                    lemma = lemma.strip()
+                    if word and lemma:
+                        mapping[word] = lemma
+    except UnicodeDecodeError:
+        read_text(Path(path))  # raises the error again, named and at its offset
+        raise
     return mapping
 
 

@@ -2,13 +2,13 @@
 
 R1 and R2 are start positions, fixed once before any suffix is removed: a
 suffix is in a region when it starts at or after the region's start, so
-every rewrite changes only the word. Two rules still move R2, and each is
-one commented line:
+every rewrite changes only the word. Two rules still move R2:
 
-- ``_replace``: when R2 began inside the replaced suffix, R2 becomes empty,
-  or the final ``e`` after step 2's ``ate`` and ``ive``;
-- step 1b: the ``e`` added after ``at``, ``bl`` or ``iz`` joins R2 in a word
-  of six letters or more.
+- the R2 fallback field of the step-2 and step-3 tables: when R2 began
+  inside the replaced suffix, R2 becomes empty, or the final ``e`` after
+  step 2's ``ate`` and ``ive`` (``None`` leaves R2 where it is);
+- step 1b, one commented line: the ``e`` added after ``at``, ``bl`` or
+  ``iz`` joins R2 in a word of six letters or more.
 
 Snowball's fixed positions have neither rule. Without the first,
 realization and realizer would stem to realiz, as realize does; without
@@ -33,16 +33,27 @@ LI_ENDING = "cdeghkmnrt"
 STEP0_SUFFIXES = ("'s'", "'s", "'")
 STEP1A_SUFFIXES = ("sses", "ied", "ies", "us", "ss", "s")
 STEP1B_SUFFIXES = ("eedly", "ingly", "edly", "eed", "ing", "ed")
-STEP2_SUFFIXES = (
-    "ization", "ational", "fulness", "ousness", "iveness", "tional",
-    "biliti", "lessli", "entli", "ation", "alism", "aliti", "ousli",
-    "iviti", "fulli", "enci", "anci", "abli", "izer", "ator", "alli",
-    "bli", "ogi", "li",
-)
-STEP3_SUFFIXES = (
-    "ational", "tional", "alize", "icate", "iciti", "ative", "ical",
-    "ness", "ful",
-)
+# Steps 2 and 3 map each suffix to its replacement and R2 fallback: when R2
+# began inside the replaced suffix, R2 becomes the fallback (None: R2 stays).
+STEP2 = {
+    "ization": ("ize", ""), "ational": ("ate", "e"), "fulness": ("ful", None),
+    "ousness": ("ous", ""), "iveness": ("ive", "e"), "tional": ("tion", None),
+    "biliti": ("ble", ""), "lessli": ("less", None), "entli": ("ent", None),
+    "ation": ("ate", "e"), "alism": ("al", ""), "aliti": ("al", ""),
+    "ousli": ("ous", ""), "iviti": ("ive", "e"), "fulli": ("ful", None),
+    "enci": ("ence", None), "anci": ("ance", None), "abli": ("able", None),
+    "izer": ("ize", ""), "ator": ("ate", "e"), "alli": ("al", ""),
+    "bli": ("ble", ""), "ogi": ("og", None), "li": ("", None),
+}
+STEP2_SUFFIXES = tuple(STEP2)
+# The letters one of which must precede these step-2 suffixes.
+STEP2_PRECEDING = {"ogi": "l", "li": LI_ENDING}
+STEP3 = {
+    "ational": ("ate", ""), "tional": ("tion", None), "alize": ("al", None),
+    "icate": ("ic", ""), "iciti": ("ic", ""), "ative": ("", None),
+    "ical": ("ic", ""), "ness": ("", None), "ful": ("", None),
+}
+STEP3_SUFFIXES = tuple(STEP3)
 STEP4_SUFFIXES = (
     "ement", "ance", "ence", "able", "ible", "ment", "ant", "ent",
     "ism", "ate", "iti", "ous", "ive", "ize", "ion", "al", "er", "ic",
@@ -191,48 +202,19 @@ def stem(word: str) -> str:
     if word.endswith(STEP2_SUFFIXES):
         for suffix in STEP2_SUFFIXES:
             if word.endswith(suffix):
-                if len(word) - len(suffix) >= p1:
-                    if suffix in ("tional", "entli", "fulli", "lessli"):
-                        word = word[:-2]
-                    elif suffix in ("enci", "anci", "abli"):
-                        word = word[:-1] + "e"
-                    elif suffix in ("izer", "ization"):
-                        word, p2 = _replace(word, p2, suffix, "ize")
-                    elif suffix in ("ational", "ation", "ator"):
-                        word, p2 = _replace(word, p2, suffix, "ate", r2_fallback="e")
-                    elif suffix in ("alism", "aliti", "alli"):
-                        word, p2 = _replace(word, p2, suffix, "al")
-                    elif suffix == "fulness":
-                        word = word[:-4]
-                    elif suffix in ("ousli", "ousness"):
-                        word, p2 = _replace(word, p2, suffix, "ous")
-                    elif suffix in ("iveness", "iviti"):
-                        word, p2 = _replace(word, p2, suffix, "ive", r2_fallback="e")
-                    elif suffix in ("biliti", "bli"):
-                        word, p2 = _replace(word, p2, suffix, "ble")
-                    elif suffix == "ogi" and word[-4] == "l":
-                        word = word[:-1]
-                    elif suffix == "li" and word[-3] in LI_ENDING:
-                        word = word[:-2]
+                if len(word) - len(suffix) >= p1 and (
+                    suffix not in STEP2_PRECEDING
+                    or word[-len(suffix) - 1] in STEP2_PRECEDING[suffix]
+                ):
+                    word, p2 = _replace(word, p2, suffix, *STEP2[suffix])
                 break
 
-    # Step 3: more derivational suffixes, in R1 (one case needs R2)
+    # Step 3: more derivational suffixes, in R1 (ative in R2)
     if word.endswith(STEP3_SUFFIXES):
         for suffix in STEP3_SUFFIXES:
             if word.endswith(suffix):
-                if len(word) - len(suffix) >= p1:
-                    if suffix == "tional":
-                        word = word[:-2]
-                    elif suffix == "ational":
-                        word, p2 = _replace(word, p2, suffix, "ate")
-                    elif suffix == "alize":
-                        word = word[:-3]
-                    elif suffix in ("icate", "iciti", "ical"):
-                        word, p2 = _replace(word, p2, suffix, "ic")
-                    elif suffix in ("ful", "ness"):
-                        word = word[:-len(suffix)]
-                    elif suffix == "ative" and len(word) - 5 >= p2:
-                        word = word[:-5]
+                if len(word) - len(suffix) >= (p2 if suffix == "ative" else p1):
+                    word, p2 = _replace(word, p2, suffix, *STEP3[suffix])
                 break
 
     # Step 4: residual suffixes, in R2
@@ -262,11 +244,11 @@ def stem(word: str) -> str:
 
 
 def _replace(
-    word: str, p2: int, suffix: str, repl: str, r2_fallback: str = ""
+    word: str, p2: int, suffix: str, repl: str, r2_fallback: str | None
 ) -> tuple[str, int]:
     """Swap ``suffix`` for ``repl``; return the new word and R2's start."""
     word = word[:-len(suffix)] + repl
-    if p2 > len(word) - len(repl):
+    if r2_fallback is not None and p2 > len(word) - len(repl):
         # R2 began inside the suffix, so it becomes ``r2_fallback``.
         p2 = len(word) - len(r2_fallback)
     return word, p2

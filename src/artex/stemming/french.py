@@ -4,12 +4,13 @@ Vowels playing a consonant role (u after q, u/i between vowels, y next to
 a vowel) are upper-cased before the regions are computed and restored at
 the end. R1, R2 and RV are start positions in the marked word, fixed once
 before any suffix is removed: ``word.endswith(suffix, p2)`` asks whether
-``suffix`` is in R2. Two step-1 rules are not positional, each one
-commented rule: after ``atrice(s)`` is removed, a preceding ``ic`` is
-deleted wherever it starts; after ``emment`` becomes ``ent``, steps 2a and
-2b are skipped. Snowball has neither rule: without them, fabricatrice
-would stem to fabriqu (as fabrication does) and finissemment to fin (as
-finissent does).
+``suffix`` is in R2. The step-1 suffixes that, in R2, are only removed or
+replaced by a fixed ending are one table, ``STEP1_IN_R2``. Two step-1 rules
+are not positional, each one commented rule: after ``atrice(s)`` is
+removed, a preceding ``ic`` is deleted wherever it starts; after ``emment``
+becomes ``ent``, steps 2a and 2b are skipped. Snowball has neither rule:
+without them, fabricatrice would stem to fabriqu (as fabrication does) and
+finissemment to fin (as finissent does).
 """
 
 from __future__ import annotations
@@ -29,6 +30,13 @@ STEP1_SUFFIXES = (
     "ance", "iqUe", "isme", "able", "iste", "ence", "it\xe9s", "ives",
     "eaux", "euse", "ment", "eux", "it\xe9", "ive", "ifs", "aux", "if",
 )
+# Step 1's suffixes that, in R2, are replaced by a fixed ending.
+STEP1_IN_R2 = {
+    "ance": "", "iqUe": "", "isme": "", "able": "", "iste": "", "eux": "",
+    "ances": "", "iqUes": "", "ismes": "", "ables": "", "istes": "",
+    "logie": "log", "logies": "log", "usion": "u", "ution": "u",
+    "usions": "u", "utions": "u", "ence": "ent", "ences": "ent",
+}
 STEP2A_SUFFIXES = (
     "issaIent", "issantes", "iraIent", "issante", "issants", "issions",
     "irions", "issais", "issait", "issant", "issent", "issiez",
@@ -151,11 +159,8 @@ def stem(word: str) -> str:
             ):
                 word = word[:-len(suffix)]
                 removed = True
-            elif suffix in (
-                "ance", "iqUe", "isme", "able", "iste", "eux",
-                "ances", "iqUes", "ismes", "ables", "istes",
-            ) and word.endswith(suffix, p2):
-                word = word[:-len(suffix)]
+            elif suffix in STEP1_IN_R2 and word.endswith(suffix, p2):
+                word = word[:-len(suffix)] + STEP1_IN_R2[suffix]
                 removed = True
             elif suffix in (
                 "atrice", "ateur", "ation", "atrices", "ateurs", "ations",
@@ -168,15 +173,6 @@ def stem(word: str) -> str:
                         word = word[:-2]
                     else:
                         word = word[:-2] + "iqU"
-            elif suffix in ("logie", "logies") and word.endswith(suffix, p2):
-                word = word[:-len(suffix)] + "log"
-                removed = True
-            elif suffix in ("usion", "ution", "usions", "utions") and word.endswith(suffix, p2):
-                word = word[:-len(suffix)] + "u"
-                removed = True
-            elif suffix in ("ence", "ences") and word.endswith(suffix, p2):
-                word = word[:-len(suffix)] + "ent"
-                removed = True
             elif suffix in ("it\xe9", "it\xe9s") and word.endswith(suffix, p2):
                 word = word[:-len(suffix)]
                 removed = True

@@ -86,18 +86,41 @@ def test_summarize_missing_file_is_io_error(tmp_path):
 
 @pytest.fixture()
 def undecodable_file(tmp_path):
+    # Byte 40 is not UTF-8.
     path = tmp_path / "bad.txt"
-    path.write_bytes(b"\xff\xfe")
+    path.write_bytes(b"a" * 40 + b"\xff\xfe")
     return path
 
 
 def test_summarize_undecodable_file_is_io_error(undecodable_file, caplog):
     assert main(["summarize", str(undecodable_file)]) == 2
-    assert "can't decode" in caplog.text
+    message = f"can't decode byte 0xff in position 40: invalid start byte in {undecodable_file}"
+    assert message in caplog.text
 
 
-def test_summarize_undecodable_stoplist_is_io_error(doc_file, undecodable_file):
+def test_summarize_undecodable_stoplist_is_io_error(doc_file, undecodable_file, caplog):
     assert main(["summarize", str(doc_file), "--stoplist", str(undecodable_file)]) == 2
+    assert f"position 40: invalid start byte in {undecodable_file}" in caplog.text
+
+
+def test_summarize_undecodable_lemma_dictionary_names_its_byte(doc_file, tmp_path, caplog):
+    # The dictionary is read in blocks; the logged position still counts from the file's start.
+    path = tmp_path / "f.tsv"
+    data = bytearray(b"solar\tsun\n" * 8_000)
+    data[70_000] = 0xFF
+    path.write_bytes(bytes(data))
+    argv = ["summarize", str(doc_file), "--norm", "lemma", "--lemma-dict", str(path)]
+    assert main(argv) == 2
+    assert f"position 70000: invalid start byte in {path}" in caplog.text
+
+
+def test_eval_undecodable_file_is_io_error_naming_it(doc_file, undecodable_file, caplog):
+    # The log tells an undecodable source from an undecodable summary.
+    for argv in (["eval", str(doc_file), str(undecodable_file)],
+                 ["eval", str(undecodable_file), str(doc_file)]):
+        caplog.clear()
+        assert main(argv) == 2
+        assert f"position 40: invalid start byte in {undecodable_file}" in caplog.text
 
 
 def test_summarize_bad_normalization_is_usage_error(doc_file):

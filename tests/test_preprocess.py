@@ -337,6 +337,21 @@ def test_load_lemma_dictionary_casefolds_entries(tmp_path):
     assert normalize("masse") == "mass"
 
 
+@pytest.mark.parametrize("bom", [False, True])
+def test_decode_error_names_the_file_and_counts_from_its_start(tmp_path, bom):
+    # Read whole (a stop-list) or in blocks (a lemma dictionary), a file that
+    # is not UTF-8 raises a UnicodeDecodeError at its bad byte's offset.
+    data = bytearray(b"\xef\xbb\xbf" * bom + b"solar\tsun\n" * 8_000)
+    data[70_000] = 0xFF
+    path = tmp_path / "bad.tsv"
+    path.write_bytes(bytes(data))
+    for load in (load_lemma_dictionary, StopList.from_file):
+        with pytest.raises(UnicodeDecodeError) as caught:
+            load(path)
+        assert caught.value.start == 70_000
+        assert str(caught.value).endswith(f"position 70000: invalid start byte in {path}")
+
+
 def reference_load_lemma_dictionary(path) -> dict[str, str]:
     # The per-line loader that load_lemma_dictionary replaced: the oracle.
     mapping: dict[str, str] = {}

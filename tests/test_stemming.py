@@ -240,6 +240,114 @@ def test_french_kept_rule(rule):
         assert french.stem(word) == expected, (rule, word)
 
 
+# One word per entry of the English step-2 and step-3 tables and of the
+# French STEP1_IN_R2 table, with its stem: each word reaches its entry, so a
+# wrong entry fails under its own suffix. ogi and li have a word with and one
+# without the letter they need before them; ative one with it in R2 and one
+# with it in R1 only; realization and realizer end in R2-fallback suffixes.
+EN_STEP2_RULE_VECTORS = {
+    "ization": {"realization": "realize"},
+    "ational": {"relational": "relat"},
+    "fulness": {"hopefulness": "hope"},
+    "ousness": {"callousness": "callous"},
+    "iveness": {"effectiveness": "effect"},
+    "tional": {"conditional": "condit"},
+    "biliti": {"sensibility": "sensibl"},
+    "lessli": {"carelessly": "careless"},
+    "entli": {"recently": "recent"},
+    "ation": {"information": "inform"},
+    "alism": {"formalism": "formal"},
+    "aliti": {"formality": "formal"},
+    "ousli": {"generously": "generous"},
+    "iviti": {"sensitivity": "sensit"},
+    "fulli": {"hopefully": "hope"},
+    "enci": {"urgency": "urgenc"},
+    "anci": {"hesitancy": "hesit"},
+    "abli": {"reasonably": "reason"},
+    "izer": {"realizer": "realize"},
+    "ator": {"operator": "oper"},
+    "alli": {"radically": "radic"},
+    "bli": {"possibly": "possibl"},
+    "ogi": {"theology": "theolog", "pedagogy": "pedagogi"},
+    "li": {"warmly": "warm", "happily": "happili"},
+}
+EN_STEP3_RULE_VECTORS = {
+    "ational": {"sensationally": "sensate"},
+    "tional": {"conditionally": "condit"},
+    "alize": {"formalize": "formal"},
+    "icate": {"duplicate": "duplic"},
+    "iciti": {"electricity": "electr"},
+    "ative": {"demonstrative": "demonstr", "formative": "format"},
+    "ical": {"electrical": "electr"},
+    "ness": {"kindness": "kind"},
+    "ful": {"hopeful": "hope"},
+}
+FR_STEP1_IN_R2_VECTORS = {
+    "ance": {"importance": "import"},
+    "iqUe": {"politique": "polit"},
+    "isme": {"capitalisme": "capital"},
+    "able": {"raisonnable": "raison"},
+    "iste": {"capitaliste": "capital"},
+    "eux": {"courageux": "courag"},
+    "ances": {"importances": "import"},
+    "iqUes": {"politiques": "polit"},
+    "ismes": {"capitalismes": "capital"},
+    "ables": {"raisonnables": "raison"},
+    "istes": {"capitalistes": "capital"},
+    "logie": {"m\xe9t\xe9orologie": "m\xe9t\xe9orolog"},
+    "logies": {"m\xe9t\xe9orologies": "m\xe9t\xe9orolog"},
+    "usion": {"d\xe9sillusion": "d\xe9sillu"},
+    "ution": {"\xe9volution": "\xe9volu"},
+    "usions": {"d\xe9sillusions": "d\xe9sillu"},
+    "utions": {"\xe9volutions": "\xe9volu"},
+    "ence": {"diff\xe9rence": "diff\xe9rent"},
+    "ences": {"diff\xe9rences": "diff\xe9rent"},
+}
+RULE_TABLES = {
+    "en-step2": (english.STEP2, EN_STEP2_RULE_VECTORS, english.stem),
+    "en-step3": (english.STEP3, EN_STEP3_RULE_VECTORS, english.stem),
+    "fr-step1-in-r2": (french.STEP1_IN_R2, FR_STEP1_IN_R2_VECTORS, french.stem),
+}
+
+
+@pytest.mark.parametrize("table", sorted(RULE_TABLES))
+def test_every_rule_table_entry_has_vectors(table):
+    rules, vectors, _ = RULE_TABLES[table]
+    assert list(vectors) == list(rules)
+
+
+@pytest.mark.parametrize(
+    "table, suffix",
+    [(table, suffix) for table, (_, vectors, _) in RULE_TABLES.items() for suffix in vectors],
+)
+def test_rule_table_entry(table, suffix):
+    _, vectors, stem = RULE_TABLES[table]
+    for word, expected in vectors[suffix].items():
+        assert stem(word) == expected, (table, suffix, word)
+
+
+def _suffix_tables(module):
+    """A stemmer module's suffix tables: its upper-case tuples, and its
+    upper-case dicts but the English special words (keyed by suffix)."""
+    for name, value in vars(module).items():
+        if name.isupper() and name != "SPECIAL_WORDS" and isinstance(value, (tuple, dict)):
+            yield name, list(value)
+
+
+@pytest.mark.parametrize("language", SUPPORTED_LANGUAGES)
+def test_no_suffix_follows_a_shorter_suffix_it_ends_with(language):
+    # Each step takes the first suffix in table order that a word ends
+    # with; that is Snowball's longest match only because of this.
+    tables = dict(_suffix_tables(STEMMER_MODULES[language]))
+    assert tables
+    for name, suffixes in tables.items():
+        for i, earlier in enumerate(suffixes):
+            for later in suffixes[i + 1:]:
+                assert not (len(earlier) < len(later) and later.endswith(earlier)), (
+                    name, earlier, later,
+                )
+
+
 def test_supported_languages():
     assert SUPPORTED_LANGUAGES == ("en", "es", "fr")
 
