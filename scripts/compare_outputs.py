@@ -19,9 +19,10 @@ whose words reach every entry of its step-2 and step-3 tables), a Spanish
 text, three French texts (one whose words reach the French stemmer's kept
 rules, one whose words reach every entry of its ``STEP1_IN_R2`` table),
 two edge-case lemma dictionaries (one with every kind of line the loader
-reads, one that is not UTF-8) and a text that is not UTF-8. Each side then
-runs the same list of calls in one fresh interpreter, in-process through
-``artex.cli.main``:
+reads, one that is not UTF-8), a text that is not UTF-8 and a corpus of
+one good document and one that is not UTF-8 after a byte-order mark. Each
+side then runs the same list of calls in one fresh interpreter, in-process
+through ``artex.cli.main``:
 
 - ``batch`` with all three systems over each English corpus and over the
   edge texts, in five normalization and budget settings, at 1 and at 2
@@ -34,7 +35,9 @@ runs the same list of calls in one fresh interpreter, in-process through
 - ``batch``, ``summarize`` and ``bench`` in lemma mode over the edge texts
   with each edge-case dictionary;
 - ``summarize`` of the non-UTF-8 text, ``summarize`` with it as the
-  stop-list, and ``eval`` with it as the summary.
+  stop-list, and ``eval`` with it as the summary;
+- ``batch`` with all three systems over the corpus with the non-UTF-8
+  document, which it skips with a warning.
 
 Every call's exit code, stdout and stderr, and every file the calls
 write under WORK_DIR/parent and WORK_DIR/change, are compared byte for
@@ -202,6 +205,13 @@ EDGE_DICTIONARIES = {
 # stop-list and as a summary.
 BAD_TEXT = b"Solar panels store power for the grids.\n\xff\n"
 
+# A flat corpus of one good document and one that is not UTF-8 after its
+# byte-order mark (byte 40 of the file is 0xff), which batch skips.
+BAD_CORPUS = {
+    "good.txt": EDGE_TEXTS["bom"].encode("utf-8"),
+    "bom-bad.txt": b"\xef\xbb\xbf" + b"a" * 37 + b"\xff\n",
+}
+
 ENGLISH_SETTINGS = (
     ("stem", "ratio:0.2"),
     ("stem", "k:3"),
@@ -221,6 +231,9 @@ def write_inputs(python: str, parent_src: Path, inputs: Path) -> dict[str, Path]
     for name, data in EDGE_DICTIONARIES.items():
         (inputs / name).write_bytes(data)
     (inputs / "bad.txt").write_bytes(BAD_TEXT)
+    (inputs / "bad-corpus").mkdir()
+    for name, data in BAD_CORPUS.items():
+        (inputs / "bad-corpus" / name).write_bytes(data)
     texts = {}
     for directory, named in [("edge", EDGE_TEXTS), *LANGUAGE_TEXTS.items()]:
         (inputs / directory).mkdir(parents=True)
@@ -286,6 +299,8 @@ def plan(inputs: Path, texts: dict[str, Path], out: Path) -> list[dict]:
         {"argv": ["summarize", bad]},
         {"argv": ["summarize", str(texts["bom"]), "--stoplist", bad]},
         {"argv": ["eval", str(texts["bom"]), bad]},
+        {"argv": ["batch", str(inputs / "bad-corpus"), "--systems", "artex,lead,random",
+                  "--out", str(out / "batch" / "bad-corpus")]},
     ]
     return calls
 

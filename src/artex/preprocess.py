@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from functools import cache, partial
+from functools import cache, partial, wraps
 from importlib import resources
 from itertools import chain
 from pathlib import Path
@@ -25,26 +25,40 @@ _TERMINATOR = re.compile("[.!?]")
 _ALNUM = re.compile(r"[^\W_]")
 
 
-# Records are named tuples, cheap to create at import. A NamedTuple body may not
-# define __new__, so a checked record subclasses a private one with its fields.
-# Its _make, which _replace calls, builds through cls so that the checks run.
-class _RawDocument(NamedTuple):
+# Records are named tuples, cheap to create at import. A record with checks
+# writes them in a _check method and is decorated with checked, which sets
+# __new__ and _make after the class is made: a NamedTuple body may define
+# neither.
+def checked(cls):
+    """Make every construction of the NamedTuple ``cls`` call its ``_check()``.
+
+    Positional and keyword construction and unpickling call ``__new__``;
+    ``_make``, which ``_replace`` calls, is set to build through ``cls``.
+    """
+    make = cls.__new__
+
+    @wraps(make)
+    def __new__(cls, *args, **kwargs):
+        self = make(cls, *args, **kwargs)
+        self._check()
+        return self
+
+    cls.__new__ = staticmethod(__new__)
+    cls._make = classmethod(lambda cls, iterable: cls(*iterable))
+    return cls
+
+
+@checked
+class RawDocument(NamedTuple):
+    """An input document: identifier, full text, and language code."""
+
     id: str
     text: str
     language: str
 
-
-class RawDocument(_RawDocument):
-    """An input document: identifier, full text, and language code."""
-
-    __slots__ = ()
-    _make = classmethod(lambda cls, iterable: cls(*iterable))
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self):
         if self.language not in SUPPORTED_LANGUAGES:
             raise ValueError(f"unsupported language: {self.language!r}")
-        return self
 
 
 class Sentence(NamedTuple):
@@ -122,21 +136,15 @@ class Stem(_Fieldless):
         return stemmer_for(language)
 
 
-class _UltraStem(NamedTuple):
-    n: int
-
-
-class UltraStem(_UltraStem):
+@checked
+class UltraStem(NamedTuple):
     """Truncation to the first ``n`` characters (the whole token if shorter)."""
 
-    __slots__ = ()
-    _make = classmethod(lambda cls, iterable: cls(*iterable))
+    n: int
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self):
         if self.n < 1:
             raise ValueError(f"truncation length must be >= 1, got {self.n}")
-        return self
 
     @property
     def label(self) -> str:
@@ -265,8 +273,7 @@ def split_sentences(doc: RawDocument) -> list[Sentence]:
     The terminator stays attached to its sentence; a trailing run without a
     terminator becomes the final sentence. A period flanked by digits on
     both sides (as in 3.14) does not split. Pieces without any alphanumeric
-    character (splitting debris such as a bare '.') are dropped; a
-    sentence's index is its position in the returned list.
+    character (splitting debris such as a bare '.') are dropped.
 
     Raises EmptyDocument when no sentence with at least one alphabetic
     character remains.

@@ -31,9 +31,11 @@ from .preprocess import (
     Stem,
     StopList,
     UltraStem,
+    checked,
     clean_document,
     normalize_document,
     preprocess_document,
+    read_text,
 )
 from .scorer import DEFAULT_BUDGET, CompressionSpec, Summary, score, select
 
@@ -66,27 +68,23 @@ def parse_mode(label: str, dictionary_path: str | Path | None = None) -> Normali
     raise ValueError(f"unknown normalization: {label!r} (want raw|lemma|stem|fix:N)")
 
 
-# A checked record as in preprocess: _make, which _replace calls, runs __new__.
-class _CorpusSpec(NamedTuple):
+@checked
+class CorpusSpec(NamedTuple):
+    """Where a corpus lives and how its files map to documents."""
+
     root: Path
     layout: str = FLAT
     language: str = "en"
 
-
-class CorpusSpec(_CorpusSpec):
-    """Where a corpus lives and how its files map to documents."""
-
-    __slots__ = ()
-    _make = classmethod(lambda cls, iterable: cls(*iterable))
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self):
         if self.layout not in (FLAT, CLUSTERS):
             raise ValueError(f"unknown layout: {self.layout!r}")
-        return self
 
 
-class _RunConfig(NamedTuple):
+@checked
+class RunConfig(NamedTuple):
+    """Everything a batch run needs besides the corpus itself."""
+
     normalization: NormalizationMode = Stem()
     budget: CompressionSpec = DEFAULT_BUDGET
     systems: tuple[str, ...] = ("artex",)
@@ -94,15 +92,7 @@ class _RunConfig(NamedTuple):
     out_dir: Path | None = None
     workers: int = 1
 
-
-class RunConfig(_RunConfig):
-    """Everything a batch run needs besides the corpus itself."""
-
-    __slots__ = ()
-    _make = classmethod(lambda cls, iterable: cls(*iterable))
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self):
         unknown = set(self.systems) - set(SYSTEMS)
         if unknown:
             raise ValueError(f"unknown systems: {sorted(unknown)}")
@@ -110,7 +100,6 @@ class RunConfig(_RunConfig):
             raise ValueError("at least one system must be selected")
         if self.workers < 1:
             raise ValueError("worker count must be >= 1")
-        return self
 
 
 class TimingRecord(NamedTuple):
@@ -148,18 +137,6 @@ class TimingRecord(NamedTuple):
     @property
     def total_seconds(self) -> float:
         return self.preprocess_seconds + self.score_seconds
-
-    def as_row(self) -> list[str]:
-        return [
-            self.system,
-            self.normalization,
-            self.corpus_id,
-            "" if self.repetition is None else str(self.repetition),
-            repr(self.preprocess_seconds),
-            repr(self.score_seconds),
-            repr(self.total_seconds),
-            "" if self.vocabulary_size is None else str(self.vocabulary_size),
-        ]
 
 
 class RunResult(NamedTuple):
@@ -219,8 +196,11 @@ def load_corpus(spec: CorpusSpec) -> list[RawDocument]:
 
 def _read_text(path: Path) -> str | None:
     try:
-        text = path.read_text(encoding="utf-8-sig")
+        text = read_text(path)
     except (OSError, UnicodeDecodeError) as exc:
+        if isinstance(exc, UnicodeDecodeError):
+            # read_text ends the reason with the file's name; the warning starts with it.
+            exc.reason = exc.reason.removesuffix(f" in {path}")
         logger.warning("skipping %s: %s", path, exc)
         return None
     if not text.strip():
@@ -415,7 +395,7 @@ def write_timings(records: Sequence[TimingRecord], path: Path) -> None:
         writer = csv.writer(handle)
         writer.writerow(TimingRecord.CSV_COLUMNS)
         for record in records:
-            writer.writerow(record.as_row())
+            writer.writerow([getattr(record, c) for c in TimingRecord.CSV_COLUMNS])
 
 
 def benchmark(

@@ -25,7 +25,7 @@ from itertools import chain
 from typing import NamedTuple, Sequence
 
 from .errors import EmptyVocabulary
-from .preprocess import Sentence
+from .preprocess import Sentence, checked
 
 logger = logging.getLogger(__name__)
 
@@ -43,41 +43,28 @@ class PseudoVectors(NamedTuple):
     global_topic: tuple[float, ...]
 
 
-# A checked record as in preprocess: _make, which _replace calls, runs __new__.
-class _SentenceCount(NamedTuple):
-    k: int
-
-
-class SentenceCount(_SentenceCount):
+@checked
+class SentenceCount(NamedTuple):
     """Budget: keep exactly ``k`` sentences (clamped to the document size)."""
 
-    __slots__ = ()
-    _make = classmethod(lambda cls, iterable: cls(*iterable))
+    k: int
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self):
         if not isinstance(self.k, int):
             raise ValueError(f"sentence budget must be an integer, got {self.k!r}")
         if self.k < 1:
             raise ValueError(f"sentence budget must be >= 1, got {self.k}")
-        return self
 
 
-class _WordRatio(NamedTuple):
-    ratio: float
-
-
-class WordRatio(_WordRatio):
+@checked
+class WordRatio(NamedTuple):
     """Budget: smallest selection reaching ``ratio`` of the source words."""
 
-    __slots__ = ()
-    _make = classmethod(lambda cls, iterable: cls(*iterable))
+    ratio: float
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self):
         if not 0.0 < self.ratio <= 1.0:
             raise ValueError(f"word ratio must be in (0, 1], got {self.ratio}")
-        return self
 
 
 CompressionSpec = SentenceCount | WordRatio

@@ -233,6 +233,25 @@ def test_checked_record_replace_and_make_run_the_checks(record, field, bad):
     assert type(copy) is type(record) and copy == record
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [
+        tuple.__new__(RawDocument, ("d", "Sun rose.", "de")),
+        tuple.__new__(UltraStem, (0,)),
+        tuple.__new__(SentenceCount, (0,)),
+        tuple.__new__(WordRatio, (5.0,)),
+        tuple.__new__(CorpusSpec, (Path("corpus"), "bogus", "en")),
+        tuple.__new__(RunConfig, (*RunConfig()[:-1], 0)),
+    ],
+    ids=lambda value: type(value).__name__,
+)
+def test_checked_record_unpickling_runs_the_checks(bad):
+    # tuple.__new__ skips the checks; pool workers receive a RunConfig by pickle.
+    data = pickle.dumps(bad)
+    with pytest.raises(ValueError):
+        pickle.loads(data)
+
+
 def test_fieldless_modes_compare_by_type():
     assert Raw() == Raw() and Stem() == Stem()
     assert Raw() != Stem() and hash(Raw()) != hash(Stem())

@@ -33,6 +33,7 @@ from artex.runner import (
     load_corpus,
     parse_mode,
     run_corpus,
+    write_timings,
 )
 from artex.scorer import SentenceCount, WordRatio
 from artex.synthetic import generate_document
@@ -100,6 +101,17 @@ def test_load_corpus_skips_unusable_files(flat_corpus, caplog):
     (flat_corpus / ".hidden.txt").write_text("Hidden.", encoding="utf-8")
     documents = load_corpus(CorpusSpec(root=flat_corpus))
     assert [d.id for d in documents] == ["doc_0", "doc_1", "doc_2"]
+
+
+def test_load_corpus_warns_of_a_bad_byte_at_its_offset_in_the_file(flat_corpus, caplog):
+    # A byte-order mark, 37 letters and 0xff: the bad byte is the file's byte 40.
+    bom = flat_corpus / "bom.txt"
+    bom.write_bytes(b"\xef\xbb\xbf" + b"a" * 37 + b"\xff\n")
+    documents = load_corpus(CorpusSpec(root=flat_corpus))
+    assert [d.id for d in documents] == ["doc_0", "doc_1", "doc_2"]
+    assert caplog.messages == [
+        f"skipping {bom}: 'utf-8' codec can't decode byte 0xff in position 40: invalid start byte"
+    ]
 
 
 def test_load_corpus_rejects_duplicate_ids(flat_corpus):
@@ -199,6 +211,22 @@ def test_run_corpus_all_systems_and_timing(flat_corpus, tmp_path):
     for result in results:
         timing = result.timing
         assert timing.total_seconds == timing.preprocess_seconds + timing.score_seconds
+
+
+def test_write_timings_bytes(tmp_path):
+    # A batch row leaves repetition and vocabulary_size empty; seconds are
+    # written by repr.
+    records = [
+        TimingRecord("artex", "stem", "doc_0", 0.1, 0.2),
+        TimingRecord("artex", "fix6", "corpus", 1.5, 0.25, repetition=2, vocabulary_size=310),
+    ]
+    write_timings(records, tmp_path / "timings.csv")
+    assert (tmp_path / "timings.csv").read_bytes() == (
+        b"system,normalization,corpus_id,repetition,preprocess_seconds,score_seconds,"
+        b"total_seconds,vocabulary_size\r\n"
+        b"artex,stem,doc_0,,0.1,0.2,0.30000000000000004,\r\n"
+        b"artex,fix6,corpus,2,1.5,0.25,1.75,310\r\n"
+    )
 
 
 def test_rerun_timings_name_only_this_runs_documents(flat_corpus, tmp_path):
