@@ -19,8 +19,11 @@ whose words reach every entry of its step-2 and step-3 tables), a Spanish
 text, three French texts (one whose words reach the French stemmer's kept
 rules, one whose words reach every entry of its ``STEP1_IN_R2`` table),
 two edge-case lemma dictionaries (one with every kind of line the loader
-reads, one that is not UTF-8), a text that is not UTF-8 and a corpus of
-one good document and one that is not UTF-8 after a byte-order mark. Each
+reads, one that is not UTF-8), a text that is not UTF-8, a corpus of
+one good document and one that is not UTF-8 after a byte-order mark, and a
+corpus of every kind of entry the corpus loader tells apart (names such as
+``a.`` and ``b.tar.gz``, dotfiles, CRLF, CR and byte-order-mark texts,
+empty and blank files, broken, looping and followed symbolic links). Each
 side then runs the same list of calls in one fresh interpreter, in-process
 through ``artex.cli.main``:
 
@@ -37,7 +40,11 @@ through ``artex.cli.main``:
 - ``summarize`` of the non-UTF-8 text, ``summarize`` with it as the
   stop-list, and ``eval`` with it as the summary;
 - ``batch`` with all three systems over the corpus with the non-UTF-8
-  document, which it skips with a warning.
+  document, which it skips with a warning;
+- ``batch`` with all three systems over the loader corpus as a flat corpus
+  (its root given with a trailing slash) and as clusters (its root given
+  as a relative path), and over its cluster ``c1``, whose ``a.txt`` and
+  ``a.md`` share a document ID, as a flat corpus.
 
 Every call's exit code, stdout and stderr, and every file the calls
 write under WORK_DIR/parent and WORK_DIR/change, are compared byte for
@@ -212,6 +219,39 @@ BAD_CORPUS = {
     "bom-bad.txt": b"\xef\xbb\xbf" + b"a" * 37 + b"\xff\n",
 }
 
+# A corpus of every kind of entry the corpus loader tells apart, batched as a
+# flat corpus (root given with a trailing slash), as clusters (root given as a
+# relative path) and, for its cluster c1, whose a.txt and a.md share a
+# document ID, as a flat corpus. Bytes are files, a string is a symbolic
+# link's target (broken, a loop, a file, a cluster) and a dict a directory.
+LOADER_TEXT = "Solar panels store\npower. Solar panels feed\nthe grid. The grid stores power.\n"
+LOADER_CORPUS = {
+    "a.": LOADER_TEXT.replace("\n", "\r\n").encode("utf-8"),
+    "b.tar.gz": LOADER_TEXT.replace("\n", "\r").encode("utf-8"),
+    "B.txt": b"\xef\xbb\xbf" + LOADER_TEXT.replace("\n", "\r\n").encode("utf-8"),
+    "\xe9t\xe9.txt": LOADER_TEXT.encode("utf-8"),
+    ".hidden.txt": LOADER_TEXT.encode("utf-8"),
+    "empty.txt": b"",
+    "blank.txt": b" \r\n\t\r",
+    "bom-only.txt": b"\xef\xbb\xbf",
+    "bom-bad.txt": b"\xef\xbb\xbf" + b"a" * 37 + b"\xff\n",
+    "broken.txt": "missing.txt",
+    "loop.txt": "loop.txt",
+    "link.txt": "B.txt",
+    "c1": {
+        "a.txt": LOADER_TEXT.encode("utf-8"),
+        "a.md": LOADER_TEXT.replace("\n", "\r\n").encode("utf-8"),
+        "b.": b"\xef\xbb\xbf" + LOADER_TEXT.replace("\n", "\r").encode("utf-8"),
+        ".dot.txt": LOADER_TEXT.encode("utf-8"),
+        "empty.txt": b"",
+        "broken.txt": "missing.txt",
+    },
+    "c2": {"blank.txt": b" \r\n", "bom-only.txt": b"\xef\xbb\xbf"},
+    ".hidden-cluster": {"a.txt": LOADER_TEXT.encode("utf-8")},
+    "c3": "c1",
+    "broken-cluster": "missing",
+}
+
 ENGLISH_SETTINGS = (
     ("stem", "ratio:0.2"),
     ("stem", "k:3"),
@@ -234,6 +274,7 @@ def write_inputs(python: str, parent_src: Path, inputs: Path) -> dict[str, Path]
     (inputs / "bad-corpus").mkdir()
     for name, data in BAD_CORPUS.items():
         (inputs / "bad-corpus" / name).write_bytes(data)
+    write_tree(inputs / "loader", LOADER_CORPUS)
     texts = {}
     for directory, named in [("edge", EDGE_TEXTS), *LANGUAGE_TEXTS.items()]:
         (inputs / directory).mkdir(parents=True)
@@ -241,6 +282,17 @@ def write_inputs(python: str, parent_src: Path, inputs: Path) -> dict[str, Path]
             texts[name] = inputs / directory / f"{name}.txt"
             texts[name].write_text(text, encoding="utf-8")
     return texts
+
+
+def write_tree(directory: Path, tree: dict) -> None:
+    directory.mkdir()
+    for name, node in tree.items():
+        if isinstance(node, dict):
+            write_tree(directory / name, node)
+        elif isinstance(node, str):
+            (directory / name).symlink_to(node)
+        else:
+            (directory / name).write_bytes(node)
 
 
 def plan(inputs: Path, texts: dict[str, Path], out: Path) -> list[dict]:
@@ -302,6 +354,16 @@ def plan(inputs: Path, texts: dict[str, Path], out: Path) -> list[dict]:
         {"argv": ["batch", str(inputs / "bad-corpus"), "--systems", "artex,lead,random",
                   "--out", str(out / "batch" / "bad-corpus")]},
     ]
+    loader = inputs / "loader"
+    for name, root, layout in [
+        ("loader-flat", f"{loader}/", "flat"),
+        ("loader-clusters", os.path.relpath(loader), "clusters"),
+        ("loader-c1", str(loader / "c1"), "flat"),
+    ]:
+        calls.append(
+            {"argv": ["batch", root, "--layout", layout, "--systems", "artex,lead,random",
+                      "--out", str(out / "batch" / name)]}
+        )
     return calls
 
 

@@ -25,12 +25,23 @@ _TERMINATOR = re.compile("[.!?]")
 _ALNUM = re.compile(r"[^\W_]")
 
 
+def typed(cls):
+    """Make the NamedTuple ``cls`` equal only to records of its own type, and
+    hash by its type too: ``UltraStem(6) != SentenceCount(6)``.
+    """
+    cls.__eq__ = lambda self, other: type(other) is type(self) and tuple.__eq__(self, other)
+    cls.__ne__ = lambda self, other: not self == other
+    cls.__hash__ = lambda self: hash((type(self), *self))
+    return cls
+
+
 # Records are named tuples, cheap to create at import. A record with checks
 # writes them in a _check method and is decorated with checked, which sets
 # __new__ and _make after the class is made: a NamedTuple body may define
 # neither.
 def checked(cls):
-    """Make every construction of the NamedTuple ``cls`` call its ``_check()``.
+    """Make every construction of the NamedTuple ``cls`` call its ``_check()``,
+    and make ``cls`` typed.
 
     Positional and keyword construction and unpickling call ``__new__``;
     ``_make``, which ``_replace`` calls, is set to build through ``cls``.
@@ -45,7 +56,7 @@ def checked(cls):
 
     cls.__new__ = staticmethod(__new__)
     cls._make = classmethod(lambda cls, iterable: cls(*iterable))
-    return cls
+    return typed(cls)
 
 
 @checked
@@ -154,6 +165,7 @@ class UltraStem(NamedTuple):
         return partial(_truncated, self.n)
 
 
+@typed
 class Lemmatize(NamedTuple):
     """Dictionary lookup; a token missing from the dictionary maps to itself.
 
@@ -204,34 +216,36 @@ class StopList(NamedTuple):
 
 @cache
 def _bundled_words(language: str) -> frozenset[str]:
-    return _read_words(resources.files("artex").joinpath(f"data/stopwords/{language}.txt"))
+    resource = resources.files("artex").joinpath(f"data/stopwords/{language}.txt")
+    with resources.as_file(resource) as path:
+        return _read_words(path)
 
 
-def _read_words(source) -> frozenset[str]:
-    """The casefolded words of a stop-list file (a Path or a package resource)."""
+def _read_words(path: Path) -> frozenset[str]:
+    """The casefolded words of a stop-list file."""
     words = set()
-    for line in read_text(source).splitlines():
+    for line in read_text(path).splitlines():
         line = line.strip()
         if line and not line.startswith("#"):
             words.add(line.casefold())
     return frozenset(words)
 
 
-def read_text(source) -> str:
-    """The text of a UTF-8 file (a Path or a package resource), without a
-    leading byte-order mark. A UnicodeDecodeError names the file, and its
-    position counts bytes from the file's start.
+def read_text(path: str | Path) -> str:
+    """The text of a UTF-8 file, read once as bytes: a leading byte-order
+    mark is dropped, and ``\\r\\n`` and ``\\r`` become ``\\n``, as in text
+    mode. A UnicodeDecodeError names the file, and its position counts bytes
+    from the file's start.
     """
+    with open(path, "rb", buffering=0) as handle:
+        data = handle.read()
+    # The mark is dropped after decoding, so an error's position counts from
+    # the file's start.
     try:
-        return source.read_text(encoding="utf-8-sig")
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        error = exc
-    # Decoded whole, byte-order mark included, the file gives that offset.
-    try:
-        source.read_bytes().decode("utf-8")
-    except UnicodeDecodeError as exc:
-        error = exc
-    raise UnicodeDecodeError(*error.args[:4], f"{error.reason} in {source}")
+        raise UnicodeDecodeError(*exc.args[:4], f"{exc.reason} in {path}") from None
+    return text.removeprefix("\ufeff").replace("\r\n", "\n").replace("\r", "\n")
 
 
 def load_lemma_dictionary(path: str | Path) -> dict[str, str]:

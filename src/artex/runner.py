@@ -15,8 +15,10 @@ from __future__ import annotations
 # that use them: ``import artex`` is paid by every CLI process, and most of
 # them never start a pool, summarize timings, draw a random baseline or write JSON.
 import logging
+import os
 import time
 from itertools import chain
+from operator import attrgetter
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
 
@@ -162,39 +164,50 @@ def load_corpus(spec: CorpusSpec) -> list[RawDocument]:
         raise CorpusEmpty(f"corpus root is not a directory: {root}")
     documents: list[RawDocument] = []
     if spec.layout == FLAT:
-        claimed: dict[str, Path] = {}
-        for path in sorted(root.iterdir()):
-            if not path.is_file() or path.name.startswith("."):
-                continue
-            if path.stem in claimed:
+        claimed: dict[str, str] = {}
+        for name, path in _listing(root, "is_file"):
+            # PurePath(name).stem, which keeps "a." whole.
+            head, _, suffix = name.rpartition(".")
+            doc_id = head if head and suffix else name
+            if doc_id in claimed:
                 raise CorpusError(
-                    f"{claimed[path.stem]} and {path} both have document ID {path.stem!r}"
+                    f"{claimed[doc_id]} and {path} both have document ID {doc_id!r}"
                 )
-            claimed[path.stem] = path
+            claimed[doc_id] = path
             text = _read_text(path)
             if text:
-                documents.append(RawDocument(id=path.stem, text=text, language=spec.language))
+                documents.append(RawDocument(id=doc_id, text=text, language=spec.language))
     else:
-        for cluster in sorted(root.iterdir()):
-            if not cluster.is_dir() or cluster.name.startswith("."):
-                continue
-            parts = []
-            for path in sorted(cluster.iterdir()):
-                if not path.is_file() or path.name.startswith("."):
-                    continue
-                text = _read_text(path)
-                if text:
-                    parts.append(text)
+        for name, path in _listing(root, "is_dir"):
+            texts = (_read_text(file) for _, file in _listing(Path(path), "is_file"))
+            parts = [text for text in texts if text]
             if parts:
                 documents.append(
-                    RawDocument(id=cluster.name, text="\n".join(parts), language=spec.language)
+                    RawDocument(id=name, text="\n".join(parts), language=spec.language)
                 )
     if not documents:
         raise CorpusEmpty(f"no usable documents under {root}")
     return documents
 
 
-def _read_text(path: Path) -> str | None:
+def _listing(directory: Path, kind: str) -> list[tuple[str, str]]:
+    """(name, str(directory / name)) of each entry that ``kind`` ("is_file" or
+    "is_dir") accepts, in code-point order of the names, skipping names that
+    start with "."; a symbolic link is tested as Path tests it.
+    """
+    prefix = os.path.join(directory, "") if directory.parts else ""  # Path(".") / name
+    # A scanned entry knows its type: testing a file that is no link costs no stat.
+    with os.scandir(directory) as scan:
+        entries = sorted(scan, key=attrgetter("name"))
+    return [
+        (entry.name, prefix + entry.name)
+        for entry in entries
+        if not entry.name.startswith(".")
+        and getattr(Path(entry.path) if entry.is_symlink() else entry, kind)()
+    ]
+
+
+def _read_text(path: str) -> str | None:
     try:
         text = read_text(path)
     except (OSError, UnicodeDecodeError) as exc:
@@ -203,7 +216,7 @@ def _read_text(path: Path) -> str | None:
             exc.reason = exc.reason.removesuffix(f" in {path}")
         logger.warning("skipping %s: %s", path, exc)
         return None
-    if not text.strip():
+    if not text or text.isspace():
         logger.warning("skipping %s: file is empty", path)
         return None
     return text

@@ -178,6 +178,33 @@ def test_summarize_stoplist_first_word_survives_byte_order_mark(tmp_path):
     assert main(["summarize", str(path), "--stoplist", str(stoplist)]) == 3
 
 
+@pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+@pytest.mark.parametrize("role", ["document", "summary", "stoplist"])
+def test_crlf_and_cr_inputs_read_like_lf(tmp_path, capsys, role, newline):
+    # The document's sentences span lines, so its newlines show in the summary.
+    texts = {
+        "document": "Solar panels\nshine at noon. Solar panels\nhum at night!\nThe grid\nhums.\n",
+        "summary": "Solar panels\nshine at noon.\n",
+        "stoplist": "# stopped\nsolar\nnight\n",
+    }
+    paths = {name: str(tmp_path / f"{name}.txt") for name in texts}
+    calls = [
+        ["summarize", paths["document"], "--budget", "ratio:1.0", "--scores",
+         "--stoplist", paths["stoplist"]],
+        ["eval", paths["document"], paths["summary"]],
+    ]
+
+    def outputs(ending):
+        for name, text in texts.items():
+            text = text.replace("\n", ending) if name == role else text
+            Path(paths[name]).write_bytes(text.encode())
+        return [(main(argv), *capsys.readouterr()) for argv in calls]
+
+    lf = outputs("\n")
+    assert outputs(newline) == lf
+    assert lf[0][1] == "Solar panels\nshine at noon. Solar panels\nhum at night! The grid\nhums.\n"
+
+
 # Lemma without --lemma-dict is a usage error (1) and an unreadable
 # dictionary a file error (2), in every subcommand and at every worker
 # count (summarize without a dictionary has its own test above).

@@ -257,3 +257,38 @@ def test_fieldless_modes_compare_by_type():
     assert Raw() != Stem() and hash(Raw()) != hash(Stem())
     assert hash(Raw()) == hash(Raw())
     assert len({Raw(), Stem(), Raw()}) == 2
+
+
+# Modes, budgets and checked records: each is a value of its own type only.
+TYPED = [
+    Raw(),
+    Stem(),
+    UltraStem(6),
+    Lemmatize("x"),
+    SentenceCount(6),
+    WordRatio(0.5),
+    RawDocument(id="x", text="Sun rose.", language="en"),
+    CorpusSpec(root=Path("x")),
+    RunConfig(),
+]
+
+
+def test_records_equal_only_records_of_their_own_type():
+    assert UltraStem(6) != SentenceCount(6) and not UltraStem(6) == SentenceCount(6)
+    assert Lemmatize("x") != ("x",) and ("x",) != Lemmatize("x")
+    assert len({UltraStem(3): "mode", SentenceCount(3): "budget"}) == 2
+    for record in TYPED:
+        for other in TYPED:
+            assert (record == other) is (record is other)
+            assert (record != other) is (record is not other)
+        if isinstance(record, tuple):
+            assert record != tuple(record) and tuple(record) != record
+            assert type(record)._make(record) == record
+
+
+@pytest.mark.parametrize("record", TYPED, ids=lambda record: type(record).__name__)
+def test_equal_records_of_one_type_hash_alike(record):
+    copy = pickle.loads(pickle.dumps(record))
+    assert copy == record and not copy != record
+    assert hash(copy) == hash(record)
+    assert len({record, copy}) == 1

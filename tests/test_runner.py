@@ -2,20 +2,26 @@ import concurrent.futures
 import csv
 import hashlib
 import json
+import logging
+import os
+import tempfile
 from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import artex.evaluation
 import artex.preprocess
 import artex.runner
 import artex.stemming
-from artex.errors import CorpusEmpty, CorpusError, EmptyDocument
+from artex.errors import ArtexError, CorpusEmpty, CorpusError, EmptyDocument
 from artex.preprocess import (
     Lemmatize,
     Raw,
+    RawDocument,
     Stem,
     StopList,
     UltraStem,
@@ -132,11 +138,175 @@ def test_load_corpus_clusters_concatenate_in_filename_order(tmp_path):
     assert documents[0].text == "First part here.\nSecond part here."
 
 
+@pytest.mark.parametrize("layout", ["flat", "clusters"])
+def test_load_corpus_reads_crlf_and_cr_files_like_lf_files(tmp_path, layout):
+    text = "The sun rose.\nIt set\nagain.\n"
+    for number, newline in enumerate(["\n", "\r\n", "\r"]):
+        data = text.replace("\n", newline).encode("utf-8")
+        directory = tmp_path / f"c{number}" if layout == "clusters" else tmp_path
+        directory.mkdir(exist_ok=True)
+        (directory / f"d{number}.txt").write_bytes(data)
+        (directory / f"e{number}.txt").write_bytes(b"\xef\xbb\xbf" + data)
+    documents = load_corpus(CorpusSpec(root=tmp_path, layout=layout))
+    if layout == "clusters":
+        assert [d.text for d in documents] == [f"{text}\n{text}"] * 3
+    else:
+        assert [d.text for d in documents] == [text] * 6
+
+
 def test_load_corpus_empty_raises(tmp_path):
     with pytest.raises(CorpusEmpty):
         load_corpus(CorpusSpec(root=tmp_path))
     with pytest.raises(CorpusEmpty):
         load_corpus(CorpusSpec(root=tmp_path / "missing"))
+
+
+def reference_load_corpus(spec: CorpusSpec) -> list[RawDocument]:
+    """The loader load_corpus replaced, kept as its oracle: it sorts Path
+    objects, tests each with Path.is_file or is_dir and reads it in text mode."""
+    root = Path(spec.root)
+    if not root.is_dir():
+        raise CorpusEmpty(f"corpus root is not a directory: {root}")
+    documents: list[RawDocument] = []
+    if spec.layout == "flat":
+        claimed: dict[str, Path] = {}
+        for path in sorted(root.iterdir()):
+            if not path.is_file() or path.name.startswith("."):
+                continue
+            if path.stem in claimed:
+                raise CorpusError(
+                    f"{claimed[path.stem]} and {path} both have document ID {path.stem!r}"
+                )
+            claimed[path.stem] = path
+            text = reference_read_text(path)
+            if text:
+                documents.append(RawDocument(id=path.stem, text=text, language=spec.language))
+    else:
+        for cluster in sorted(root.iterdir()):
+            if not cluster.is_dir() or cluster.name.startswith("."):
+                continue
+            parts = []
+            for path in sorted(cluster.iterdir()):
+                if not path.is_file() or path.name.startswith("."):
+                    continue
+                text = reference_read_text(path)
+                if text:
+                    parts.append(text)
+            if parts:
+                documents.append(
+                    RawDocument(id=cluster.name, text="\n".join(parts), language=spec.language)
+                )
+    if not documents:
+        raise CorpusEmpty(f"no usable documents under {root}")
+    return documents
+
+
+def reference_read_text(path: Path) -> str | None:
+    """A corpus file's text, read in text mode, or None with a warning."""
+    try:
+        text = path.read_text(encoding="utf-8-sig")
+    except UnicodeDecodeError:
+        try:
+            path.read_bytes().decode("utf-8")  # the offset from the file's start
+        except UnicodeDecodeError as exc:
+            artex.runner.logger.warning("skipping %s: %s", path, exc)
+            return None
+    except OSError as exc:
+        artex.runner.logger.warning("skipping %s: %s", path, exc)
+        return None
+    if not text.strip():
+        artex.runner.logger.warning("skipping %s: file is empty", path)
+        return None
+    return text
+
+
+# Names that Path.stem, sorting and the dotfile rule treat apart; each entry
+# is a file's bytes, a symbolic link to a sibling name (broken when nothing
+# has that name, a loop when it is its own) or, one level down, a directory.
+TREE_NAMES = ["a.", "a.txt", "a.md", "b.tar.gz", "b", "B.txt", ".hidden", ".d.txt", "\xe9.txt"]
+TREE_FILES = [
+    b"", b" \n\t", b"\xef\xbb\xbf", b"\xef\xbb\xbf \r\n", b"Sun rose.\n",
+    b"\xef\xbb\xbfSun rose.\nIt set.", b"Sun rose.\r\nIt set.\r\n", b"Sun rose.\rIt set.\r",
+    b"Mixed.\r\r\nEnd.\n\r", b"\xef\xbb\xbfaaaa\xff\n", b"ok\xfe",
+]
+TREE_LEAVES = st.one_of(
+    st.sampled_from(TREE_FILES), st.tuples(st.just("link"), st.sampled_from(TREE_NAMES))
+)
+TREES = st.dictionaries(
+    st.sampled_from(TREE_NAMES),
+    st.one_of(TREE_LEAVES, st.dictionaries(st.sampled_from(TREE_NAMES), TREE_LEAVES, max_size=4)),
+    max_size=6,
+)
+
+
+def build_tree(directory: Path, tree: dict) -> None:
+    directory.mkdir()
+    for name, node in tree.items():
+        if isinstance(node, dict):
+            build_tree(directory / name, node)
+        elif isinstance(node, tuple):
+            (directory / name).symlink_to(node[1])
+        else:
+            (directory / name).write_bytes(node)
+
+
+class Recorded(logging.Handler):
+    def __init__(self) -> None:
+        super().__init__()
+        self.messages: list[str] = []
+
+    def emit(self, record: logging.LogRecord) -> None:
+        self.messages.append(record.getMessage())
+
+
+def outcome(load, spec: CorpusSpec) -> tuple:
+    """``load(spec)``'s documents or error, with the warnings it logged."""
+    recorded = Recorded()
+    artex.runner.logger.addHandler(recorded)
+    try:
+        result = load(spec)
+    except ArtexError as exc:
+        result = (type(exc), str(exc))
+    finally:
+        artex.runner.logger.removeHandler(recorded)
+    return result, recorded.messages
+
+
+@settings(max_examples=200, deadline=None)
+@example(
+    tree={"a.": TREE_FILES[4], "b.tar.gz": TREE_FILES[6], "B.txt": TREE_FILES[5],
+          "\xe9.txt": TREE_FILES[7], ".hidden": TREE_FILES[4], "b": {"a.txt": TREE_FILES[4]},
+          "a.md": ("link", "missing"), ".d.txt": ("link", ".d.txt"), "a.txt": ("link", "a.")},
+    layout="flat",
+    root="corpus/",
+)
+@example(tree={"a.txt": TREE_FILES[4], "a.md": TREE_FILES[8]}, layout="flat", root=".")
+@example(
+    tree={"a.": {"b": TREE_FILES[8], ".d.txt": TREE_FILES[4], "a.txt": TREE_FILES[9],
+                 "B.txt": TREE_FILES[1], "a.md": TREE_FILES[2]},
+          ".hidden": {"b": TREE_FILES[4]}, "b": TREE_FILES[4], "a.md": ("link", "a."),
+          "B.txt": ("link", "B.txt")},
+    layout="clusters",
+    root=".",
+)
+@given(
+    tree=TREES,
+    layout=st.sampled_from(["flat", "clusters"]),
+    root=st.sampled_from(["absolute", "absolute/", "corpus", "corpus/", "./corpus//", "."]),
+)
+def test_load_corpus_matches_the_reference_loader(tree, layout, root):
+    with tempfile.TemporaryDirectory() as scratch:
+        corpus = Path(scratch) / "corpus"
+        build_tree(corpus, tree)
+        cwd = os.getcwd()
+        os.chdir(corpus if root == "." else scratch)
+        try:
+            if root.startswith("absolute"):
+                root = str(corpus) + root.removeprefix("absolute")
+            spec = CorpusSpec(root=root, layout=layout)
+            assert outcome(load_corpus, spec) == outcome(reference_load_corpus, spec)
+        finally:
+            os.chdir(cwd)
 
 
 def test_corpus_spec_rejects_unknown_layout(tmp_path):
