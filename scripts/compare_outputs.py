@@ -33,6 +33,8 @@ through ``artex.cli.main``:
 - ``summarize --scores`` at ``ratio:0.2`` and ``k:2`` on the edge texts,
   on five short documents and on the Spanish and French texts;
 - ``eval`` of each of those summaries against its source;
+- ``summarize --budget k:99`` of an edge text, whose budget the scorer
+  clamps with a warning;
 - ``bench --modes raw,fix:3,stem,lemma --reps 3`` over each English
   corpus and over the edge texts;
 - ``batch``, ``summarize`` and ``bench`` in lemma mode over the edge texts
@@ -330,6 +332,7 @@ def plan(inputs: Path, texts: dict[str, Path], out: Path) -> list[dict]:
                           "--lang", language], "stdout_to": str(summary)}
             )
             calls.append({"argv": ["eval", str(path), str(summary), "--lang", language]})
+    calls.append({"argv": ["summarize", str(texts["bom"]), "--budget", "k:99"]})
     for corpus in ("long", "short", "edge"):
         calls.append(
             {"argv": ["bench", str(inputs / corpus), "--modes", "raw,fix:3,stem,lemma",

@@ -14,7 +14,8 @@ that run ``main`` in-process may redirect it per call.
 
 from __future__ import annotations
 
-# json is imported only by eval and bench, which print it: every CLI call pays for these imports.
+# Every CLI call pays for these imports. json is imported only by eval and
+# bench, which print it, and the runner only by batch and bench, which run it.
 import argparse
 import functools
 import logging
@@ -29,15 +30,7 @@ from .errors import (
     MissingDictionary,
 )
 from .evaluation import evaluation_tokens, fresa_report
-from .preprocess import RawDocument, StopList, preprocess_document, read_text
-from .runner import (
-    CorpusSpec,
-    RunConfig,
-    benchmark,
-    benchmark_summary,
-    parse_mode,
-    run_corpus,
-)
+from .preprocess import RawDocument, StopList, parse_mode, preprocess_document, read_text
 from .scorer import SentenceCount, WordRatio, score, score_table, select
 from .stemming import SUPPORTED_LANGUAGES
 
@@ -149,6 +142,8 @@ def cmd_summarize(args) -> int:
 
 
 def cmd_batch(args) -> int:
+    from .runner import CorpusSpec, RunConfig, run_corpus
+
     corpus = CorpusSpec(
         root=Path(args.corpus_root), layout=args.layout, language=args.lang
     )
@@ -188,6 +183,8 @@ def cmd_eval(args) -> int:
 
 def cmd_bench(args) -> int:
     import json
+
+    from .runner import CorpusSpec, benchmark, benchmark_summary
 
     corpus = CorpusSpec(
         root=Path(args.corpus_root), layout=args.layout, language=args.lang

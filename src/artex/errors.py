@@ -1,4 +1,16 @@
-"""Exception hierarchy shared across the pipeline."""
+"""Exception hierarchy shared across the pipeline, and its one warning helper."""
+
+
+def warn(logger: str, message: str, *args: object) -> None:
+    """Log ``message % args`` as a warning of the logger named ``logger``.
+
+    ``logging`` is imported here, by the first warning, and not by
+    ``import artex``: most processes never warn. With no handler configured,
+    logging's last-resort handler prints the bare message on stderr.
+    """
+    import logging
+
+    logging.getLogger(logger).warning(message, *args)
 
 
 class ArtexError(Exception):

@@ -187,6 +187,27 @@ class Lemmatize(NamedTuple):
 NormalizationMode = Raw | Stem | UltraStem | Lemmatize
 
 
+def parse_mode(label: str, dictionary_path: str | Path | None = None) -> NormalizationMode:
+    """Parse a normalization label: raw | lemma | stem | fix:N.
+
+    ``dictionary_path`` is kept by lemma and ignored by the other modes.
+    """
+    label = label.strip().lower()
+    if label == "raw":
+        return Raw()
+    if label == "stem":
+        return Stem()
+    if label == "lemma":
+        return Lemmatize(dictionary_path)
+    if label.startswith("fix:"):
+        try:
+            n = int(label.split(":", 1)[1])
+        except ValueError:
+            raise ValueError(f"bad truncation length in {label!r}") from None
+        return UltraStem(n)
+    raise ValueError(f"unknown normalization: {label!r} (want raw|lemma|stem|fix:N)")
+
+
 class StopList(NamedTuple):
     """The casefolded words removed during filtering."""
 

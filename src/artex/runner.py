@@ -1,86 +1,43 @@
-"""Corpus ingestion, batch summarization, evaluation sweeps, and timing.
+"""Batch summarization, evaluation sweeps, and timing.
 
-A corpus is either a directory of flat files (one document each) or a
-directory of cluster subdirectories whose files are concatenated in
-filename order and summarized as one document. Each document is processed
-in isolation: failures are logged and skipped without aborting the batch.
-Outputs are deterministic for a fixed corpus, configuration, and seed;
-timing fields are the only nondeterministic values and live in their own
-file.
+A batch reads its corpus with :mod:`artex.corpus` and processes each
+document in isolation: failures are logged and skipped without aborting the
+batch. Outputs are deterministic for a fixed corpus, configuration, and
+seed; timing fields are the only nondeterministic values and live in their
+own file.
 """
 
 from __future__ import annotations
 
 # The process pool, statistics, csv, hashlib and json are imported in the calls
-# that use them: ``import artex`` is paid by every CLI process, and most of
-# them never start a pool, summarize timings, draw a random baseline or write JSON.
-import logging
-import os
+# that use them, and logging by the first warning (errors.warn): most processes
+# never start a pool, summarize timings, draw a random baseline, write JSON or
+# warn. A process that only loads a corpus imports artex.corpus, not this module.
 import time
 from itertools import chain
-from operator import attrgetter
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
 
 from .baselines import lead_baseline, random_baseline
-from .errors import ArtexError, CorpusEmpty, CorpusError
+# CorpusSpec, load_corpus and parse_mode are also artex.runner's own names,
+# and run_corpus and benchmark call load_corpus through this module's global.
+from .corpus import CLUSTERS, CorpusSpec, load_corpus
+from .errors import ArtexError, CorpusError, warn
 from .evaluation import DivergenceReport, prepare_source, stem_types
 from .preprocess import (
-    Lemmatize,
     NormalizationMode,
-    Raw,
     RawDocument,
     Stem,
     StopList,
-    UltraStem,
     checked,
     clean_document,
     normalize_document,
+    parse_mode,
     preprocess_document,
-    read_text,
 )
 from .scorer import DEFAULT_BUDGET, CompressionSpec, Summary, score, select
 
-logger = logging.getLogger(__name__)
-
 SYSTEMS = ("artex", "lead", "random")
-
-FLAT = "flat"
-CLUSTERS = "clusters"
-
-
-def parse_mode(label: str, dictionary_path: str | Path | None = None) -> NormalizationMode:
-    """Parse a normalization label: raw | lemma | stem | fix:N.
-
-    ``dictionary_path`` is kept by lemma and ignored by the other modes.
-    """
-    label = label.strip().lower()
-    if label == "raw":
-        return Raw()
-    if label == "stem":
-        return Stem()
-    if label == "lemma":
-        return Lemmatize(dictionary_path)
-    if label.startswith("fix:"):
-        try:
-            n = int(label.split(":", 1)[1])
-        except ValueError:
-            raise ValueError(f"bad truncation length in {label!r}") from None
-        return UltraStem(n)
-    raise ValueError(f"unknown normalization: {label!r} (want raw|lemma|stem|fix:N)")
-
-
-@checked
-class CorpusSpec(NamedTuple):
-    """Where a corpus lives and how its files map to documents."""
-
-    root: Path
-    layout: str = FLAT
-    language: str = "en"
-
-    def _check(self):
-        if self.layout not in (FLAT, CLUSTERS):
-            raise ValueError(f"unknown layout: {self.layout!r}")
 
 
 @checked
@@ -150,76 +107,6 @@ class RunResult(NamedTuple):
     summary: Summary
     report: DivergenceReport
     timing: TimingRecord
-
-
-def load_corpus(spec: CorpusSpec) -> list[RawDocument]:
-    """Read the corpus into documents; unreadable or empty files are skipped.
-
-    A flat file's document ID is its name without the extension. Two files
-    with the same ID (``b.txt`` and ``b.md``) raise CorpusError, since
-    their outputs and random-baseline seeds would collide.
-    """
-    root = Path(spec.root)
-    if not root.is_dir():
-        raise CorpusEmpty(f"corpus root is not a directory: {root}")
-    documents: list[RawDocument] = []
-    if spec.layout == FLAT:
-        claimed: dict[str, str] = {}
-        for name, path in _listing(root, "is_file"):
-            # PurePath(name).stem, which keeps "a." whole.
-            head, _, suffix = name.rpartition(".")
-            doc_id = head if head and suffix else name
-            if doc_id in claimed:
-                raise CorpusError(
-                    f"{claimed[doc_id]} and {path} both have document ID {doc_id!r}"
-                )
-            claimed[doc_id] = path
-            text = _read_text(path)
-            if text:
-                documents.append(RawDocument(id=doc_id, text=text, language=spec.language))
-    else:
-        for name, path in _listing(root, "is_dir"):
-            texts = (_read_text(file) for _, file in _listing(Path(path), "is_file"))
-            parts = [text for text in texts if text]
-            if parts:
-                documents.append(
-                    RawDocument(id=name, text="\n".join(parts), language=spec.language)
-                )
-    if not documents:
-        raise CorpusEmpty(f"no usable documents under {root}")
-    return documents
-
-
-def _listing(directory: Path, kind: str) -> list[tuple[str, str]]:
-    """(name, str(directory / name)) of each entry that ``kind`` ("is_file" or
-    "is_dir") accepts, in code-point order of the names, skipping names that
-    start with "."; a symbolic link is tested as Path tests it.
-    """
-    prefix = os.path.join(directory, "") if directory.parts else ""  # Path(".") / name
-    # A scanned entry knows its type: testing a file that is no link costs no stat.
-    with os.scandir(directory) as scan:
-        entries = sorted(scan, key=attrgetter("name"))
-    return [
-        (entry.name, prefix + entry.name)
-        for entry in entries
-        if not entry.name.startswith(".")
-        and getattr(Path(entry.path) if entry.is_symlink() else entry, kind)()
-    ]
-
-
-def _read_text(path: str) -> str | None:
-    try:
-        text = read_text(path)
-    except (OSError, UnicodeDecodeError) as exc:
-        if isinstance(exc, UnicodeDecodeError):
-            # read_text ends the reason with the file's name; the warning starts with it.
-            exc.reason = exc.reason.removesuffix(f" in {path}")
-        logger.warning("skipping %s: %s", path, exc)
-        return None
-    if not text or text.isspace():
-        logger.warning("skipping %s: file is empty", path)
-        return None
-    return text
 
 
 def _check_out_dir(corpus: CorpusSpec, out_dir: Path | None) -> None:
@@ -363,7 +250,7 @@ def run_corpus(corpus: CorpusSpec, cfg: RunConfig) -> list[RunResult]:
             outcomes = list(pool.map(_worker_run, documents))
     for doc_id, doc_results, error in outcomes:
         if error is not None:
-            logger.warning("skipping document %s: %s", doc_id, error)
+            warn(__name__, "skipping document %s: %s", doc_id, error)
         results.extend(doc_results)
     if cfg.out_dir is not None:
         write_outputs(results, Path(cfg.out_dir))
@@ -496,7 +383,7 @@ def _timed_repetition(
             except ArtexError as exc:
                 preprocess_seconds[position] += clock() - t0
                 failed[position].add(raw.id)
-                logger.warning("benchmark skips document %s: %s", raw.id, exc)
+                warn(__name__, "benchmark skips document %s: %s", raw.id, exc)
                 continue
             t2 = clock()
             preprocess_seconds[position] += t1 - t0

@@ -18,16 +18,13 @@ sentences under a budget, re-ordered to source order.
 
 from __future__ import annotations
 
-import logging
 import math
 from collections import Counter
 from itertools import chain
 from typing import NamedTuple, Sequence
 
-from .errors import EmptyVocabulary
+from .errors import EmptyVocabulary, warn
 from .preprocess import Sentence, checked
-
-logger = logging.getLogger(__name__)
 
 
 class PseudoVectors(NamedTuple):
@@ -172,7 +169,7 @@ def extract(
     if isinstance(budget, SentenceCount):
         k = budget.k
         if k > p:
-            logger.warning("budget of %d sentences exceeds the %d available; clamping", k, p)
+            warn(__name__, "budget of %d sentences exceeds the %d available; clamping", k, p)
             k = p
         chosen = order[:k]
     else:

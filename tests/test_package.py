@@ -33,7 +33,7 @@ from artex.synthetic import generate_document
 
 # Modules that only some calls need, so ``import artex`` must not load them.
 # Records are named tuples, so nothing loads dataclasses (nor the inspect
-# module it imports).
+# module it imports); logging is loaded by the first warning.
 DEFERRED = (
     "concurrent.futures",
     "multiprocessing",
@@ -43,23 +43,92 @@ DEFERRED = (
     "json",
     "dataclasses",
     "inspect",
+    "logging",
     "artex.stemming.english",
     "artex.stemming.french",
     "artex.stemming.spanish",
 )
+STANDARD_DEFERRED = [name for name in DEFERRED if not name.startswith("artex.")]
+
+# Each probe runs in a fresh interpreter without site, so nothing but artex
+# and the probe import modules; argv[1] is the directory that holds artex.
+SRC = str(Path(artex.__file__).parents[1])
 
 PROBE = """
 import sys
 sys.path.insert(0, sys.argv[1])
 deferred = sys.argv[2:]
 import artex
+stemmer_for = artex.stemmer_for
 loaded = [name for name in deferred if name in sys.modules]
 before = set(sys.modules)
-artex.stemmer_for("fr")
+stemmer_for("fr")
 added = sorted(set(sys.modules) - before)
 import json
 print(json.dumps({"loaded": loaded, "added": added}))
 """
+
+# What a batch does before its first document (perfbench's setup probe).
+SETUP_PROBE = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from artex import CorpusSpec, StopList, load_corpus
+StopList.bundled("en")
+documents = load_corpus(CorpusSpec(sys.argv[2]))
+print(len(documents), *sorted(name for name in sys.modules if name.startswith("artex")))
+print(*(name for name in sys.argv[3:] if name in sys.modules))
+"""
+
+# Every public name resolved from a bare ``import artex``.
+RESOLVE_PROBE = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import artex
+print(artex.runner.__name__)
+for name in artex.__all__:
+    getattr(artex, name)
+print(*(name for name in sys.argv[2:] if name in sys.modules))
+"""
+
+# Loads a corpus with one empty file; nothing configures logging.
+WARNING_PROBE = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from artex import CorpusSpec, load_corpus
+print("logging" in sys.modules)
+print(len(load_corpus(CorpusSpec(sys.argv[2]))))
+"""
+
+CLI_PROBE = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import artex.cli
+print(*sorted(name for name in sys.modules if name.startswith("artex")))
+"""
+
+MAIN_PROBE = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from artex.cli import main
+sys.exit(main(sys.argv[2:]))
+"""
+
+
+def fresh(probe: str, *args: str) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, "-S", "-c", probe, SRC, *args],
+        capture_output=True, text=True, check=True,
+    )
+
+
+@pytest.fixture
+def one_file_corpus(tmp_path):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "a.txt").write_text(
+        "Solar panels store power. Solar panels feed the grid.\n", encoding="utf-8"
+    )
+    return corpus
 
 
 # The public API, name by name: adding or dropping an export is a deliberate
@@ -89,13 +158,51 @@ def test_every_exported_name_resolves():
 
 
 def test_import_loads_no_deferred_module():
-    # A fresh interpreter without site, so nothing but artex imports modules.
-    src = str(Path(artex.__file__).parents[1])
-    done = subprocess.run(
-        [sys.executable, "-S", "-c", PROBE, src, *DEFERRED],
-        capture_output=True, text=True, check=True,
-    )
+    done = fresh(PROBE, *DEFERRED)
     assert json.loads(done.stdout) == {"loaded": [], "added": ["artex.stemming.french"]}
+
+
+def test_setup_loads_neither_runner_nor_logging(one_file_corpus):
+    (one_file_corpus / "b.txt").write_text(
+        "The grid stores power. The grid feeds homes.\n", encoding="utf-8"
+    )
+    unloaded = ["logging", "artex.runner", "artex.scorer", "artex.evaluation",
+                "artex.baselines", "artex.cli"]
+    count_and_loaded, still_loaded = fresh(
+        SETUP_PROBE, str(one_file_corpus), *unloaded
+    ).stdout.splitlines()
+    assert count_and_loaded.split() == [
+        "2", "artex", "artex.corpus", "artex.errors", "artex.preprocess", "artex.stemming"
+    ]
+    assert still_loaded == ""
+
+
+def test_every_public_name_resolves_without_deferred_modules():
+    runner, loaded = fresh(RESOLVE_PROBE, *STANDARD_DEFERRED).stdout.splitlines()
+    assert runner == "artex.runner"
+    assert loaded == ""
+
+
+def test_dir_lists_every_public_name():
+    assert set(PUBLIC) <= set(dir(artex))
+
+
+def test_import_cli_leaves_runner_unloaded():
+    loaded = fresh(CLI_PROBE).stdout.split()
+    assert "artex.cli" in loaded
+    assert [name for name in ("artex.runner", "artex.corpus", "artex.baselines")
+            if name in loaded] == []
+
+
+def test_warnings_reach_stderr_when_nothing_configured_logging(one_file_corpus, tmp_path):
+    empty = one_file_corpus / "empty.txt"
+    empty.write_bytes(b"")
+    done = fresh(WARNING_PROBE, str(one_file_corpus))
+    # logging's last-resort handler prints the bare message.
+    assert done.stdout.split() == ["False", "1"]
+    assert done.stderr == f"skipping {empty}: file is empty\n"
+    batch = fresh(MAIN_PROBE, "batch", str(one_file_corpus), "--out", str(tmp_path / "out"))
+    assert f"WARNING artex.runner: skipping {empty}: file is empty\n" in batch.stderr
 
 
 @pytest.mark.parametrize("language", SUPPORTED_LANGUAGES)

@@ -209,13 +209,13 @@ def reference_read_text(path: Path) -> str | None:
         try:
             path.read_bytes().decode("utf-8")  # the offset from the file's start
         except UnicodeDecodeError as exc:
-            artex.runner.logger.warning("skipping %s: %s", path, exc)
+            logging.getLogger("artex.runner").warning("skipping %s: %s", path, exc)
             return None
     except OSError as exc:
-        artex.runner.logger.warning("skipping %s: %s", path, exc)
+        logging.getLogger("artex.runner").warning("skipping %s: %s", path, exc)
         return None
     if not text.strip():
-        artex.runner.logger.warning("skipping %s: file is empty", path)
+        logging.getLogger("artex.runner").warning("skipping %s: file is empty", path)
         return None
     return text
 
@@ -262,13 +262,13 @@ class Recorded(logging.Handler):
 def outcome(load, spec: CorpusSpec) -> tuple:
     """``load(spec)``'s documents or error, with the warnings it logged."""
     recorded = Recorded()
-    artex.runner.logger.addHandler(recorded)
+    logging.getLogger("artex.runner").addHandler(recorded)
     try:
         result = load(spec)
     except ArtexError as exc:
         result = (type(exc), str(exc))
     finally:
-        artex.runner.logger.removeHandler(recorded)
+        logging.getLogger("artex.runner").removeHandler(recorded)
     return result, recorded.messages
 
 
