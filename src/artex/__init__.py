@@ -38,9 +38,8 @@ _EXPORTS = {
         "run_corpus",
     ),
     "scorer": (
-        "DEFAULT_BUDGET", "CompressionSpec", "PseudoVectors", "SentenceCount", "Summary",
-        "WordRatio", "pseudo_vectors", "score", "score_normalized", "score_table",
-        "select",
+        "DEFAULT_BUDGET", "CompressionSpec", "SentenceCount", "Summary", "WordRatio",
+        "score", "score_normalized", "score_table", "select",
     ),
     "stemming": ("stemmer_for",),
 }

@@ -112,35 +112,20 @@ def _looked_up(dictionary: Mapping[str, str], token: str) -> str:
     return dictionary.get(token, token)
 
 
-class _Fieldless:
-    """A mode without fields: immutable, and equal to and hashed as its type."""
-
-    __slots__ = ()
-
-    def __eq__(self, other):
-        return type(other) is type(self) or NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(type(self))
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}()"
-
-
-class Raw(_Fieldless):
+@typed
+class Raw(NamedTuple):
     """Identity normalization: tokens are kept as they are."""
 
-    __slots__ = ()
     label = "raw"
 
     def normalizer(self, language: str) -> Callable[[str], str]:
         return _unchanged
 
 
-class Stem(_Fieldless):
+@typed
+class Stem(NamedTuple):
     """Suffix-stripping with the bundled stemmer for the document language."""
 
-    __slots__ = ()
     label = "stem"
 
     def normalizer(self, language: str) -> Callable[[str], str]:
@@ -154,6 +139,8 @@ class UltraStem(NamedTuple):
     n: int
 
     def _check(self):
+        if not isinstance(self.n, int):
+            raise ValueError(f"truncation length must be an integer, got {self.n!r}")
         if self.n < 1:
             raise ValueError(f"truncation length must be >= 1, got {self.n}")
 

@@ -71,7 +71,11 @@ class TimingRecord(NamedTuple):
     batch scores before it prepares the source for evaluation, and adds that
     time to artex's scoring phase. The total is the sum of both phases. In a
     batch, ``corpus_id`` holds the document ID, and ``repetition`` and
-    ``vocabulary_size`` are None (empty in timings.csv).
+    ``vocabulary_size`` are None (empty in timings.csv). A batch
+    preprocesses a document once for all its systems, so each system's row
+    repeats the document's ``preprocess_seconds``: summing ``total_seconds``
+    over the systems counts that preprocessing once per system. Preparing
+    the source for evaluation and evaluating the summaries fall in no phase.
     """
 
     system: str

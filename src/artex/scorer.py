@@ -12,7 +12,8 @@ streams already hold, so the matrix is never built: a sentence's inner
 product with the column totals is the sum, over its term occurrences, of
 each term's count in the document, and its row total is its length. Each
 score is that exact integer numerator divided once, which makes the rank
-identity hold exactly in floating point. Summaries are the top-scoring
+identity hold exactly in floating point; the two vectors themselves are
+computed only by the tests' matrix oracle. Summaries are the top-scoring
 sentences under a budget, re-ordered to source order.
 """
 
@@ -25,19 +26,6 @@ from typing import NamedTuple, Sequence
 
 from .errors import EmptyVocabulary, warn
 from .preprocess import Sentence, checked
-
-
-class PseudoVectors(NamedTuple):
-    """Row and column averages of the occurrence matrix.
-
-    ``lexical_weight[i]`` is the average occurrence count over the N terms
-    in sentence i (a per-sentence informativeness scale factor), and
-    ``global_topic[j]`` is the average occurrence count of term j over the
-    P sentences (the document-wide topic profile).
-    """
-
-    lexical_weight: tuple[float, ...]
-    global_topic: tuple[float, ...]
 
 
 @checked
@@ -74,21 +62,6 @@ class Summary(NamedTuple):
 
     selected: tuple[int, ...]
     text: str
-
-
-def pseudo_vectors(terms: Sequence[Sequence[str]]) -> PseudoVectors:
-    """Compute row means (lexical weight) and column means (global topic).
-
-    ``terms`` holds one term stream per sentence, such as Document.terms;
-    the columns are the terms in first-occurrence order. This is the paper's
-    formulation of the two pseudo-vectors; :func:`score` reaches the same
-    values from the integer totals and does not call it.
-    """
-    totals = _totals(terms)
-    n, p = len(totals), len(terms)
-    lexical = tuple(len(stream) / n for stream in terms)
-    topic = tuple(total / p for total in totals.values())
-    return PseudoVectors(lexical_weight=lexical, global_topic=topic)
 
 
 def _totals(terms: Sequence[Sequence[str]]) -> Counter[str]:

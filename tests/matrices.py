@@ -4,13 +4,15 @@ The package scores sentences from their term streams and never builds the
 matrix. This module keeps the matrix path it replaced: ``vectorize`` counts
 the streams into one column -> count mapping per sentence, and
 ``oracle_score`` and ``oracle_score_normalized`` score those rows with the
-same exact integer numerators. ``from_dense`` turns a count matrix into
-term streams, so that tests can state their inputs by their counts.
+same exact integer numerators. ``pseudo_vectors`` computes the paper's two
+vectors themselves, the matrix's row and column means, which ``score``
+folds into one division. ``from_dense`` turns a count matrix into term
+streams, so that tests can state their inputs by their counts.
 """
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from artex.errors import EmptyVocabulary
 
@@ -57,6 +59,30 @@ def vectorize(streams: Sequence[Sequence[str]]) -> tuple[dict[str, int], Sentenc
     if not index:
         raise EmptyVocabulary("no sentence retained any token")
     return index, SentenceTermMatrix(P=len(streams), N=len(index), rows=tuple(rows))
+
+
+class PseudoVectors(NamedTuple):
+    """Row and column averages of the occurrence matrix.
+
+    ``lexical_weight[i]`` is the average occurrence count over the N terms
+    in sentence i (a per-sentence informativeness scale factor), and
+    ``global_topic[j]`` is the average occurrence count of term j over the
+    P sentences (the document-wide topic profile).
+    """
+
+    lexical_weight: tuple[float, ...]
+    global_topic: tuple[float, ...]
+
+
+def pseudo_vectors(streams: Sequence[Sequence[str]]) -> PseudoVectors:
+    """Row means (lexical weight) and column means (global topic), with the
+    columns in first-occurrence order: the paper's formulation of the two
+    pseudo-vectors. Raises EmptyVocabulary like ``vectorize``.
+    """
+    _, matrix = vectorize(streams)
+    lexical = tuple(matrix.row_sum(i) / matrix.N for i in range(matrix.P))
+    topic = tuple(total / matrix.P for total in matrix.column_sums())
+    return PseudoVectors(lexical_weight=lexical, global_topic=topic)
 
 
 def _matrix_scores(matrix: SentenceTermMatrix, denominator: float) -> tuple[float, ...]:

@@ -1,4 +1,5 @@
 import ast
+import inspect
 import json
 import pickle
 import subprocess
@@ -14,7 +15,6 @@ from artex import (
     Document,
     Lemmatize,
     NgramProfile,
-    PseudoVectors,
     Raw,
     RawDocument,
     RunConfig,
@@ -29,7 +29,7 @@ from artex import (
     WordRatio,
 )
 from artex.stemming import SUPPORTED_LANGUAGES, stemmer_for
-from artex.synthetic import generate_document
+from artex.synthetic import generate_corpus, generate_document, generate_lemma_dictionary
 
 # Modules that only some calls need, so ``import artex`` must not load them.
 # Records are named tuples, so nothing loads dataclasses (nor the inspect
@@ -113,6 +113,28 @@ from artex.cli import main
 sys.exit(main(sys.argv[2:]))
 """
 
+# Runs each argv of the JSON list argv[3] through one process's cli.main under
+# sys.setprofile, from before artex is imported, and writes the exit codes and
+# the (file under the package, first line) of every function that ran to argv[2].
+INVENTORY_PROBE = """
+import sys
+sys.path.insert(0, sys.argv[1])
+ran = set()
+def profile(frame, event, arg):
+    if event == "call":
+        ran.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
+sys.setprofile(profile)
+import contextlib, json, os
+from artex.cli import main
+with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+    codes = [main(argv) for argv in json.loads(sys.argv[3])]
+sys.setprofile(None)
+package = os.path.join(sys.argv[1], "artex", "")
+ran = sorted([path[len(package):], line] for path, line in ran if path.startswith(package))
+with open(sys.argv[2], "w") as out:
+    json.dump([codes, ran], out)
+"""
+
 
 def fresh(probe: str, *args: str) -> subprocess.CompletedProcess:
     return subprocess.run(
@@ -137,14 +159,14 @@ PUBLIC = (
     "ArtexError", "CompressionSpec", "CorpusEmpty", "CorpusError",
     "CorpusSpec", "DEFAULT_BUDGET", "DivergenceReport", "Document",
     "EmptyDocument", "EmptySource", "EmptyVocabulary", "Lemmatize",
-    "MissingDictionary", "NgramProfile", "NormalizationMode", "PseudoVectors",
+    "MissingDictionary", "NgramProfile", "NormalizationMode",
     "Raw", "RawDocument", "RunConfig", "RunResult", "Sentence",
     "SentenceCount", "Stem", "StopList",
     "Summary", "TimingRecord", "UltraStem", "WordRatio",
     "benchmark", "benchmark_summary", "bigrams", "clean_token",
     "evaluation_tokens", "fresa_report", "lead_baseline", "load_corpus",
     "load_lemma_dictionary", "ngram_profile", "parse_mode",
-    "preprocess_document", "pseudo_vectors", "random_baseline", "run_corpus",
+    "preprocess_document", "random_baseline", "run_corpus",
     "score", "score_normalized", "score_table", "select", "skip_bigrams",
     "split_sentences", "stemmer_for", "unigrams", "__version__",
 )
@@ -153,7 +175,7 @@ PUBLIC = (
 def test_every_exported_name_resolves():
     assert [name for name in artex.__all__ if not hasattr(artex, name)] == []
     assert len(set(artex.__all__)) == len(artex.__all__)
-    assert len(PUBLIC) == 52
+    assert len(PUBLIC) == 50
     assert sorted(artex.__all__) == sorted(PUBLIC)
 
 
@@ -203,6 +225,101 @@ def test_warnings_reach_stderr_when_nothing_configured_logging(one_file_corpus, 
     assert done.stderr == f"skipping {empty}: file is empty\n"
     batch = fresh(MAIN_PROBE, "batch", str(one_file_corpus), "--out", str(tmp_path / "out"))
     assert f"WARNING artex.runner: skipping {empty}: file is empty\n" in batch.stderr
+
+
+# Each function of the package that no call of the inventory below runs,
+# with the reason it stays.
+NEVER_RUN = {
+    "artex.__getattr__": "resolves artex.<name> for API users; the CLI imports its modules",
+    "artex.__dir__": "lists the public names for dir(artex)",
+    "artex.cli._Parser.error": "runs on a usage error; every inventory call is valid",
+    "artex.preprocess.StopList.__contains__": "public API; the pipeline reads StopList.words",
+    "artex.runner._worker_init": "runs in pool worker processes, which the profile cannot see",
+    "artex.runner._worker_run": "runs in pool worker processes, which the profile cannot see",
+    "artex.scorer.score_normalized": "the paper's hypersphere variant (acceptance criterion 1)",
+    **{
+        f"artex.synthetic.{name}": "the corpus generator, kept for perfbench and the tests"
+        for name in (
+            "_make_stem", "stem_pool", "_inflect", "_fresh_word", "_distinct_inflections",
+            "_topical_sentence", "_junk_sentence", "generate_document", "generate_corpus",
+            "generate_lemma_dictionary",
+        )
+    },
+}
+
+
+def package_functions() -> dict[tuple[str, int], str]:
+    """Every function the package defines with def, keyed as the inventory
+    probe reports it, with its dotted name (lambdas and comprehensions aside).
+    """
+    package = Path(artex.__file__).parent
+    found = {}
+
+    def walk(code, prefix, path):
+        for const in code.co_consts:
+            if isinstance(const, type(code)) and not const.co_name.startswith("<"):
+                name = f"{prefix}.{const.co_name}"
+                if const.co_flags & inspect.CO_OPTIMIZED:  # a function, not a class body
+                    found[path, const.co_firstlineno] = name
+                walk(const, name, path)
+
+    for file in sorted(package.rglob("*.py")):
+        path = file.relative_to(package).as_posix()
+        module = ".".join(["artex", *file.relative_to(package).with_suffix("").parts])
+        walk(compile(file.read_bytes(), str(file), "exec"), module.removesuffix(".__init__"), path)
+    return found
+
+
+def test_every_function_no_command_runs_is_named(tmp_path):
+    # Every command, every mode, both layouts, es and fr, --scores,
+    # --stoplist, the budget clamp warning, and a batch at 2 workers.
+    doc = tmp_path / "doc.txt"
+    doc.write_text(generate_document(5, 0, words=300), encoding="utf-8")
+    summary = tmp_path / "summary.txt"
+    summary.write_text(doc.read_text(encoding="utf-8").split(". ")[0] + ".\n", encoding="utf-8")
+    texts = {
+        "es": "El gobierno aprueba la ley de energía. La ley de energía protege a los "
+              "consumidores. Los consumidores pagan menos energía. El gobierno celebra la ley.\n",
+        "fr": "Le gouvernement adopte la loi sur l'énergie. La loi sur l'énergie protège les "
+              "consommateurs. Les consommateurs paient moins d'énergie. Le gouvernement "
+              "célèbre la loi.\n",
+    }
+    for language, text in texts.items():
+        (tmp_path / f"{language}.txt").write_text(text, encoding="utf-8")
+    stoplist = tmp_path / "stop.txt"
+    stoplist.write_text("the\nof\n", encoding="utf-8")
+    lemmas = str(generate_lemma_dictionary(tmp_path / "lemmas.tsv", entries=56_000, seed=5))
+    flat = tmp_path / "flat"
+    generate_corpus(flat, documents=3, words_per_document=300, seed=5)
+    clusters = tmp_path / "clusters"
+    for number in range(2):
+        generate_corpus(clusters / f"c{number}", documents=2, words_per_document=200, seed=5)
+    calls = [
+        ["summarize", str(doc), "--scores"],
+        ["summarize", str(doc), "--norm", "raw", "--budget", "k:1000"],
+        ["summarize", str(doc), "--norm", "fix:4", "--stoplist", str(stoplist)],
+        ["summarize", str(doc), "--norm", "lemma", "--lemma-dict", lemmas],
+        ["summarize", str(tmp_path / "es.txt"), "--lang", "es", "--budget", "k:2"],
+        ["summarize", str(tmp_path / "fr.txt"), "--lang", "fr", "--budget", "k:2"],
+        ["eval", str(doc), str(summary)],
+        ["eval", str(tmp_path / "fr.txt"), str(tmp_path / "es.txt"), "--lang", "fr"],
+        ["batch", str(flat), "--systems", "artex,lead,random", "--out", str(tmp_path / "b1")],
+        ["batch", str(clusters), "--layout", "clusters", "--norm", "raw", "--budget", "k:2",
+         "--out", str(tmp_path / "b2")],
+        ["batch", str(flat), "--norm", "fix:3", "--workers", "2", "--out", str(tmp_path / "b3")],
+        ["batch", str(flat), "--norm", "lemma", "--lemma-dict", lemmas,
+         "--out", str(tmp_path / "b4")],
+        ["bench", str(flat), "--modes", "raw,stem,fix:3,lemma", "--lemma-dict", lemmas,
+         "--reps", "3", "--out", str(tmp_path / "bench")],
+    ]
+    result = tmp_path / "inventory.json"
+    fresh(INVENTORY_PROBE, str(result), json.dumps(calls))
+    codes, ran = json.loads(result.read_text(encoding="utf-8"))
+    assert codes == [0] * len(calls)
+    ran = {tuple(key) for key in ran}
+    never_run = {name for key, name in package_functions().items() if key not in ran}
+    assert sorted(never_run - NEVER_RUN.keys()) == []  # unlisted
+    assert sorted(NEVER_RUN.keys() - never_run) == []  # listed, yet ran
 
 
 @pytest.mark.parametrize("language", SUPPORTED_LANGUAGES)
@@ -264,8 +381,6 @@ RECORDS = [
     (UltraStem(n=3), {"n": 3}),
     (Lemmatize(), {"dictionary_path": None}),
     (StopList(), {"words": frozenset()}),
-    (PseudoVectors(lexical_weight=(0.5,), global_topic=(1.0,)),
-     {"lexical_weight": (0.5,), "global_topic": (1.0,)}),
     (SentenceCount(k=2), {"k": 2}),
     (WordRatio(ratio=0.5), {"ratio": 0.5}),
     (SUMMARY, {"selected": (0,), "text": "Sun rose."}),
@@ -323,6 +438,7 @@ def test_record_pickles(record, fields):
     [
         (RawDocument(id="d", text="Sun rose.", language="en"), "language", "de"),
         (UltraStem(n=3), "n", 0),
+        (UltraStem(n=3), "n", 2.5),
         (SentenceCount(k=2), "k", 0),
         (WordRatio(ratio=0.5), "ratio", 5.0),
         (CorpusSpec(root=Path("corpus")), "layout", "bogus"),

@@ -16,14 +16,13 @@ from artex.scorer import (
     Summary,
     WordRatio,
     extract,
-    pseudo_vectors,
     ranked_indices,
     score,
     score_normalized,
     score_table,
     select,
 )
-from matrices import from_dense, oracle_score, oracle_score_normalized
+from matrices import from_dense, oracle_score, oracle_score_normalized, pseudo_vectors
 
 # Count matrices with at least one occurrence: with none there is no term
 # to score against (EmptyVocabulary).
