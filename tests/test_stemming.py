@@ -465,6 +465,100 @@ def test_spanish_step2b_suffixes_never_follow_a_step2a_removal():
     assert not any(suffix.endswith("u") for suffix in spanish.STEP2B_SUFFIXES)
 
 
+def _english_region_starts(word: str) -> tuple[int, int]:
+    """R1's and R2's starts in an English word without y: the loop oracle's
+    regions, with R1 fixed after the gener, commun and arsen prefixes."""
+    prefix = next((p for p in ("gener", "commun", "arsen") if word.startswith(p)), "")
+    r1 = word[len(prefix):] if prefix else _loop_regions(word, english.VOWELS)[0]
+    # R2 is the R1 of R1.
+    r2 = _loop_regions(r1, english.VOWELS)[0]
+    return len(word) - len(r1), len(word) - len(r2)
+
+
+def _first_suffix(word: str, suffixes: tuple[str, ...]) -> str | None:
+    return next((suffix for suffix in suffixes if word.endswith(suffix)), None)
+
+
+def _no_step_changes(word: str, *tables: tuple[str, ...]) -> bool:
+    """Whether no step of ``tables`` changes ``word``: it is no special word
+    and ends in no suffix of theirs, except step 1a's us and ss, which that
+    step leaves as they are."""
+    return word not in english.SPECIAL_WORDS and all(
+        _first_suffix(word, table) in (None, "us", "ss") for table in tables
+    )
+
+
+# Each step's suffix table, in the order the steps run.
+EN_STEP_SUFFIXES = {
+    "step0": english.STEP0_SUFFIXES,
+    "step1a": english.STEP1A_SUFFIXES,
+    "step1b": english.STEP1B_SUFFIXES,
+    "step2": english.STEP2_SUFFIXES,
+    "step3": english.STEP3_SUFFIXES,
+}
+# (step, suffix, replacement) of every step-2 and step-3 rule with a
+# non-empty replacement; li has none. Step 3's ational and tional fall to
+# the premises: a word that ends in them ends in step 2's too, which step 2
+# rewrites first.
+EN_REWRITES = [
+    (step, suffix, replacement)
+    for step, table in (("step2", english.STEP2), ("step3", english.STEP3))
+    for suffix, (replacement, _) in table.items()
+    if replacement
+]
+# Rules whose two words stem apart, because the R2 fallback of the step-2
+# table moves R2 when it began inside the suffix (ROADMAP item 10).
+EN_CONFLATION_EXCLUDED = {"step2-ization", "step2-izer"}
+
+
+def _english_conflations(x: str):
+    """(rule, word, other) for each rule that must give ``word`` and ``other``
+    one stem, wherever its premises hold: x+suffix and x+replacement for a
+    step-2 or step-3 rule, x+ed and x+ing for step 1b.
+
+    Both words reach the rule's step unchanged and with the same regions;
+    there the word ends first in the rule's suffix, in R1 and after the
+    letter a step-2 rule may ask for, and the other ends in the suffix
+    given (none for a rewrite). From the step on the two words are alike,
+    so the later steps need no premise.
+    """
+    pairs = [("step1b", "ed", x + "ed", x + "ing", "ing")]
+    pairs += [
+        (step, suffix, x + suffix, x + replacement, None)
+        for step, suffix, replacement in EN_REWRITES
+    ]
+    steps = list(EN_STEP_SUFFIXES)
+    for step, suffix, word, other, other_suffix in pairs:
+        earlier = [EN_STEP_SUFFIXES[name] for name in steps[:steps.index(step)]]
+        p1, _ = starts = _english_region_starts(word)
+        if (
+            _no_step_changes(word, *earlier)
+            and _no_step_changes(other, *earlier)
+            and _english_region_starts(other) == starts
+            and _first_suffix(word, EN_STEP_SUFFIXES[step]) == suffix
+            and _first_suffix(other, EN_STEP_SUFFIXES[step]) == other_suffix
+            and (step == "step1b" or len(x) >= p1)
+            and (suffix not in english.STEP2_PRECEDING or x[-1] in english.STEP2_PRECEDING[suffix])
+        ):
+            yield f"{step}-{suffix}", word, other
+
+
+@given(
+    x=st.tuples(
+        st.sampled_from(("", "", "", "gener", "commun", "arsen")),
+        st.text(alphabet="abcdefghijklmnopqrstuvwxz", min_size=1, max_size=8),
+    ).map("".join)
+)
+@settings(max_examples=500)
+def test_english_rules_conflate_the_words_they_rewrite(x):
+    # R1 and R2 are fixed once per word, so a word that a rule rewrites into
+    # another word with the same regions stems as that other word does.
+    # Stems are drawn without y, which the stemmer may mark as a consonant.
+    for rule, word, other in _english_conflations(x):
+        if rule not in EN_CONFLATION_EXCLUDED:
+            assert english.stem(word) == english.stem(other), (rule, word, other)
+
+
 @dataclass(frozen=True)
 class SuffixWords:
     """What the seeded words of one language are built from."""
