@@ -48,6 +48,8 @@ class WordRatio(NamedTuple):
     ratio: float
 
     def _check(self):
+        if not isinstance(self.ratio, (int, float)):
+            raise ValueError(f"word ratio must be a number, got {self.ratio!r}")
         if not 0.0 < self.ratio <= 1.0:
             raise ValueError(f"word ratio must be in (0, 1], got {self.ratio}")
 

@@ -441,8 +441,10 @@ def test_record_pickles(record, fields):
         (UltraStem(n=3), "n", 2.5),
         (SentenceCount(k=2), "k", 0),
         (WordRatio(ratio=0.5), "ratio", 5.0),
+        (WordRatio(ratio=0.5), "ratio", "0.5"),
         (CorpusSpec(root=Path("corpus")), "layout", "bogus"),
         (RunConfig(), "workers", 0),
+        (RunConfig(), "workers", 2.5),
     ],
     ids=lambda value: type(value).__name__ if isinstance(value, tuple) else None,
 )
