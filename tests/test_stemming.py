@@ -475,35 +475,52 @@ def _english_region_starts(word: str) -> tuple[int, int]:
     return len(word) - len(r1), len(word) - len(r2)
 
 
-def _first_suffix(word: str, suffixes: tuple[str, ...]) -> str | None:
-    return next((suffix for suffix in suffixes if word.endswith(suffix)), None)
+def _longest_suffix(word: str, suffixes) -> str | None:
+    return max((suffix for suffix in suffixes if word.endswith(suffix)), key=len, default=None)
 
 
-def _no_step_changes(word: str, *tables: tuple[str, ...]) -> bool:
+def _no_step_changes(word: str, *tables) -> bool:
     """Whether no step of ``tables`` changes ``word``: it is no special word
     and ends in no suffix of theirs, except step 1a's us and ss, which that
     step leaves as they are."""
     return word not in english.SPECIAL_WORDS and all(
-        _first_suffix(word, table) in (None, "us", "ss") for table in tables
+        _longest_suffix(word, table) in (None, "us", "ss") for table in tables
     )
 
 
-# Each step's suffix table, in the order the steps run.
+# Snowball's English step-2 and step-3 rules, each suffix with its
+# replacement ("" deletes it), written out from Snowball's description and
+# not taken from english.py, so that the property below checks its tables.
+# Step 2 deletes li only after a valid li-ending, and rewrites ogi only
+# after l; step 3 deletes ative only in R2.
+SNOWBALL_EN_RULES = {
+    "step2": {
+        "tional": "tion", "enci": "ence", "anci": "ance", "abli": "able",
+        "entli": "ent", "izer": "ize", "ization": "ize", "ational": "ate",
+        "ation": "ate", "ator": "ate", "alism": "al", "aliti": "al",
+        "alli": "al", "fulness": "ful", "ousli": "ous", "ousness": "ous",
+        "iveness": "ive", "iviti": "ive", "biliti": "ble", "bli": "ble",
+        "ogi": "og", "fulli": "ful", "lessli": "less", "li": "",
+    },
+    "step3": {
+        "tional": "tion", "ational": "ate", "alize": "al", "icate": "ic",
+        "iciti": "ic", "ical": "ic", "ful": "", "ness": "", "ative": "",
+    },
+}
+# Each step's suffixes, in the order the steps run.
 EN_STEP_SUFFIXES = {
     "step0": english.STEP0_SUFFIXES,
     "step1a": english.STEP1A_SUFFIXES,
     "step1b": english.STEP1B_SUFFIXES,
-    "step2": english.STEP2_SUFFIXES,
-    "step3": english.STEP3_SUFFIXES,
+    **SNOWBALL_EN_RULES,
 }
 # (step, suffix, replacement) of every step-2 and step-3 rule with a
-# non-empty replacement; li has none. Step 3's ational and tional fall to
-# the premises: a word that ends in them ends in step 2's too, which step 2
-# rewrites first.
+# non-empty replacement. Step 3's ational and tional fall to the premises: a
+# word that ends in them ends in step 2's too, which step 2 rewrites first.
 EN_REWRITES = [
     (step, suffix, replacement)
-    for step, table in (("step2", english.STEP2), ("step3", english.STEP3))
-    for suffix, (replacement, _) in table.items()
+    for step, rules in SNOWBALL_EN_RULES.items()
+    for suffix, replacement in rules.items()
     if replacement
 ]
 # Rules whose two words stem apart, because the R2 fallback of the step-2
@@ -517,10 +534,10 @@ def _english_conflations(x: str):
     step-2 or step-3 rule, x+ed and x+ing for step 1b.
 
     Both words reach the rule's step unchanged and with the same regions;
-    there the word ends first in the rule's suffix, in R1 and after the
-    letter a step-2 rule may ask for, and the other ends in the suffix
-    given (none for a rewrite). From the step on the two words are alike,
-    so the later steps need no premise.
+    there the word's longest suffix of the step is the rule's, in R1 and
+    after the l that ogi asks for, and the other's is the suffix given (none
+    for a rewrite). From the step on the two words are alike, so the later
+    steps need no premise.
     """
     pairs = [("step1b", "ed", x + "ed", x + "ing", "ing")]
     pairs += [
@@ -535,10 +552,10 @@ def _english_conflations(x: str):
             _no_step_changes(word, *earlier)
             and _no_step_changes(other, *earlier)
             and _english_region_starts(other) == starts
-            and _first_suffix(word, EN_STEP_SUFFIXES[step]) == suffix
-            and _first_suffix(other, EN_STEP_SUFFIXES[step]) == other_suffix
+            and _longest_suffix(word, EN_STEP_SUFFIXES[step]) == suffix
+            and _longest_suffix(other, EN_STEP_SUFFIXES[step]) == other_suffix
             and (step == "step1b" or len(x) >= p1)
-            and (suffix not in english.STEP2_PRECEDING or x[-1] in english.STEP2_PRECEDING[suffix])
+            and (suffix != "ogi" or x.endswith("l"))
         ):
             yield f"{step}-{suffix}", word, other
 
