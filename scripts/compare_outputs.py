@@ -14,8 +14,9 @@ inputs are written once, under WORK_DIR/inputs, with PARENT_SRC's
 artex.synthetic in the parent's interpreter:
 two seeded English corpora, a lemma dictionary, a few edge-case texts
 (one of them with no word that occurs twice, which artex cannot
-summarize, one whose words reach the English stemmer's R2 rules and one
-whose words reach every entry of its step-2 and step-3 tables), a Spanish
+summarize, one whose words' stems depend on where the English stemmer's
+R2 starts and one whose words reach every entry of its step-2 and step-3
+tables), a Spanish
 text, three French texts (one whose words reach the French stemmer's kept
 rules, one whose words reach every entry of its ``STEP1_IN_R2`` table),
 two edge-case lemma dictionaries (one with every kind of line the loader
@@ -129,9 +130,10 @@ EDGE_TEXTS = {
         "2024.\tSolar panels\tstore power for the grid. The grid feeds\tsolar power"
         " to homes.\nHomes store\tpower when the panels rest. Panels rest at night.\n"
     ),
-    # Each repeated word's stem depends on one of the English stemmer's two
-    # R2 rules: realization and realizer stem to realize (realized to
-    # realiz), and sprated to sprat, merging with sprats.
+    # Each repeated word's stem depends on where the English stemmer's R2
+    # starts: with R2 fixed once per word, realization, realizer and
+    # realized all stem to realiz, and sprated to sprate, apart from sprats
+    # (an older region model moved R2 and gave realize and sprat).
     "regions": (
         "The realization came late. The realization came again. Nobody realized"
         " it. Everybody realized it late. The realizer realized nothing. The"

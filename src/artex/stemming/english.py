@@ -1,18 +1,9 @@
 """English suffix-stripping stemmer (Porter2 / Snowball family).
 
-R1 and R2 are start positions, fixed once before any suffix is removed: a
-suffix is in a region when it starts at or after the region's start, so
-every rewrite changes only the word. Two rules still move R2:
-
-- the R2 fallback field of the step-2 and step-3 tables: when R2 began
-  inside the replaced suffix, R2 becomes empty, or the final ``e`` after
-  step 2's ``ate`` and ``ive`` (``None`` leaves R2 where it is);
-- step 1b, one commented line: the ``e`` added after ``at``, ``bl`` or
-  ``iz`` joins R2 in a word of six letters or more.
-
-Snowball's fixed positions have neither rule. Without the first,
-realization and realizer would stem to realiz, as realize does; without
-the second, rjhized would stem to rjhize.
+R1 and R2 are start positions, fixed once before any suffix is removed, as
+Snowball fixes them: a suffix is in a region when it starts at or after the
+region's start, so every rewrite changes only the word and no rule moves a
+region.
 
 Each suffix step first asks ``word.endswith(STEPn_SUFFIXES)`` once with the
 whole table, a single call that runs in C; most words end in no suffix of
@@ -33,25 +24,21 @@ LI_ENDING = "cdeghkmnrt"
 STEP0_SUFFIXES = ("'s'", "'s", "'")
 STEP1A_SUFFIXES = ("sses", "ied", "ies", "us", "ss", "s")
 STEP1B_SUFFIXES = ("eedly", "ingly", "edly", "eed", "ing", "ed")
-# Steps 2 and 3 map each suffix to its replacement and R2 fallback: when R2
-# began inside the replaced suffix, R2 becomes the fallback (None: R2 stays).
+# Steps 2 and 3 map each suffix to its replacement.
 STEP2 = {
-    "ization": ("ize", ""), "ational": ("ate", "e"), "fulness": ("ful", None),
-    "ousness": ("ous", ""), "iveness": ("ive", "e"), "tional": ("tion", None),
-    "biliti": ("ble", ""), "lessli": ("less", None), "entli": ("ent", None),
-    "ation": ("ate", "e"), "alism": ("al", ""), "aliti": ("al", ""),
-    "ousli": ("ous", ""), "iviti": ("ive", "e"), "fulli": ("ful", None),
-    "enci": ("ence", None), "anci": ("ance", None), "abli": ("able", None),
-    "izer": ("ize", ""), "ator": ("ate", "e"), "alli": ("al", ""),
-    "bli": ("ble", ""), "ogi": ("og", None), "li": ("", None),
+    "ization": "ize", "ational": "ate", "fulness": "ful", "ousness": "ous",
+    "iveness": "ive", "tional": "tion", "biliti": "ble", "lessli": "less",
+    "entli": "ent", "ation": "ate", "alism": "al", "aliti": "al",
+    "ousli": "ous", "iviti": "ive", "fulli": "ful", "enci": "ence",
+    "anci": "ance", "abli": "able", "izer": "ize", "ator": "ate",
+    "alli": "al", "bli": "ble", "ogi": "og", "li": "",
 }
 STEP2_SUFFIXES = tuple(STEP2)
 # The letters one of which must precede these step-2 suffixes.
 STEP2_PRECEDING = {"ogi": "l", "li": LI_ENDING}
 STEP3 = {
-    "ational": ("ate", ""), "tional": ("tion", None), "alize": ("al", None),
-    "icate": ("ic", ""), "iciti": ("ic", ""), "ative": ("", None),
-    "ical": ("ic", ""), "ness": ("", None), "ful": ("", None),
+    "ational": "ate", "tional": "tion", "alize": "al", "icate": "ic",
+    "iciti": "ic", "ative": "", "ical": "ic", "ness": "", "ful": "",
 }
 STEP3_SUFFIXES = tuple(STEP3)
 STEP4_SUFFIXES = (
@@ -172,9 +159,6 @@ def stem(word: str) -> str:
                     word = word[:-len(suffix)]
                     if word.endswith(("at", "bl", "iz")):
                         word += "e"
-                        # The added e joins R2 in a word of six letters or more.
-                        if len(word) > 5:
-                            p2 = min(p2, len(word) - 1)
                     elif word.endswith(DOUBLE_CONSONANTS):
                         word = word[:-1]
                     # A short word (R1 empty, a short final syllable) gets an e.
@@ -206,7 +190,7 @@ def stem(word: str) -> str:
                     suffix not in STEP2_PRECEDING
                     or word[-len(suffix) - 1] in STEP2_PRECEDING[suffix]
                 ):
-                    word, p2 = _replace(word, p2, suffix, *STEP2[suffix])
+                    word = word[:-len(suffix)] + STEP2[suffix]
                 break
 
     # Step 3: more derivational suffixes, in R1 (ative in R2)
@@ -214,7 +198,7 @@ def stem(word: str) -> str:
         for suffix in STEP3_SUFFIXES:
             if word.endswith(suffix):
                 if len(word) - len(suffix) >= (p2 if suffix == "ative" else p1):
-                    word, p2 = _replace(word, p2, suffix, *STEP3[suffix])
+                    word = word[:-len(suffix)] + STEP3[suffix]
                 break
 
     # Step 4: residual suffixes, in R2
@@ -241,14 +225,3 @@ def stem(word: str) -> str:
             word = word[:-1]
 
     return word.replace("Y", "y")
-
-
-def _replace(
-    word: str, p2: int, suffix: str, repl: str, r2_fallback: str | None
-) -> tuple[str, int]:
-    """Swap ``suffix`` for ``repl``; return the new word and R2's start."""
-    word = word[:-len(suffix)] + repl
-    if r2_fallback is not None and p2 > len(word) - len(repl):
-        # R2 began inside the suffix, so it becomes ``r2_fallback``.
-        p2 = len(word) - len(r2_fallback)
-    return word, p2

@@ -81,13 +81,13 @@ DIGESTS = {
     ("clusters", "stem", "ratio:0.2"):
         "8a2a4c94f32ca7b65cbf96de5e1e9d3d8509b88b27b72397c750f9970741a4c2",
     ("edge", "stem", "ratio:0.2"):
-        "5f5b4dcd6a484b8d42e920dff24b3e290fa45274071ad9bd712e24fa58d4ecbe",
+        "c7e4bb7ad61d8880b7e45bc6a0faa6dad7d883f300baa480e897ef078c5fe189",
     ("edge", "stem", "k:3"):
-        "13f58cd19a3f4bd2a112022b2d8ef70f5a9d6a7cb785fcb74c4cd703ae8da7ec",
+        "b038cb6a655d4c923fe3183a9580d13c6953529d36dc080363f8c3564ee0fc77",
     ("edge", "raw", "k:1"):
-        "7704387a65867b24b1afff7f69982d5d422985c59c7b216a83d4ce84e81b9234",
+        "a19833240e7bf5714c5d3a7899d6d374959c1344bcc51bae42845b4c0bbb7061",
     ("edge", "fix:3", "k:1"):
-        "a2bf4afc34a422f7ef513f2f3ce2049b047df03ff63beb61b41e5d8f64cf4b32",
+        "2ea3a251913d83c6dff68f5ce1721cce4cde4ef6ee93c57c3afb18719c8fff94",
     ("es", "stem", "k:2"):
         "4c61eb41af8868b6814d261e43e6ba1f5df72eec0949e1d9d13d9bb8f1374404",
     ("fr", "stem", "k:2"):
@@ -99,7 +99,7 @@ COMMAND_DIGESTS = {
     "hapax": "a062a3b216b9247784d4e2aef73ab37bc92963f70b646371343ce8ab7fd2eae2",
     "repeats": "c6e8a78026e82c0de36dd4b1a2d8637f98fa6e8fc517c633bc454d310591725e",
     "year": "ff4f239a4b9b918a71d2774cdeda970acd69c1e96803615a23a92f0144c8e6c9",
-    "regions": "7a3fec952bf32911e39a7f24270eb2eef0fb6fc2a559525e0aa293130135c73e",
+    "regions": "ef8350bb80392f6d4e78ee10e72a8d99508ab715dcc8e1686fada6345fd73142",
     "suffixes": "9c999bd61841a93b3e11ab924d6f06efc4c435b52955fd478106358e07c08612",
     "bom": "41bfdb02c70d78ff0fd1e02ae604d48d466f194ad270391531328bc80bca1b53",
     "es": "55e891eb79ff9282e327662c549901d4786659fbca9f413621ff5e8b2f00a29c",
