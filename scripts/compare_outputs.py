@@ -16,9 +16,9 @@ two seeded English corpora, a lemma dictionary, a few edge-case texts
 (one of them with no word that occurs twice, which artex cannot
 summarize, one whose words' stems depend on where the English stemmer's
 R2 starts and one whose words reach every entry of its step-2 and step-3
-tables), a Spanish
-text, three French texts (one whose words reach the French stemmer's kept
-rules, one whose words reach every entry of its ``STEP1_IN_R2`` table),
+tables), a Spanish text, three French texts (one whose words reach the
+French stemmer's kept rules, one whose words reach every entry of its
+``STEP1_IN_R2`` table),
 two edge-case lemma dictionaries (one with every kind of line the loader
 reads, one that is not UTF-8), a text that is not UTF-8, a corpus of
 one good document and one that is not UTF-8 after a byte-order mark, and a
@@ -130,10 +130,9 @@ EDGE_TEXTS = {
         "2024.\tSolar panels\tstore power for the grid. The grid feeds\tsolar power"
         " to homes.\nHomes store\tpower when the panels rest. Panels rest at night.\n"
     ),
-    # Each repeated word's stem depends on where the English stemmer's R2
-    # starts: with R2 fixed once per word, realization, realizer and
-    # realized all stem to realiz, and sprated to sprate, apart from sprats
-    # (an older region model moved R2 and gave realize and sprat).
+    # Each repeated word's stem depends on R2 staying where it starts:
+    # realization, realizer and realized all stem to realiz, and sprated to
+    # sprate, apart from sprats.
     "regions": (
         "The realization came late. The realization came again. Nobody realized"
         " it. Everybody realized it late. The realizer realized nothing. The"

@@ -210,11 +210,11 @@ def test_frozen_vectors(language):
         assert stemmer_for(language)(word) == expected, (language, word)
 
 
-# Words whose stems two rules of an older region model once moved, one entry
-# per rule: the R2 fallback of the step-2 and step-3 tables gave realize for
-# realization and realizer, and step 1b's added e, joining R2, gave rjhiz
-# for rjhized. With R1 and R2 fixed once per word, as in Snowball, they
-# stem to realiz, as realize does, and to rjhize.
+# Words whose stems depend on R2 staying where it starts, as in Snowball,
+# one entry per rule that would move it: a step-2 or step-3 rewrite that
+# moved R2 when R2 began inside the suffix would stem realization and
+# realizer to realize, not realiz as realize; an e added by step 1b that
+# joined R2 would stem rjhized to rjhiz, not rjhize.
 EN_KEPT_R2_RULE_VECTORS = {
     "replace_fallback": {"realization": "realiz", "realizer": "realiz"},
     "step1b_added_e": {"rjhized": "rjhize"},
@@ -246,8 +246,8 @@ def test_french_kept_rule(rule):
 # French STEP1_IN_R2 table, with its stem: each word reaches its entry, so a
 # wrong entry fails under its own suffix. ogi and li have a word with and one
 # without the letter they need before them; ative one with it in R2 and one
-# with it in R1 only; realization, realizer and sensationally stem as the
-# words they are rewritten to do (realize, sensational).
+# with it in R1 only; realization, realizer and sensationally stem as do
+# the words they are rewritten to (realize, sensational).
 EN_STEP2_RULE_VECTORS = {
     "ization": {"realization": "realiz"},
     "ational": {"relational": "relat"},
