@@ -44,26 +44,21 @@ STEP2A_SUFFIXES = (
     "isses", "issez", "\xeemes", "\xeetes", "irai", "iras", "irez",
     "isse", "ies", "ira", "\xeet", "ie", "ir", "is", "it", "i",
 )
-STEP2B_SUFFIXES = (
-    "eraIent", "assions", "erions", "assent", "assiez", "\xe8rent",
-    "erais", "erait", "eriez", "erons", "eront", "aIent", "antes",
-    "asses", "ions", "erai", "eras", "erez", "\xe2mes", "\xe2tes",
-    "ante", "ants", "asse", "\xe9es", "era", "iez", "ais", "ait",
-    "ant", "\xe9e", "\xe9s", "er", "ez", "\xe2t", "ai", "as", "\xe9",
-    "a",
-)
+# Step 2b's suffixes in RV, each with its rule: "ions" is removed in R2, the
+# "er" family is removed, and the "a" family is removed with an e before it
+# in RV.
+STEP2B = {
+    "eraIent": "er", "assions": "a", "erions": "er", "assent": "a",
+    "assiez": "a", "\xe8rent": "er", "erais": "er", "erait": "er",
+    "eriez": "er", "erons": "er", "eront": "er", "aIent": "a",
+    "antes": "a", "asses": "a", "ions": "ions", "erai": "er", "eras": "er",
+    "erez": "er", "\xe2mes": "a", "\xe2tes": "a", "ante": "a", "ants": "a",
+    "asse": "a", "\xe9es": "er", "era": "er", "iez": "er", "ais": "a",
+    "ait": "a", "ant": "a", "\xe9e": "er", "\xe9s": "er", "er": "er",
+    "ez": "er", "\xe2t": "a", "ai": "a", "as": "a", "\xe9": "er", "a": "a",
+}
+STEP2B_SUFFIXES = tuple(STEP2B)
 STEP4_SUFFIXES = ("i\xe8re", "I\xe8re", "ion", "ier", "Ier", "e", "\xeb")
-
-_ER_LIKE = (
-    "eraIent", "erions", "\xe8rent", "erais", "erait", "eriez",
-    "erons", "eront", "erai", "eras", "erez", "\xe9es", "era", "iez",
-    "\xe9e", "\xe9s", "er", "ez", "\xe9",
-)
-_A_LIKE = (
-    "assions", "assent", "assiez", "aIent", "antes", "asses",
-    "\xe2mes", "\xe2tes", "ante", "ants", "asse", "ais", "ait", "ant",
-    "\xe2t", "ai", "as", "a",
-)
 
 
 def _mark_consonant_vowels(word: str) -> str:
@@ -210,18 +205,12 @@ def stem(word: str) -> str:
                 break
 
     if not removed:
-        for suffix in STEP2B_SUFFIXES:
+        for suffix, rule in STEP2B.items():
             if word.endswith(suffix, pv):
-                if suffix == "ions" and word.endswith(suffix, p2):
-                    word = word[:-4]
-                    removed = True
-                elif suffix in _ER_LIKE:
+                if rule != "ions" or word.endswith(suffix, p2):
                     word = word[:-len(suffix)]
                     removed = True
-                elif suffix in _A_LIKE:
-                    word = word[:-len(suffix)]
-                    removed = True
-                    if word.endswith("e", pv):
+                    if rule == "a" and word.endswith("e", pv):
                         word = word[:-1]
                 break
 
