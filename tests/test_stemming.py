@@ -575,6 +575,206 @@ def test_english_rules_conflate_the_words_they_rewrite(x):
         assert english.stem(word) == english.stem(other), (rule, word, other)
 
 
+# Snowball's French step-1 suffixes, and the step-1 rules that the property
+# below pairs, written out from Snowball's description and not taken from
+# french.py; U marks a u in a consonant role. In R2, each suffix of
+# SNOWBALL_FR_IN_R2 is replaced by its ending ("" deletes it) and nothing
+# more is tested; atrice, ateur, ation and their plurals are deleted, then
+# a preceding ic is deleted in R2 and otherwise becomes iqU. In RV, emment
+# becomes ent, and steps 2a and 2b then run as if step 1 had removed
+# nothing.
+SNOWBALL_FR_STEP1_SUFFIXES = (
+    "ance", "iqUe", "isme", "able", "iste", "eux", "ances", "iqUes", "ismes",
+    "ables", "istes", "atrice", "ateur", "ation", "atrices", "ateurs", "ations",
+    "logie", "logies", "usion", "ution", "usions", "utions", "ence", "ences",
+    "ement", "ements", "it\xe9", "it\xe9s", "if", "ive", "ifs", "ives", "eaux",
+    "aux", "euse", "euses", "issement", "issements", "amment", "emment", "ment",
+    "ments",
+)
+SNOWBALL_FR_IN_R2 = {
+    "ance": "", "iqUe": "", "isme": "", "able": "", "iste": "", "eux": "",
+    "ances": "", "iqUes": "", "ismes": "", "ables": "", "istes": "",
+    "logie": "log", "logies": "log", "usion": "u", "ution": "u",
+    "usions": "u", "utions": "u", "ence": "ent", "ences": "ent",
+}
+# Endings at which a later step may change a word: the suffixes of steps 2a,
+# 2b and 4, step 4's final s, and the final Y and ç of step 3.
+FR_LATER_ENDINGS = (
+    *french.STEP2A_SUFFIXES, *french.STEP2B_SUFFIXES, *french.STEP4_SUFFIXES, "s", "Y", "\xe7",
+)
+# Pairs that the French stemmer's two kept rules split (ROADMAP item 11),
+# one entry per kept rule: the property's rules whose pairs it excuses.
+FR_CONFLATION_EXCLUDED = {
+    "atrice_ic": ("step1-atrice", "step1-atrices"),
+    "emment_rv": ("step1-emment",),
+}
+
+
+def _french_state(word: str) -> tuple[str, str | None, list[int]]:
+    """A French word marked, its longest Snowball step-1 suffix, and its R1,
+    R2 and RV starts from the test oracles."""
+    marked = french._mark_consonant_vowels(word)
+    r1, r2 = _loop_regions(marked, french.VOWELS)
+    regions = (r1, r2, _french_rv_string(marked))
+    starts = [len(marked) - len(region) for region in regions]
+    return marked, _longest_suffix(marked, SNOWBALL_FR_STEP1_SUFFIXES), starts
+
+
+def _clamped(starts: list[int], length: int) -> list[int]:
+    """Region starts as seen by a word of ``length`` letters: a region that
+    starts past its end is empty wherever it starts."""
+    return [min(start, length) for start in starts]
+
+
+def _french_conflations(x: str):
+    """(rule, word, other) for each French step-1 rule that must give
+    ``word`` and ``other`` one stem, wherever its premises hold.
+
+    ``x`` is marked alike in both words, and ``word``'s longest step-1
+    suffix is the rule's, in the rule's region. An in-R2 rule rewrites
+    ``word`` into ``other``, which no step changes: it ends in no step-1
+    suffix and in none of FR_LATER_ENDINGS (step 3 follows the rewrite, and
+    steps 2a, 2b and 4 the unchanged word). atrice and ation, and atrices
+    and ateurs, reach one rule with the same regions. emment becomes ent:
+    ``other`` ends in ent and in no step-1 suffix, with the same regions,
+    so both words enter step 2a alike.
+    """
+    n = len(x)
+    for suffix, ending in SNOWBALL_FR_IN_R2.items():
+        word, other = x + suffix.lower(), x + ending
+        marked, longest, (_, p2, _) = _french_state(word)
+        marked_other, other_longest, _ = _french_state(other)
+        if (
+            longest == suffix
+            and p2 <= n
+            and marked_other == marked[:n] + ending
+            and other_longest is None
+            and _longest_suffix(marked_other, FR_LATER_ENDINGS) is None
+        ):
+            yield f"step1-{suffix}", word, other
+    for suffix, other_suffix in (("atrice", "ation"), ("atrices", "ateurs")):
+        word, other = x + suffix, x + other_suffix
+        marked, longest, starts = _french_state(word)
+        marked_other, other_longest, other_starts = _french_state(other)
+        if (
+            longest == suffix
+            and other_longest == other_suffix
+            and starts[1] <= n
+            and other_starts[1] <= n
+            and marked[:n] == marked_other[:n]
+            and _clamped(starts, n) == _clamped(other_starts, n)
+        ):
+            yield f"step1-{suffix}", word, other
+    word, other = x + "emment", x + "ent"
+    marked, longest, starts = _french_state(word)
+    marked_other, other_longest, other_starts = _french_state(other)
+    if (
+        longest == "emment"
+        and starts[2] <= n
+        and other_longest is None
+        and marked_other == marked[:n] + "ent"
+        and _clamped(starts, n + 3) == _clamped(other_starts, n + 3)
+    ):
+        yield "step1-emment", word, other
+
+
+@given(
+    x=st.tuples(
+        st.sampled_from(("", "", "", "par", "col", "tap")),
+        st.text(alphabet="abcdefghijklmnopqrstuvwxyz\xe9\xe8\xea\xe2\xe7", min_size=1, max_size=8),
+        # Endings that a step-1 or step-2 rule reads before the suffix.
+        st.sampled_from(("", "", "", "ic", "iss", "ir", "ass", "ai")),
+    ).map("".join)
+)
+@settings(max_examples=500)
+def test_french_rules_conflate_the_words_they_rewrite(x):
+    # R1, R2 and RV are fixed once per word, so two words that one rule
+    # leaves in one state stem alike.
+    excluded = {rule for rules in FR_CONFLATION_EXCLUDED.values() for rule in rules}
+    for rule, word, other in _french_conflations(x):
+        if rule not in excluded:
+            assert french.stem(word) == french.stem(other), (rule, word, other)
+
+
+# Snowball's Spanish step-1 suffixes, grouped by rule, written out from
+# Snowball's description and not taken from spanish.py. Each group's suffix
+# is deleted in R2 and then, by group: nothing more; a preceding ic is
+# deleted in R2; it is replaced by log, u or ente instead; a preceding
+# abil, ic or iv is deleted in R2; a preceding at is deleted in R2.
+SNOWBALL_ES_STEP1 = {
+    "anza": (
+        "anza", "anzas", "ico", "ica", "icos", "icas", "ismo", "ismos", "able",
+        "ables", "ible", "ibles", "ista", "istas", "oso", "osa", "osos", "osas",
+        "amiento", "amientos", "imiento", "imientos",
+    ),
+    "adora": (
+        "adora", "ador", "aci\xf3n", "adoras", "adores", "aciones", "ante",
+        "antes", "ancia", "ancias",
+    ),
+    "log\xeda": ("log\xeda", "log\xedas"),
+    "uci\xf3n": ("uci\xf3n", "uciones"),
+    "encia": ("encia", "encias"),
+    "idad": ("idad", "idades"),
+    "iva": ("iva", "ivo", "ivas", "ivos"),
+}
+SNOWBALL_ES_STEP1_SUFFIXES = (
+    *(suffix for group in SNOWBALL_ES_STEP1.values() for suffix in group), "amente", "mente",
+)
+# Snowball's Spanish step 0 removes an attached pronoun after a gerund or an
+# infinitive (yendo only after u).
+SNOWBALL_ES_PRONOUNS = (
+    "me", "se", "sela", "selo", "selas", "selos", "la", "le", "lo", "las", "les", "los", "nos",
+)
+SNOWBALL_ES_BEFORE_PRONOUN = (
+    "i\xe9ndo", "\xe1ndo", "\xe1r", "\xe9r", "\xedr", "ando", "iendo", "ar", "er", "ir", "uyendo",
+)
+
+
+def _spanish_conflations(x: str):
+    """(rule, word, other) for each pair of suffixes of one Spanish step-1
+    group that must give ``word`` and ``other`` one stem, wherever its
+    premises hold: step 0 removes nothing from either word, each word's
+    longest step-1 suffix is its own, in R2, and both words have the same
+    regions, so step 1 leaves them alike."""
+    n = len(x)
+    for group, suffixes in SNOWBALL_ES_STEP1.items():
+        reached = []
+        for suffix in suffixes:
+            word = x + suffix
+            r1, r2 = _loop_regions(word, spanish.VOWELS)
+            regions = (r1, r2, _spanish_rv_string(word))
+            starts = [len(word) - len(region) for region in regions]
+            if (
+                _longest_suffix(word, SNOWBALL_ES_STEP1_SUFFIXES) == suffix
+                and starts[1] <= n
+                and not any(
+                    word.endswith(pronoun)
+                    and word[:-len(pronoun)].endswith(SNOWBALL_ES_BEFORE_PRONOUN)
+                    for pronoun in SNOWBALL_ES_PRONOUNS
+                )
+            ):
+                reached.append((suffix, word, _clamped(starts, n)))
+        for i, (suffix, word, starts) in enumerate(reached):
+            for other_suffix, other, other_starts in reached[i + 1:]:
+                if starts == other_starts:
+                    yield f"{group}: {suffix}/{other_suffix}", word, other
+
+
+@given(
+    x=st.tuples(
+        st.text(alphabet="abcdefghijklmnopqrstuvwxyz\xe1\xe9\xed\xf3\xfa\xf1", min_size=1, max_size=8),
+        # Endings that a step-1 rule reads before the suffix.
+        st.sampled_from(("", "", "", "ic", "iv", "at", "abil")),
+    ).map("".join)
+)
+@settings(max_examples=500)
+def test_spanish_rules_conflate_the_words_they_rewrite(x):
+    # R1, R2 and RV are fixed once per word, so two words that one rule
+    # leaves in one state stem alike.
+    for rule, word, other in _spanish_conflations(x):
+        assert spanish.stem(word) == spanish.stem(other), (rule, word, other)
+
+
 @dataclass(frozen=True)
 class SuffixWords:
     """What the seeded words of one language are built from."""
