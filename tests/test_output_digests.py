@@ -2,20 +2,26 @@
 
 A batch digest covers ``report.jsonl`` and every summary file of a run:
 each file's path under the output directory and its bytes. ``timings.csv``
-is left out, since its seconds change from run to run. Every batch setting
-runs at 1 and at 2 workers, which must write the same bytes. A command
-digest covers what ``summarize --scores`` and ``eval`` of that summary print
-for one text, at ``ratio:0.2`` and at ``k:2``. A stop-list digest covers the
-bytes of one bundled stop list. A change that moves an output byte fails
-each setting whose output moved; a change meant to move bytes re-pins the
-digests of those settings and names them in CHANGES.md.
+is left out, since its seconds change from run to run; a timings digest
+covers it with its seconds columns blanked. Every batch setting runs at 1
+and at 2 workers, which must write the same bytes. A command digest covers
+what ``summarize --scores`` and ``eval`` of that summary print for one
+text, at ``ratio:0.2`` and at ``k:2``, and must come out the same under
+every other supported interpreter found (Python 3.10 to 3.13; one that is
+not found is skipped by name). A stop-list digest covers the bytes of one
+bundled stop list. A change that moves an output byte fails each setting
+whose output moved; a change meant to move bytes re-pins the digests of
+those settings and names them in CHANGES.md.
 
 The edge-case, Spanish and French texts are ``scripts/compare_outputs.py``'s,
 imported from it so that they are written once.
 """
 
+import csv
+import functools
 import hashlib
 import importlib.util
+import io
 import json
 import os
 import shutil
@@ -94,6 +100,44 @@ DIGESTS = {
         "f84085554e0cc5cd5be6f7a5c2328236c47a2fc44d014265117fcc6556bc0270",
 }
 
+# (corpus, normalization, budget): the sha256 of that run's timings.csv with
+# its seconds columns blanked. A batch's rows hold no budget, so the
+# ratio:0.2 and k:3 runs of one corpus share a digest.
+TIMINGS_DIGESTS = {
+    ("long", "stem", "ratio:0.2"):
+        "e451fc44d51392a7d0d74e5b4944340216a7fbf41b60b3a4794884a970bf9c56",
+    ("long", "stem", "k:3"):
+        "e451fc44d51392a7d0d74e5b4944340216a7fbf41b60b3a4794884a970bf9c56",
+    ("long", "raw", "k:1"):
+        "95bf4163861217f15c3c796aa72020f5bed7896566fd522de7da9053d8bca15e",
+    ("long", "fix:3", "k:1"):
+        "a5dc26b82e3a0af6fc14e5d14897fc7a79f03fbaa0ba2f5be8103db8fd23a8e3",
+    ("long", "lemma", "ratio:0.2"):
+        "5db972f5c88f0d7a3d41ec73b5a5c77fbbdb7e66df9b972aec5292218e89b303",
+    ("short", "stem", "ratio:0.2"):
+        "ddc270faed8540dd66b57f6c36750b1bd6159663088ff91345ad9122a5825c88",
+    ("short", "stem", "k:3"):
+        "ddc270faed8540dd66b57f6c36750b1bd6159663088ff91345ad9122a5825c88",
+    ("short", "raw", "k:1"):
+        "17cf407959cc3d40482f6fde6cc7ef33224ac51cabd15d5bafca8135dfb13919",
+    ("short", "fix:3", "k:1"):
+        "8a6463ee3757ed94783ec59457fcdd18290a59ba164dc631eaf318b60d83f9a6",
+    ("clusters", "stem", "ratio:0.2"):
+        "99084ffcc3c7c15ddd6d562a06644abca010f91ddcff7b614ff984a622f1ce5d",
+    ("edge", "stem", "ratio:0.2"):
+        "51e4bcae8b9eba3ab052ee4fcecf75c0c11511947c40cf0d67f24087ea1ba666",
+    ("edge", "stem", "k:3"):
+        "51e4bcae8b9eba3ab052ee4fcecf75c0c11511947c40cf0d67f24087ea1ba666",
+    ("edge", "raw", "k:1"):
+        "c91eec0875c63b2ff5bfca0f8e2c453aa1351c1090709ea9a257b79672e66af0",
+    ("edge", "fix:3", "k:1"):
+        "0a827e949ef2a96fe7221f5d4d6b59abdbb53b73f7430e7ac5a014073250fa3a",
+    ("es", "stem", "k:2"):
+        "2eb4d9400753345a9037fcff1a0a27b9bc0c5e52c6077795c4cff21a2887a6bb",
+    ("fr", "stem", "k:2"):
+        "65f9a98ec8748124da9c289505e2e1c82d01935f54443aef5372783c5e8d8d95",
+}
+
 # text: the sha256 of its summarize --scores and eval calls.
 COMMAND_DIGESTS = {
     "hapax": "a062a3b216b9247784d4e2aef73ab37bc92963f70b646371343ce8ab7fd2eae2",
@@ -138,6 +182,31 @@ def inputs(tmp_path_factory):
     return specs, dictionary
 
 
+@pytest.fixture(scope="module")
+def batch_outputs(inputs, tmp_path_factory):
+    """A function from a batch setting to its two output directories, at 1
+    and at 2 workers; each setting runs once, when first asked for."""
+    specs, dictionary = inputs
+    root = tmp_path_factory.mktemp("batches")
+
+    @functools.cache
+    def outputs(corpus, mode, budget):
+        out_dirs = []
+        for workers in (1, 2):
+            cfg = RunConfig(
+                normalization=parse_mode(mode, dictionary),
+                budget=parse_budget(budget),
+                systems=SYSTEMS,
+                out_dir=root / f"{corpus}-{mode}-{budget}".replace(":", "") / f"w{workers}",
+                workers=workers,
+            )
+            run_corpus(specs[corpus], cfg)
+            out_dirs.append(cfg.out_dir)
+        return out_dirs
+
+    return outputs
+
+
 def output_digest(out_dir) -> str:
     """sha256 over every output file but timings.csv, in path order."""
     digest = hashlib.sha256()
@@ -155,62 +224,114 @@ def output_digest(out_dir) -> str:
 @pytest.mark.parametrize(
     "corpus,mode,budget", DIGESTS, ids=["-".join(setting) for setting in DIGESTS]
 )
-def test_outputs_match_their_pinned_digest(inputs, tmp_path, corpus, mode, budget):
-    specs, dictionary = inputs
-    digests = []
-    for workers in (1, 2):
-        cfg = RunConfig(
-            normalization=parse_mode(mode, dictionary),
-            budget=parse_budget(budget),
-            systems=SYSTEMS,
-            out_dir=tmp_path / f"workers-{workers}",
-            workers=workers,
-        )
-        run_corpus(specs[corpus], cfg)
-        digests.append(output_digest(cfg.out_dir))
+def test_outputs_match_their_pinned_digest(batch_outputs, corpus, mode, budget):
+    digests = [output_digest(out_dir) for out_dir in batch_outputs(corpus, mode, budget)]
     assert digests == [DIGESTS[corpus, mode, budget]] * 2
 
 
+def timings_digest(out_dir) -> str:
+    """sha256 of timings.csv with its seconds columns blanked."""
+    with open(out_dir / "timings.csv", encoding="utf-8", newline="") as handle:
+        rows = list(csv.reader(handle))
+    seconds = [rows[0].index(column) for column in compare_outputs.SECONDS_COLUMNS]
+    for row in rows[1:]:
+        for column in seconds:
+            row[column] = ""
+    text = io.StringIO()
+    csv.writer(text).writerows(rows)
+    return hashlib.sha256(text.getvalue().encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "corpus,mode,budget", TIMINGS_DIGESTS, ids=["-".join(setting) for setting in TIMINGS_DIGESTS]
+)
+def test_timings_match_their_pinned_digest(batch_outputs, corpus, mode, budget):
+    digests = [timings_digest(out_dir) for out_dir in batch_outputs(corpus, mode, budget)]
+    assert digests == [TIMINGS_DIGESTS[corpus, mode, budget]] * 2
+
+
 @pytest.fixture(scope="module")
-def command_digests(inputs, tmp_path_factory):
-    """Each text's digest over its summarize --scores and eval calls.
+def command_digests_under(inputs, tmp_path_factory):
+    """A function from an interpreter to each text's digest over its
+    summarize --scores and eval calls.
 
     The calls run in one fresh interpreter through ``artex.cli.main``, with
     ``compare_outputs``'s runner, so that stderr holds what the command
     logs; the temporary directory is masked in stderr.
     """
     specs, _ = inputs
-    work = tmp_path_factory.mktemp("commands")
-    calls = []
-    for name, (corpus, language) in TEXTS.items():
-        source = str(specs[corpus].root / f"{name}.txt")
-        for budget in ("ratio:0.2", "k:2"):
-            summary = work / f"{name}-{budget.replace(':', '')}.txt"
-            calls += [
-                {"argv": ["summarize", source, "--scores", "--budget", budget,
-                          "--lang", language], "stdout_to": str(summary), "text": name},
-                {"argv": ["eval", source, str(summary), "--lang", language], "text": name},
-            ]
-    plan = work / "calls.json"
-    plan.write_text(json.dumps(calls), encoding="utf-8")
     src = str(Path(artex.__file__).parents[1])
-    subprocess.run(
-        [sys.executable, "-c", compare_outputs.RUN, str(plan), src],
-        env={**os.environ, "PYTHONPATH": src},
-        check=True,
-    )
-    digests = {name: hashlib.sha256() for name in TEXTS}
     base = str(tmp_path_factory.getbasetemp())
-    for call in json.loads(plan.read_text(encoding="utf-8")):
-        stderr = call["stderr"].replace(base, "<tmp>")
-        record = [call["argv"][0], call["exit"], call["stdout"], stderr]
-        digests[call["text"]].update(json.dumps(record).encode("utf-8"))
-    return {name: digest.hexdigest() for name, digest in digests.items()}
+
+    def digests_under(python):
+        work = tmp_path_factory.mktemp("commands")
+        calls = []
+        for name, (corpus, language) in TEXTS.items():
+            source = str(specs[corpus].root / f"{name}.txt")
+            for budget in ("ratio:0.2", "k:2"):
+                summary = work / f"{name}-{budget.replace(':', '')}.txt"
+                calls += [
+                    {"argv": ["summarize", source, "--scores", "--budget", budget,
+                              "--lang", language], "stdout_to": str(summary), "text": name},
+                    {"argv": ["eval", source, str(summary), "--lang", language], "text": name},
+                ]
+        plan = work / "calls.json"
+        plan.write_text(json.dumps(calls), encoding="utf-8")
+        subprocess.run(
+            [python, "-c", compare_outputs.RUN, str(plan), src],
+            env={**os.environ, "PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"},
+            check=True,
+        )
+        digests = {name: hashlib.sha256() for name in TEXTS}
+        for call in json.loads(plan.read_text(encoding="utf-8")):
+            stderr = call["stderr"].replace(base, "<tmp>")
+            record = [call["argv"][0], call["exit"], call["stdout"], stderr]
+            digests[call["text"]].update(json.dumps(record).encode("utf-8"))
+        return {name: digest.hexdigest() for name, digest in digests.items()}
+
+    return digests_under
+
+
+@pytest.fixture(scope="module")
+def command_digests(command_digests_under):
+    return command_digests_under(sys.executable)
 
 
 @pytest.mark.parametrize("text", COMMAND_DIGESTS)
 def test_commands_match_their_pinned_digest(command_digests, text):
     assert command_digests[text] == COMMAND_DIGESTS[text]
+
+
+# The Python versions that artex supports (pyproject.toml's requires-python,
+# up to the newest one it is tested on).
+SUPPORTED_PYTHONS = ("3.10", "3.11", "3.12", "3.13")
+RUNNING_PYTHON = "%d.%d" % sys.version_info[:2]
+
+
+def find_python(version: str) -> str | None:
+    """An interpreter that runs as Python ``version``: one that pyenv
+    installed, else ``python<version>`` on PATH; None if neither does."""
+    versions = Path(os.environ.get("PYENV_ROOT", Path.home() / ".pyenv")) / "versions"
+    candidates = [
+        *sorted(versions.glob(f"{version}.*/bin/python{version}")),
+        shutil.which(f"python{version}"),
+    ]
+    for python in filter(None, candidates):
+        check = subprocess.run(
+            [python, "-c", "import sys; print('%d.%d' % sys.version_info[:2])"],
+            capture_output=True, text=True,
+        )
+        if check.returncode == 0 and check.stdout.strip() == version:
+            return str(python)
+    return None
+
+
+@pytest.mark.parametrize("version", [v for v in SUPPORTED_PYTHONS if v != RUNNING_PYTHON])
+def test_commands_match_their_pinned_digests_under_python(command_digests_under, version):
+    python = find_python(version)
+    if python is None:
+        pytest.skip(f"no Python {version} interpreter found")
+    assert command_digests_under(python) == COMMAND_DIGESTS
 
 
 @pytest.mark.parametrize("language", STOP_LIST_DIGESTS)
