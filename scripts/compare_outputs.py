@@ -16,9 +16,9 @@ two seeded English corpora, a lemma dictionary, a few edge-case texts
 (one of them with no word that occurs twice, which artex cannot
 summarize, one whose words' stems depend on where the English stemmer's
 R2 starts and one whose words reach every entry of its step-2 and step-3
-tables), a Spanish text, three French texts (one whose words reach the
-French stemmer's kept rules, one whose words reach every entry of its
-``STEP1_IN_R2`` table),
+tables), a Spanish text, three French texts (one whose words' stems
+depend on French step 1 following Snowball's regions, one whose words
+reach every entry of its ``STEP1_IN_R2`` table),
 two edge-case lemma dictionaries (one with every kind of line the loader
 reads, one that is not UTF-8), a text that is not UTF-8, a corpus of
 one good document and one that is not UTF-8 after a byte-order mark, and a
@@ -154,9 +154,9 @@ EDGE_TEXTS = {
 }
 
 # Each language's texts, batched from one directory. Each repeated word of
-# "fr-regions" has a stem that depends on one of the French stemmer's two
-# kept rules: fabricatrice stems to fabr (fabrication to fabriqu), and
-# finissemment to finissent (finissent to fin).
+# "fr-regions" has a stem that depends on French step 1 following
+# Snowball's regions: fabricatrice and fabrication both stem to fabriqu, and
+# finissemment and finissent to fin.
 LANGUAGE_TEXTS = {
     "es": {
         "es": (

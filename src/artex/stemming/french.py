@@ -5,12 +5,7 @@ a vowel) are upper-cased before the regions are computed and restored at
 the end. R1, R2 and RV are start positions in the marked word, fixed once
 before any suffix is removed: ``word.endswith(suffix, p2)`` asks whether
 ``suffix`` is in R2. The step-1 suffixes that, in R2, are only removed or
-replaced by a fixed ending are one table, ``STEP1_IN_R2``. Two step-1 rules
-are not positional, each one commented rule: after ``atrice(s)`` is
-removed, a preceding ``ic`` is deleted wherever it starts; after ``emment``
-becomes ``ent``, steps 2a and 2b are skipped. Snowball has neither rule:
-without them, fabricatrice would stem to fabriqu (as fabrication does) and
-finissemment to fin (as finissent does).
+replaced by a fixed ending are one table, ``STEP1_IN_R2``.
 """
 
 from __future__ import annotations
@@ -129,14 +124,10 @@ def stem(word: str) -> str:
                     word = word[:-3]
                 elif word.endswith(("i\xe8r", "I\xe8r"), pv):
                     word = word[:-3] + "i"
-            elif suffix == "amment" and word.endswith(suffix, pv):
-                word = word[:-6] + "ant"
-            elif suffix == "emment" and word.endswith(suffix, pv):
-                word = word[:-6] + "ent"
-                # Kept rule: steps 2a and 2b read RV from the word before this
-                # rewrite, where none of their suffixes ends, so they are
-                # skipped (steps 3 and 4 both keep the final t).
-                removed = True
+            # amment becomes ant and emment ent; neither they nor ment(s)
+            # set removed, so steps 2a and 2b still run.
+            elif suffix in ("amment", "emment") and word.endswith(suffix, pv):
+                word = word[:-5] + "nt"
             elif (
                 suffix in ("ment", "ments")
                 and word.endswith(suffix, pv)
@@ -163,8 +154,7 @@ def stem(word: str) -> str:
                 word = word[:-len(suffix)]
                 removed = True
                 if word.endswith("ic"):
-                    # Kept rule: the ic inside a removed atrice(s) counts as in R2.
-                    if word.endswith("ic", p2) or "ic" in suffix:
+                    if word.endswith("ic", p2):
                         word = word[:-2]
                     else:
                         word = word[:-2] + "iqU"

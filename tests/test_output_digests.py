@@ -97,7 +97,7 @@ DIGESTS = {
     ("es", "stem", "k:2"):
         "4c61eb41af8868b6814d261e43e6ba1f5df72eec0949e1d9d13d9bb8f1374404",
     ("fr", "stem", "k:2"):
-        "f84085554e0cc5cd5be6f7a5c2328236c47a2fc44d014265117fcc6556bc0270",
+        "a65fafed2e1d38492d4d13a32d5beef4c1ec31dd494722ee125fa53d1ebfb0da",
 }
 
 # (corpus, normalization, budget): the sha256 of that run's timings.csv with
@@ -148,7 +148,7 @@ COMMAND_DIGESTS = {
     "bom": "41bfdb02c70d78ff0fd1e02ae604d48d466f194ad270391531328bc80bca1b53",
     "es": "55e891eb79ff9282e327662c549901d4786659fbca9f413621ff5e8b2f00a29c",
     "fr": "bb66454ac350a921a4cdef8a805170b779a941d1452d2a43f2dd3a3abe5ad4cc",
-    "fr-regions": "5d4fdded1451a40f37b6e490298955a4a2e33e773c324f89a61cffe17ff22b7b",
+    "fr-regions": "f1204372ab8b4140657fe00d04d606fea689c45005f7235cde0e9a4c55552098",
     "fr-suffixes": "81405946a125c06877912ab41769de03b70d83b0cc9faa2679d9ff3246545508",
 }
 

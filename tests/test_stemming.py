@@ -227,12 +227,14 @@ def test_english_kept_r2_rule(rule):
         assert english.stem(word) == expected, (rule, word)
 
 
-# What the French stemmer's two kept rules give, one entry per rule (see
-# french.py). Snowball's fixed positions, without these rules, would give
-# "fabriqu" for fabricatrice(s) and "fin" for finissemment.
+# Words whose stems depend on French step 1 following Snowball, one entry
+# per rule that the stemmer once kept beside it: an ic before a removed
+# atrice(s) is in R2 only where it starts in R2, so fabricatrice(s) stem to
+# fabriqu, as fabrication does; emment becomes ent and steps 2a and 2b still
+# run, so finissemment stems to fin, as finissent does.
 FR_KEPT_RULE_VECTORS = {
-    "atrice_ic": {"fabricatrice": "fabr", "fabricatrices": "fabr"},
-    "emment_rv": {"finissemment": "finissent"},
+    "atrice_ic": {"fabricatrice": "fabriqu", "fabricatrices": "fabriqu"},
+    "emment_rv": {"finissemment": "fin"},
 }
 
 
@@ -602,12 +604,6 @@ SNOWBALL_FR_IN_R2 = {
 FR_LATER_ENDINGS = (
     *french.STEP2A_SUFFIXES, *french.STEP2B_SUFFIXES, *french.STEP4_SUFFIXES, "s", "Y", "\xe7",
 )
-# Pairs that the French stemmer's two kept rules split (ROADMAP item 11),
-# one entry per kept rule: the property's rules whose pairs it excuses.
-FR_CONFLATION_EXCLUDED = {
-    "atrice_ic": ("step1-atrice", "step1-atrices"),
-    "emment_rv": ("step1-emment",),
-}
 
 
 def _french_state(word: str) -> tuple[str, str | None, list[int]]:
@@ -690,10 +686,8 @@ def _french_conflations(x: str):
 def test_french_rules_conflate_the_words_they_rewrite(x):
     # R1, R2 and RV are fixed once per word, so two words that one rule
     # leaves in one state stem alike.
-    excluded = {rule for rules in FR_CONFLATION_EXCLUDED.values() for rule in rules}
     for rule, word, other in _french_conflations(x):
-        if rule not in excluded:
-            assert french.stem(word) == french.stem(other), (rule, word, other)
+        assert french.stem(word) == french.stem(other), (rule, word, other)
 
 
 # Snowball's Spanish step-1 suffixes, grouped by rule, written out from
@@ -762,7 +756,9 @@ def _spanish_conflations(x: str):
 
 @given(
     x=st.tuples(
-        st.text(alphabet="abcdefghijklmnopqrstuvwxyz\xe1\xe9\xed\xf3\xfa\xf1", min_size=1, max_size=8),
+        st.text(
+            alphabet="abcdefghijklmnopqrstuvwxyz\xe1\xe9\xed\xf3\xfa\xf1", min_size=1, max_size=8
+        ),
         # Endings that a step-1 rule reads before the suffix.
         st.sampled_from(("", "", "", "ic", "iv", "at", "abil")),
     ).map("".join)
@@ -877,7 +873,7 @@ ES_SUFFIX_COMBINATION_DIGEST = (
     "f0bd8c49f77dfbfd090d051e6c1f85bb58c7be4db7f696fe71fd25a7241d531f"
 )
 FR_SUFFIX_COMBINATION_DIGEST = (
-    "57a249ddbcb46bef37cc85967ba576512d813f854c2bf75c2cd7b5274b216b4b"
+    "9735c478fda389c38646ab6dac6cf0336d8a2d837d852191235650c30e666011"
 )
 
 
