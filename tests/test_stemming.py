@@ -690,11 +690,12 @@ def test_french_rules_conflate_the_words_they_rewrite(x):
         assert french.stem(word) == french.stem(other), (rule, word, other)
 
 
-# Snowball's Spanish step-1 suffixes, grouped by rule, written out from
-# Snowball's description and not taken from spanish.py. Each group's suffix
-# is deleted in R2 and then, by group: nothing more; a preceding ic is
-# deleted in R2; it is replaced by log, u or ente instead; a preceding
-# abil, ic or iv is deleted in R2; a preceding at is deleted in R2.
+# Snowball's Spanish step-1 suffixes that share their rule with another, one
+# group per rule keyed by its first suffix, written out from Snowball's
+# description and not taken from spanish.py. In R2, each group's suffixes
+# are deleted and then: anza's, nothing more; adora's, a preceding ic in
+# R2; idad's, a preceding abil, ic or iv in R2; iva's, a preceding at in
+# R2. logía's, ución's and encia's are replaced by log, u and ente instead.
 SNOWBALL_ES_STEP1 = {
     "anza": (
         "anza", "anzas", "ico", "ica", "icos", "icas", "ismo", "ismos", "able",
