@@ -139,7 +139,7 @@ class UltraStem(NamedTuple):
     n: int
 
     def _check(self):
-        if not isinstance(self.n, int):
+        if not isinstance(self.n, int) or isinstance(self.n, bool):
             raise ValueError(f"truncation length must be an integer, got {self.n!r}")
         if self.n < 1:
             raise ValueError(f"truncation length must be >= 1, got {self.n}")

@@ -57,7 +57,7 @@ class RunConfig(NamedTuple):
             raise ValueError(f"unknown systems: {sorted(unknown)}")
         if not self.systems:
             raise ValueError("at least one system must be selected")
-        if not isinstance(self.workers, int):
+        if not isinstance(self.workers, int) or isinstance(self.workers, bool):
             raise ValueError(f"worker count must be an integer, got {self.workers!r}")
         if self.workers < 1:
             raise ValueError("worker count must be >= 1")

@@ -35,7 +35,7 @@ class SentenceCount(NamedTuple):
     k: int
 
     def _check(self):
-        if not isinstance(self.k, int):
+        if not isinstance(self.k, int) or isinstance(self.k, bool):
             raise ValueError(f"sentence budget must be an integer, got {self.k!r}")
         if self.k < 1:
             raise ValueError(f"sentence budget must be >= 1, got {self.k}")
@@ -48,7 +48,7 @@ class WordRatio(NamedTuple):
     ratio: float
 
     def _check(self):
-        if not isinstance(self.ratio, (int, float)):
+        if not isinstance(self.ratio, (int, float)) or isinstance(self.ratio, bool):
             raise ValueError(f"word ratio must be a number, got {self.ratio!r}")
         if not 0.0 < self.ratio <= 1.0:
             raise ValueError(f"word ratio must be in (0, 1], got {self.ratio}")

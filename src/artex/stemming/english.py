@@ -9,6 +9,11 @@ Each suffix step first asks ``word.endswith(STEPn_SUFFIXES)`` once with the
 whole table, a single call that runs in C; most words end in no suffix of
 most steps and skip the step there. Only a word that does end in one walks
 the table in order, so the first (longest) matching suffix still wins.
+``stemming.ending`` is the same guard for the Spanish and French steps.
+English inlines it: English is the stemmer every perfbench workload runs,
+and a call to ``ending`` per step made it 16–24% slower per word (2.81–2.90
+against 3.31–3.59 µs over the 102,763 per-document distinct words of the
+seed-0 short perfbench corpus, best of 7, Python 3.11.7, 2 CPUs).
 """
 
 from __future__ import annotations

@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import re
 
-from . import region
+from . import ending, region
 
 VOWELS = "aeiouy\xe2\xe0\xeb\xe9\xea\xe8\xef\xee\xf4\xfb\xf9"
 _VOWEL_THEN_NON_VOWEL = re.compile(f"[{VOWELS}][^{VOWELS}]").search
+_VOWEL = re.compile(f"[{VOWELS}]").search
 
 STEP1_SUFFIXES = (
     "issements", "issement", "atrices", "atrice", "ateurs", "ations",
@@ -79,9 +80,7 @@ def _rv_start(word: str) -> int:
             word[0] in VOWELS and word[1] in VOWELS
         ):
             return 3
-        for i in range(1, len(word)):
-            if word[i] in VOWELS:
-                return i + 1
+        return region(word, _VOWEL, 1)
     return len(word)
 
 
@@ -96,113 +95,107 @@ def stem(word: str) -> str:
     pv = _rv_start(word)
 
     # Step 1: standard suffixes
-    for suffix in STEP1_SUFFIXES:
-        if word.endswith(suffix):
-            if suffix == "eaux":
-                word = word[:-1]
-                removed = True
-            elif suffix in ("euse", "euses"):
-                if word.endswith(suffix, p2):
-                    word = word[:-len(suffix)]
-                    removed = True
-                elif word.endswith(suffix, p1):
-                    word = word[:-len(suffix)] + "eux"
-                    removed = True
-            elif suffix in ("ement", "ements") and word.endswith(suffix, pv):
-                word = word[:-len(suffix)]
-                removed = True
-                if word.endswith("iv", p2):
-                    word = word[:-2]
-                    if word.endswith("at", p2):
-                        word = word[:-2]
-                elif word.endswith("eus"):
-                    if word.endswith("eus", p2):
-                        word = word[:-3]
-                    elif word.endswith("eus", p1):
-                        word = word[:-1] + "x"
-                elif word.endswith(("abl", "iqU"), p2):
-                    word = word[:-3]
-                elif word.endswith(("i\xe8r", "I\xe8r"), pv):
-                    word = word[:-3] + "i"
-            # amment becomes ant and emment ent; neither they nor ment(s)
-            # set removed, so steps 2a and 2b still run.
-            elif suffix in ("amment", "emment") and word.endswith(suffix, pv):
-                word = word[:-5] + "nt"
-            elif (
-                suffix in ("ment", "ments")
-                and word.endswith(suffix, pv)
-                and not word.startswith(suffix, pv)
-                and word[-len(suffix) - 1] in VOWELS
-            ):
-                word = word[:-len(suffix)]
-            elif suffix == "aux" and word.endswith(suffix, p1):
+    suffix = ending(word, STEP1_SUFFIXES)
+    if suffix == "eaux":
+        word = word[:-1]
+        removed = True
+    elif suffix in ("euse", "euses"):
+        if word.endswith(suffix, p2):
+            word = word[:-len(suffix)]
+            removed = True
+        elif word.endswith(suffix, p1):
+            word = word[:-len(suffix)] + "eux"
+            removed = True
+    elif suffix in ("ement", "ements") and word.endswith(suffix, pv):
+        word = word[:-len(suffix)]
+        removed = True
+        if word.endswith("iv", p2):
+            word = word[:-2]
+            if word.endswith("at", p2):
+                word = word[:-2]
+        elif word.endswith("eus"):
+            if word.endswith("eus", p2):
+                word = word[:-3]
+            elif word.endswith("eus", p1):
+                word = word[:-1] + "x"
+        elif word.endswith(("abl", "iqU"), p2):
+            word = word[:-3]
+        elif word.endswith(("i\xe8r", "I\xe8r"), pv):
+            word = word[:-3] + "i"
+    # amment becomes ant and emment ent; neither they nor ment(s) set
+    # removed, so steps 2a and 2b still run.
+    elif suffix in ("amment", "emment") and word.endswith(suffix, pv):
+        word = word[:-5] + "nt"
+    elif (
+        suffix in ("ment", "ments")
+        and word.endswith(suffix, pv)
+        and not word.startswith(suffix, pv)
+        and word[-len(suffix) - 1] in VOWELS
+    ):
+        word = word[:-len(suffix)]
+    elif suffix == "aux" and word.endswith(suffix, p1):
+        word = word[:-2] + "l"
+        removed = True
+    elif (
+        suffix in ("issement", "issements")
+        and word.endswith(suffix, p1)
+        and word[-len(suffix) - 1] not in VOWELS
+    ):
+        word = word[:-len(suffix)]
+        removed = True
+    elif suffix in STEP1_IN_R2 and word.endswith(suffix, p2):
+        word = word[:-len(suffix)] + STEP1_IN_R2[suffix]
+        removed = True
+    elif suffix in (
+        "atrice", "ateur", "ation", "atrices", "ateurs", "ations",
+    ) and word.endswith(suffix, p2):
+        word = word[:-len(suffix)]
+        removed = True
+        if word.endswith("ic"):
+            if word.endswith("ic", p2):
+                word = word[:-2]
+            else:
+                word = word[:-2] + "iqU"
+    elif suffix in ("it\xe9", "it\xe9s") and word.endswith(suffix, p2):
+        word = word[:-len(suffix)]
+        removed = True
+        if word.endswith("abil"):
+            if word.endswith("abil", p2):
+                word = word[:-4]
+            else:
                 word = word[:-2] + "l"
-                removed = True
-            elif (
-                suffix in ("issement", "issements")
-                and word.endswith(suffix, p1)
-                and word[-len(suffix) - 1] not in VOWELS
-            ):
-                word = word[:-len(suffix)]
-                removed = True
-            elif suffix in STEP1_IN_R2 and word.endswith(suffix, p2):
-                word = word[:-len(suffix)] + STEP1_IN_R2[suffix]
-                removed = True
-            elif suffix in (
-                "atrice", "ateur", "ation", "atrices", "ateurs", "ations",
-            ) and word.endswith(suffix, p2):
-                word = word[:-len(suffix)]
-                removed = True
-                if word.endswith("ic"):
-                    if word.endswith("ic", p2):
-                        word = word[:-2]
-                    else:
-                        word = word[:-2] + "iqU"
-            elif suffix in ("it\xe9", "it\xe9s") and word.endswith(suffix, p2):
-                word = word[:-len(suffix)]
-                removed = True
-                if word.endswith("abil"):
-                    if word.endswith("abil", p2):
-                        word = word[:-4]
-                    else:
-                        word = word[:-2] + "l"
-                elif word.endswith("ic"):
-                    if word.endswith("ic", p2):
-                        word = word[:-2]
-                    else:
-                        word = word[:-2] + "iqU"
-                elif word.endswith("iv", p2):
+        elif word.endswith("ic"):
+            if word.endswith("ic", p2):
+                word = word[:-2]
+            else:
+                word = word[:-2] + "iqU"
+        elif word.endswith("iv", p2):
+            word = word[:-2]
+    elif suffix in ("if", "ive", "ifs", "ives") and word.endswith(suffix, p2):
+        word = word[:-len(suffix)]
+        removed = True
+        if word.endswith("at", p2):
+            word = word[:-2]
+            if word.endswith("ic"):
+                if word.endswith("ic", p2):
                     word = word[:-2]
-            elif suffix in ("if", "ive", "ifs", "ives") and word.endswith(suffix, p2):
-                word = word[:-len(suffix)]
-                removed = True
-                if word.endswith("at", p2):
-                    word = word[:-2]
-                    if word.endswith("ic"):
-                        if word.endswith("ic", p2):
-                            word = word[:-2]
-                        else:
-                            word = word[:-2] + "iqU"
-            break
+                else:
+                    word = word[:-2] + "iqU"
 
     # Steps 2a/2b: verb suffixes, only when step 1 removed nothing
     if not removed:
-        for suffix in STEP2A_SUFFIXES:
-            if word.endswith(suffix):
-                if word.endswith(suffix, pv + 1) and word[-len(suffix) - 1] not in VOWELS:
-                    word = word[:-len(suffix)]
-                    removed = True
-                break
+        suffix = ending(word, STEP2A_SUFFIXES)
+        if suffix and word.endswith(suffix, pv + 1) and word[-len(suffix) - 1] not in VOWELS:
+            word = word[:-len(suffix)]
+            removed = True
 
     if not removed:
-        for suffix, rule in STEP2B.items():
-            if word.endswith(suffix, pv):
-                if rule != "ions" or word.endswith(suffix, p2):
-                    word = word[:-len(suffix)]
-                    removed = True
-                    if rule == "a" and word.endswith("e", pv):
-                        word = word[:-1]
-                break
+        suffix = ending(word, STEP2B_SUFFIXES, pv)
+        if suffix and (STEP2B[suffix] != "ions" or word.endswith(suffix, p2)):
+            word = word[:-len(suffix)]
+            removed = True
+            if STEP2B[suffix] == "a" and word.endswith("e", pv):
+                word = word[:-1]
 
     # Step 3: tidy a trailing marked Y or cedilla
     if removed:
@@ -215,18 +208,16 @@ def stem(word: str) -> str:
     else:
         if len(word) >= 2 and word[-1] == "s" and word[-2] not in "aiou\xe8s":
             word = word[:-1]
-        for suffix in STEP4_SUFFIXES:
-            if word.endswith(suffix, pv):
-                # R2 starts after RV does, so an s or t before an ion in R2 is in RV.
-                if suffix == "ion" and word.endswith(suffix, p2) and word[-4:-3] in ("s", "t"):
-                    word = word[:-3]
-                elif suffix in ("ier", "i\xe8re", "Ier", "I\xe8re"):
-                    word = word[:-len(suffix)] + "i"
-                elif suffix == "e":
-                    word = word[:-1]
-                elif suffix == "\xeb" and word[-3:-1] == "gu":
-                    word = word[:-1]
-                break
+        suffix = ending(word, STEP4_SUFFIXES, pv)
+        # R2 starts after RV does, so an s or t before an ion in R2 is in RV.
+        if suffix == "ion" and word.endswith(suffix, p2) and word[-4:-3] in ("s", "t"):
+            word = word[:-3]
+        elif suffix in ("ier", "i\xe8re", "Ier", "I\xe8re"):
+            word = word[:-len(suffix)] + "i"
+        elif suffix == "e":
+            word = word[:-1]
+        elif suffix == "\xeb" and word[-3:-1] == "gu":
+            word = word[:-1]
 
     # Step 5: undouble
     if word.endswith(("enn", "onn", "ett", "ell", "eill")):

@@ -2,32 +2,47 @@
 
 R1, R2 and RV are start positions, fixed once before any suffix is
 removed: ``word.endswith(suffix, p2)`` asks whether ``suffix`` is in R2, so
-every rewrite changes only the word. Accents are removed from the final
-stem.
+every rewrite changes only the word. Step 1 is one table, ``STEP1``.
+Accents are removed from the final stem.
 """
 
 from __future__ import annotations
 
 import re
 
-from . import region
+from . import ending, region
 
 VOWELS = "aeiou\xe1\xe9\xed\xf3\xfa\xfc"
 _VOWEL_THEN_NON_VOWEL = re.compile(f"[{VOWELS}][^{VOWELS}]").search
+_VOWEL = re.compile(f"[{VOWELS}]").search
+_NON_VOWEL = re.compile(f"[^{VOWELS}]").search
 
 STEP0_SUFFIXES = (
     "selas", "selos", "sela", "selo", "las", "les", "los", "nos",
     "me", "se", "la", "le", "lo",
 )
-STEP1_SUFFIXES = (
-    "amientos", "imientos", "amiento", "imiento", "acion", "aciones",
-    "uciones", "adoras", "adores", "ancias", "log\xedas", "encias",
-    "amente", "idades", "anzas", "ismos", "ables", "ibles", "istas",
-    "adora", "aci\xf3n", "antes", "ancia", "log\xeda", "uci\xf3n",
-    "encia", "mente", "anza", "icos", "icas", "ismo", "able", "ible",
-    "ista", "osos", "osas", "ador", "ante", "idad", "ivas", "ivos",
-    "ico", "ica", "oso", "osa", "iva", "ivo",
-)
+# Step 1 maps each suffix to its replacement and to the endings then removed
+# before it in R2, the first found. amente alone is tested in R1, and its
+# ativ and iv remove "iv, then at": ativ in R2 puts iv in R2. The shared
+# values delete the suffix, then the first of their endings in R2.
+_ic = ("", ("ic",))
+_at = ("", ("at",))
+_abil = ("", ("abil", "ic", "iv"))
+_none = ("", ())
+STEP1 = {
+    "amientos": _none, "imientos": _none, "amiento": _none, "imiento": _none,
+    "acion": _ic, "aciones": _ic, "uciones": ("u", ()), "adoras": _ic, "adores": _ic,
+    "ancias": _ic, "log\xedas": ("log", ()), "encias": ("ente", ()),
+    "amente": ("", ("ativ", "iv", "os", "ic", "ad")), "idades": _abil, "anzas": _none,
+    "ismos": _none, "ables": _none, "ibles": _none, "istas": _none, "adora": _ic,
+    "aci\xf3n": _ic, "antes": _ic, "ancia": _ic, "log\xeda": ("log", ()),
+    "uci\xf3n": ("u", ()), "encia": ("ente", ()), "mente": ("", ("ante", "able", "ible")),
+    "anza": _none, "icos": _none, "icas": _none, "ismo": _none, "able": _none,
+    "ible": _none, "ista": _none, "osos": _none, "osas": _none, "ador": _ic, "ante": _ic,
+    "idad": _abil, "ivas": _at, "ivos": _at, "ico": _none, "ica": _none, "oso": _none,
+    "osa": _none, "iva": _at, "ivo": _at,
+}
+STEP1_SUFFIXES = tuple(STEP1)
 STEP2A_SUFFIXES = (
     "yeron", "yendo", "yamos", "yais", "yan", "yen", "yas", "yes",
     "ya", "ye", "yo", "y\xf3",
@@ -70,15 +85,10 @@ def _unaccent(word: str) -> str:
 def _rv_start(word: str) -> int:
     if len(word) >= 2:
         if word[1] not in VOWELS:
-            for i in range(2, len(word)):
-                if word[i] in VOWELS:
-                    return i + 1
-        elif word[0] in VOWELS and word[1] in VOWELS:
-            for i in range(2, len(word)):
-                if word[i] not in VOWELS:
-                    return i + 1
-        else:
-            return 3
+            return region(word, _VOWEL, 2)
+        if word[0] in VOWELS:
+            return region(word, _NON_VOWEL, 2)
+        return 3
     return len(word)
 
 
@@ -86,88 +96,42 @@ def stem(word: str) -> str:
     """Return the stem of a lowercase Spanish word."""
     word = word.lower()
 
-    step1_success = False
     p1 = region(word, _VOWEL_THEN_NON_VOWEL)
     p2 = region(word, _VOWEL_THEN_NON_VOWEL, p1)
     pv = _rv_start(word)
 
     # Step 0: attached pronouns after a gerund or infinitive
-    for suffix in STEP0_SUFFIXES:
-        if not word.endswith(suffix, pv):
-            continue
+    suffix = ending(word, STEP0_SUFFIXES, pv)
+    if suffix:
         head = word[:-len(suffix)]
         if head.endswith(_GERUND_INFINITIVE, pv) or (
             head.endswith("uyendo") and head.endswith("yendo", pv)
         ):
             word = _unaccent(head)
-        break
 
-    # Step 1: standard suffixes
-    for suffix in STEP1_SUFFIXES:
-        if not word.endswith(suffix):
-            continue
-        if suffix == "amente" and word.endswith(suffix, p1):
-            step1_success = True
-            word = word[:-6]
-            if word.endswith("iv", p2):
-                word = word[:-2]
-                if word.endswith("at", p2):
-                    word = word[:-2]
-            elif word.endswith(("os", "ic", "ad"), p2):
-                word = word[:-2]
-        elif word.endswith(suffix, p2):
-            step1_success = True
-            if suffix in (
-                "adora", "ador", "aci\xf3n", "adoras", "adores", "acion",
-                "aciones", "ante", "antes", "ancia", "ancias",
-            ):
-                word = word[:-len(suffix)]
-                if word.endswith("ic", p2):
-                    word = word[:-2]
-            elif suffix in ("log\xeda", "log\xedas"):
-                word = word[:-len(suffix)] + "log"
-            elif suffix in ("uci\xf3n", "uciones"):
-                word = word[:-len(suffix)] + "u"
-            elif suffix in ("encia", "encias"):
-                word = word[:-len(suffix)] + "ente"
-            elif suffix == "mente":
-                word = word[:-len(suffix)]
-                if word.endswith(("ante", "able", "ible"), p2):
-                    word = word[:-4]
-            elif suffix in ("idad", "idades"):
-                word = word[:-len(suffix)]
-                for pre in ("abil", "ic", "iv"):
-                    if word.endswith(pre, p2):
-                        word = word[:-len(pre)]
-                        break
-            elif suffix in ("ivo", "iva", "ivos", "ivas"):
-                word = word[:-len(suffix)]
-                if word.endswith("at", p2):
-                    word = word[:-2]
-            else:
-                word = word[:-len(suffix)]
-        break
-
-    # Steps 2a/2b: verb suffixes, each only when the step before removed nothing
-    if not step1_success:
-        for suffix in STEP2A_SUFFIXES:
-            if word.endswith(suffix, pv) and word[-len(suffix) - 1:-len(suffix)] == "u":
-                word = word[:-len(suffix)]
-                break
+    # Step 1: standard suffixes; steps 2a/2b (verb suffixes) run only when
+    # step 1 removed nothing, and 2b only when 2a removed nothing.
+    suffix = ending(word, STEP1_SUFFIXES)
+    if suffix and word.endswith(suffix, p1 if suffix == "amente" else p2):
+        replacement, endings = STEP1[suffix]
+        word = word[:-len(suffix)]
+        word = word[:len(word) - len(ending(word, endings, p2))] + replacement
+    else:
+        suffix = ending(word, STEP2A_SUFFIXES, pv)
+        if suffix and word[-len(suffix) - 1:-len(suffix)] == "u":
+            word = word[:-len(suffix)]
         else:
-            for suffix in STEP2B_SUFFIXES:
-                if word.endswith(suffix, pv):
-                    word = word[:-len(suffix)]
-                    if suffix in ("en", "es", "\xe9is", "emos") and word.endswith("gu"):
-                        word = word[:-1]
-                    break
+            suffix = ending(word, STEP2B_SUFFIXES, pv)
+            if suffix:
+                word = word[:-len(suffix)]
+                if suffix in ("en", "es", "\xe9is", "emos") and word.endswith("gu"):
+                    word = word[:-1]
 
     # Step 3: residual vowel suffixes
-    for suffix in STEP3_SUFFIXES:
-        if word.endswith(suffix, pv):
-            word = word[:-len(suffix)]
-            if suffix in ("e", "\xe9") and word.endswith("gu") and word.endswith("u", pv):
-                word = word[:-1]
-            break
+    suffix = ending(word, STEP3_SUFFIXES, pv)
+    if suffix:
+        word = word[:-len(suffix)]
+        if suffix in ("e", "\xe9") and word.endswith("gu") and word.endswith("u", pv):
+            word = word[:-1]
 
     return _unaccent(word)

@@ -439,12 +439,16 @@ def test_record_pickles(record, fields):
         (RawDocument(id="d", text="Sun rose.", language="en"), "language", "de"),
         (UltraStem(n=3), "n", 0),
         (UltraStem(n=3), "n", 2.5),
+        (UltraStem(n=3), "n", True),
         (SentenceCount(k=2), "k", 0),
+        (SentenceCount(k=2), "k", True),
         (WordRatio(ratio=0.5), "ratio", 5.0),
         (WordRatio(ratio=0.5), "ratio", "0.5"),
+        (WordRatio(ratio=0.5), "ratio", True),
         (CorpusSpec(root=Path("corpus")), "layout", "bogus"),
         (RunConfig(), "workers", 0),
         (RunConfig(), "workers", 2.5),
+        (RunConfig(), "workers", True),
     ],
     ids=lambda value: type(value).__name__ if isinstance(value, tuple) else None,
 )

@@ -13,7 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from artex.stemming import SUPPORTED_LANGUAGES, english, french, region, spanish, stemmer_for
+from artex.stemming import (
+    SUPPORTED_LANGUAGES, english, ending, french, region, spanish, stemmer_for,
+)
 
 EN_VECTORS = {
     "abilities": "abil",
@@ -244,12 +246,15 @@ def test_french_kept_rule(rule):
         assert french.stem(word) == expected, (rule, word)
 
 
-# One word per entry of the English step-2 and step-3 tables and of the
-# French STEP1_IN_R2 table, with its stem: each word reaches its entry, so a
-# wrong entry fails under its own suffix. ogi and li have a word with and one
-# without the letter they need before them; ative one with it in R2 and one
-# with it in R1 only; realization, realizer and sensationally stem as do
-# the words they are rewritten to (realize, sensational).
+# One word per entry of the English step-2 and step-3 tables, of the
+# French STEP1_IN_R2 table and of the Spanish STEP1 table, with its stem:
+# each word reaches its entry, so a wrong entry fails under its own suffix.
+# ogi and li have a word with and one without the letter they need before
+# them; ative one with it in R2 and one with it in R1 only; realization,
+# realizer and sensationally stem as do the words they are rewritten to
+# (realize, sensational). Spanish amente has a word with it in R1 only
+# (lentamente) and one with each of ativ, iv and os in R2 before it, and
+# adora, idad and ivo one with ic, abil and at in R2 before them.
 EN_STEP2_RULE_VECTORS = {
     "ization": {"realization": "realiz"},
     "ational": {"relational": "relat"},
@@ -308,10 +313,63 @@ FR_STEP1_IN_R2_VECTORS = {
     "ence": {"diff\xe9rence": "diff\xe9rent"},
     "ences": {"diff\xe9rences": "diff\xe9rent"},
 }
+ES_STEP1_RULE_VECTORS = {
+    "amientos": {"levantamientos": "levant"},
+    "imientos": {"conocimientos": "conoc"},
+    "amiento": {"levantamiento": "levant"},
+    "imiento": {"conocimiento": "conoc"},
+    "acion": {"organizacion": "organiz"},
+    "aciones": {"organizaciones": "organiz"},
+    "uciones": {"revoluciones": "revolu"},
+    "adoras": {"trabajadoras": "trabaj"},
+    "adores": {"trabajadores": "trabaj"},
+    "ancias": {"importancias": "import"},
+    "log\xedas": {"metodolog\xedas": "metodolog"},
+    "encias": {"diferencias": "diferent"},
+    "amente": {
+        "lentamente": "lent", "comparativamente": "compar", "relativamente": "relat",
+        "generosamente": "gener",
+    },
+    "idades": {"capacidades": "capac"},
+    "anzas": {"esperanzas": "esper"},
+    "ismos": {"capitalismos": "capital"},
+    "ables": {"agradables": "agrad"},
+    "ibles": {"imposibles": "impos"},
+    "istas": {"periodistas": "period"},
+    "adora": {"trabajadora": "trabaj", "comunicadora": "comun"},
+    "aci\xf3n": {"organizaci\xf3n": "organiz"},
+    "antes": {"estudiantes": "estudi"},
+    "ancia": {"importancia": "import"},
+    "log\xeda": {"metodolog\xeda": "metodolog"},
+    "uci\xf3n": {"revoluci\xf3n": "revolu"},
+    "encia": {"diferencia": "diferent"},
+    "mente": {"felizmente": "feliz"},
+    "anza": {"esperanza": "esper"},
+    "icos": {"hist\xf3ricos": "histor"},
+    "icas": {"pol\xedticas": "polit"},
+    "ismo": {"capitalismo": "capital"},
+    "able": {"agradable": "agrad"},
+    "ible": {"imposible": "impos"},
+    "ista": {"periodista": "period"},
+    "osos": {"peligrosos": "peligr"},
+    "osas": {"peligrosas": "peligr"},
+    "ador": {"trabajador": "trabaj"},
+    "ante": {"estudiante": "estudi"},
+    "idad": {"capacidad": "capac", "responsabilidad": "respons"},
+    "ivas": {"negativas": "negat"},
+    "ivos": {"negativos": "negat"},
+    "ico": {"hist\xf3rico": "histor"},
+    "ica": {"pol\xedtica": "polit"},
+    "oso": {"peligroso": "peligr"},
+    "osa": {"peligrosa": "peligr"},
+    "iva": {"negativa": "negat"},
+    "ivo": {"negativo": "negat", "comparativo": "compar"},
+}
 RULE_TABLES = {
     "en-step2": (english.STEP2, EN_STEP2_RULE_VECTORS, english.stem),
     "en-step3": (english.STEP3, EN_STEP3_RULE_VECTORS, english.stem),
     "fr-step1-in-r2": (french.STEP1_IN_R2, FR_STEP1_IN_R2_VECTORS, french.stem),
+    "es-step1": (spanish.STEP1, ES_STEP1_RULE_VECTORS, spanish.stem),
 }
 
 
@@ -351,6 +409,23 @@ def test_no_suffix_follows_a_shorter_suffix_it_ends_with(language):
                 assert not (len(earlier) < len(later) and later.endswith(earlier)), (
                     name, earlier, later,
                 )
+
+
+@pytest.mark.parametrize("language", SUPPORTED_LANGUAGES)
+@given(data=st.data())
+@settings(max_examples=200)
+def test_ending_is_the_first_table_suffix_in_the_region(language, data):
+    module = STEMMER_MODULES[language]
+    tables = [tuple(suffixes) for _, suffixes in _suffix_tables(module)]
+    letters = sorted(set(module.VOWELS + "bcdfghjklmnpqrstvwxz" + "".join(map("".join, tables))))
+    for table in tables:
+        # Words often end in one of the table's suffixes, or in two.
+        word = data.draw(st.text(alphabet=letters, max_size=8)) + "".join(
+            data.draw(st.lists(st.sampled_from(table), max_size=2))
+        )
+        start = data.draw(st.integers(0, len(word) + 1))
+        expected = next((s for s in table if word.endswith(s, start)), "")
+        assert ending(word, table, start) == expected, (table, word, start)
 
 
 def test_supported_languages():
