@@ -188,10 +188,6 @@ def _source_profiles(source_tokens: Sequence[Sequence[str]]) -> tuple[SourceProf
     return tuple(prepare_profile(ngram_profile(source_tokens, order)) for order in _ORDERS)
 
 
-def _clamp01(value: float) -> float:
-    return min(1.0, max(0.0, value))
-
-
 def _report(
     profiles: Sequence[SourceProfile], summary_tokens: Sequence[Sequence[str]]
 ) -> DivergenceReport:
@@ -200,14 +196,16 @@ def _report(
     Each order's divergence d is normalized as f = 1 - d/d_empty, where
     d_empty is the divergence of the empty summary: an empty summary scores
     exactly 0 and a summary reproducing the source distribution approaches
-    1. Values are clamped to [0,1] and averaged into f_avg.
+    1. Values below 0 are clamped to 0, and the three are averaged into
+    f_avg. No value exceeds 1, so none is clamped there: d is a sum of
+    absolute differences, so d >= 0, and d_empty > 0.
     """
     raw: list[float] = []
     normalized: list[float] = []
     for order, source in zip(_ORDERS, profiles):
         d = source.divergence(ngram_profile(summary_tokens, order))
         raw.append(d)
-        normalized.append(_clamp01(1.0 - d / source.empty_divergence))
+        normalized.append(max(0.0, 1.0 - d / source.empty_divergence))
     f1, f2, f_su4 = normalized
     return DivergenceReport(*raw, f1, f2, f_su4, (f1 + f2 + f_su4) / 3.0)
 

@@ -51,7 +51,9 @@ STEP4_SUFFIXES = (
     "ism", "ate", "iti", "ous", "ive", "ize", "ion", "al", "er", "ic",
 )
 
-# Irregular forms and words that must never be touched.
+# Snowball's two exception lists. A word of the first is stemmed by the
+# list before any rule runs; a word that steps 0 and 1a leave as one of the
+# second is left as it is.
 SPECIAL_WORDS = {
     "skis": "ski",
     "skies": "sky",
@@ -71,33 +73,29 @@ SPECIAL_WORDS = {
     "cosmos": "cosmos",
     "bias": "bias",
     "andes": "andes",
-    "inning": "inning",
-    "innings": "inning",
-    "outing": "outing",
-    "outings": "outing",
-    "canning": "canning",
-    "cannings": "canning",
-    "herring": "herring",
-    "herrings": "herring",
-    "earring": "earring",
-    "earrings": "earring",
-    "proceed": "proceed",
-    "proceeds": "proceed",
-    "proceeded": "proceed",
-    "proceeding": "proceed",
-    "exceed": "exceed",
-    "exceeds": "exceed",
-    "exceeded": "exceed",
-    "exceeding": "exceed",
-    "succeed": "succeed",
-    "succeeds": "succeed",
-    "succeeded": "succeed",
-    "succeeding": "succeed",
 }
+INVARIANT_AFTER_STEP1A = frozenset(
+    ("inning", "outing", "canning", "herring", "earring", "proceed", "exceed", "succeed")
+)
 
 
 _VOWEL_THEN_NON_VOWEL = re.compile(f"[{VOWELS}][^{VOWELS}]").search
 _HAS_VOWEL = re.compile(f"[{VOWELS}]").search
+
+
+def _ends_in_short_syllable(word: str) -> bool:
+    """Snowball's short syllable at the end of ``word``: a vowel then a
+    non-vowel that make up the whole word, or a non-vowel, a vowel and a
+    non-vowel other than w, x and Y."""
+    if len(word) == 2:
+        return word[0] in VOWELS and word[1] not in VOWELS
+    return (
+        len(word) >= 3
+        and word[-1] not in VOWELS
+        and word[-1] not in "wxY"
+        and word[-2] in VOWELS
+        and word[-3] not in VOWELS
+    )
 
 
 def stem(word: str) -> str:
@@ -152,6 +150,8 @@ def stem(word: str) -> str:
                     if _HAS_VOWEL(word[:-2]):
                         word = word[:-1]
                 break
+    if word in INVARIANT_AFTER_STEP1A:
+        return word
 
     # Step 1b: -ed / -ing families
     if word.endswith(STEP1B_SUFFIXES):
@@ -167,19 +167,7 @@ def stem(word: str) -> str:
                     elif word.endswith(DOUBLE_CONSONANTS):
                         word = word[:-1]
                     # A short word (R1 empty, a short final syllable) gets an e.
-                    elif len(word) <= p1 and (
-                        (
-                            len(word) >= 3
-                            and word[-1] not in VOWELS
-                            and word[-1] not in "wxY"
-                            and word[-2] in VOWELS
-                            and word[-3] not in VOWELS
-                        ) or (
-                            len(word) == 2
-                            and word[0] in VOWELS
-                            and word[1] not in VOWELS
-                        )
-                    ):
+                    elif len(word) <= p1 and _ends_in_short_syllable(word):
                         word += "e"
                 break
 
@@ -220,13 +208,9 @@ def stem(word: str) -> str:
     # Step 5: final -e / -ll cleanup
     if word.endswith(("e", "ll")) and len(word) - 1 >= p2:
         word = word[:-1]
-    elif word.endswith("e") and len(word) - 1 >= p1:
-        if len(word) >= 4 and (
-            word[-2] in VOWELS
-            or word[-2] in "wxY"
-            or word[-3] not in VOWELS
-            or word[-4] in VOWELS
-        ):
-            word = word[:-1]
+    elif (
+        word.endswith("e") and len(word) - 1 >= p1 and not _ends_in_short_syllable(word[:-1])
+    ):
+        word = word[:-1]
 
     return word.replace("Y", "y")

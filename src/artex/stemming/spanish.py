@@ -31,7 +31,7 @@ _abil = ("", ("abil", "ic", "iv"))
 _none = ("", ())
 STEP1 = {
     "amientos": _none, "imientos": _none, "amiento": _none, "imiento": _none,
-    "acion": _ic, "aciones": _ic, "uciones": ("u", ()), "adoras": _ic, "adores": _ic,
+    "aciones": _ic, "uciones": ("u", ()), "adoras": _ic, "adores": _ic,
     "ancias": _ic, "log\xedas": ("log", ()), "encias": ("ente", ()),
     "amente": ("", ("ativ", "iv", "os", "ic", "ad")), "idades": _abil, "anzas": _none,
     "ismos": _none, "ables": _none, "ibles": _none, "istas": _none, "adora": _ic,

@@ -4,7 +4,8 @@ A batch digest covers ``report.jsonl`` and every summary file of a run:
 each file's path under the output directory and its bytes. ``timings.csv``
 is left out, since its seconds change from run to run; a timings digest
 covers it with its seconds columns blanked. Every batch setting runs at 1
-and at 2 workers, which must write the same bytes. A command digest covers
+and at 2 workers, which must write the same bytes, and at 2 workers under
+every start method the platform offers. A command digest covers
 what ``summarize --scores`` and ``eval`` of that summary print for one
 text, at ``ratio:0.2`` and at ``k:2``, and must come out the same under
 every other supported interpreter found (Python 3.10 to 3.13; one that is
@@ -23,6 +24,7 @@ import hashlib
 import importlib.util
 import io
 import json
+import multiprocessing
 import os
 import shutil
 import subprocess
@@ -182,27 +184,33 @@ def inputs(tmp_path_factory):
     return specs, dictionary
 
 
+def run_setting(inputs, corpus, mode, budget, out_dir, workers):
+    """Run one batch setting with every system into ``out_dir``."""
+    specs, dictionary = inputs
+    cfg = RunConfig(
+        normalization=parse_mode(mode, dictionary),
+        budget=parse_budget(budget),
+        systems=SYSTEMS,
+        out_dir=out_dir,
+        workers=workers,
+    )
+    run_corpus(specs[corpus], cfg)
+    return out_dir
+
+
 @pytest.fixture(scope="module")
 def batch_outputs(inputs, tmp_path_factory):
     """A function from a batch setting to its two output directories, at 1
     and at 2 workers; each setting runs once, when first asked for."""
-    specs, dictionary = inputs
     root = tmp_path_factory.mktemp("batches")
 
     @functools.cache
     def outputs(corpus, mode, budget):
-        out_dirs = []
-        for workers in (1, 2):
-            cfg = RunConfig(
-                normalization=parse_mode(mode, dictionary),
-                budget=parse_budget(budget),
-                systems=SYSTEMS,
-                out_dir=root / f"{corpus}-{mode}-{budget}".replace(":", "") / f"w{workers}",
-                workers=workers,
-            )
-            run_corpus(specs[corpus], cfg)
-            out_dirs.append(cfg.out_dir)
-        return out_dirs
+        out_dir = root / f"{corpus}-{mode}-{budget}".replace(":", "")
+        return [
+            run_setting(inputs, corpus, mode, budget, out_dir / f"w{workers}", workers)
+            for workers in (1, 2)
+        ]
 
     return outputs
 
@@ -248,6 +256,25 @@ def timings_digest(out_dir) -> str:
 def test_timings_match_their_pinned_digest(batch_outputs, corpus, mode, budget):
     digests = [timings_digest(out_dir) for out_dir in batch_outputs(corpus, mode, budget)]
     assert digests == [TIMINGS_DIGESTS[corpus, mode, budget]] * 2
+
+
+@pytest.mark.parametrize("method", multiprocessing.get_all_start_methods())
+@pytest.mark.parametrize(
+    "corpus,mode,budget", DIGESTS, ids=["-".join(setting) for setting in DIGESTS]
+)
+def test_two_workers_match_the_pinned_digests_under_each_start_method(
+    inputs, tmp_path, method, corpus, mode, budget
+):
+    # The pool takes the default start method, which differs by platform and
+    # Python version, so every method must write the pinned bytes.
+    previous = multiprocessing.get_start_method(allow_none=True)
+    multiprocessing.set_start_method(method, force=True)
+    try:
+        out_dir = run_setting(inputs, corpus, mode, budget, tmp_path / "out", workers=2)
+    finally:
+        multiprocessing.set_start_method(previous, force=True)
+    assert output_digest(out_dir) == DIGESTS[corpus, mode, budget]
+    assert timings_digest(out_dir) == TIMINGS_DIGESTS[corpus, mode, budget]
 
 
 @pytest.fixture(scope="module")

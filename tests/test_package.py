@@ -521,3 +521,13 @@ def test_equal_records_of_one_type_hash_alike(record):
     assert copy == record and not copy != record
     assert hash(copy) == hash(record)
     assert len({record, copy}) == 1
+
+
+def test_perfbench_selftest_passes():
+    # The self-test exits 1 if an output check of the benchmark rejects a
+    # real output or accepts a perturbed one.
+    root = Path(__file__).parents[1]
+    result = subprocess.run(
+        [sys.executable, "perfbench/selftest.py"], cwd=root, capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stdout + result.stderr

@@ -53,6 +53,13 @@ def test_split_decimal_period_does_not_split():
     assert surfaces == ["Pi is 3.14 exactly."]
 
 
+@pytest.mark.parametrize(
+    "text", ["3.5 percent of the panels failed.", "Output rose to 3.5"]
+)
+def test_split_decimal_at_either_end_of_the_text_does_not_split(text):
+    assert [s.surface for s in split_sentences(_raw(text))] == [text]
+
+
 def test_split_drops_debris_pieces():
     surfaces = [s.surface for s in split_sentences(_raw("Hi there.. Bye."))]
     assert surfaces == ["Hi there.", "Bye."]

@@ -5,6 +5,7 @@ import json
 import logging
 import os
 import tempfile
+import time
 from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
@@ -30,6 +31,7 @@ from artex.preprocess import (
     split_sentences,
 )
 from artex.runner import (
+    SYSTEMS,
     CorpusSpec,
     RunConfig,
     TimingRecord,
@@ -41,7 +43,7 @@ from artex.runner import (
     run_corpus,
     write_timings,
 )
-from artex.scorer import SentenceCount, WordRatio
+from artex.scorer import SentenceCount, WordRatio, score
 from artex.synthetic import generate_document
 
 
@@ -86,7 +88,7 @@ def test_parse_mode_lemma_keeps_dictionary_path(tmp_path):
     assert parse_mode("stem", path) == Stem()  # ignored by the other modes
 
 
-@pytest.mark.parametrize("label", ["fix:0", "fix:x", "bogus", "fix:"])
+@pytest.mark.parametrize("label", ["fix:0", "fix:x", "bogus", "fix:", "fix:3:4"])
 def test_parse_mode_rejects_bad_labels(label):
     with pytest.raises(ValueError):
         parse_mode(label)
@@ -589,6 +591,15 @@ def test_benchmark_cardinality_and_summary(flat_corpus, tmp_path):
     assert by_label["fix1"] <= by_label["fix2"] <= by_label["raw"]
 
 
+def test_benchmark_vocabulary_sizes_are_pinned(flat_corpus):
+    # Each record sums the documents' distinct terms: stemming merges none of
+    # this corpus's forms, and truncating to 3 letters merges 22.
+    records = benchmark(CorpusSpec(root=flat_corpus), [Raw(), UltraStem(3), Stem()], 3)
+    assert [(r.normalization, r.vocabulary_size) for r in records] == [
+        ("raw", 74), ("fix3", 52), ("stem", 74)
+    ] * 3
+
+
 def test_benchmark_names_a_relative_corpus_root_by_its_directory(flat_corpus, monkeypatch):
     # Path(".").name is "": the corpus is named after the directory it resolves to.
     monkeypatch.chdir(flat_corpus)
@@ -698,3 +709,64 @@ def test_benchmark_reports_one_vocabulary_size_per_mode_when_a_document_fails(
     for label, seen in sizes.items():
         assert len(seen) == 3 and len(set(seen)) == 1
         assert 0 < seen[0] < whole[label]
+
+
+# --- phase seconds -------------------------------------------------------------
+
+# The time each slowed call sleeps.
+SLEEP = 0.001
+
+
+@pytest.fixture()
+def slowed_corpus(flat_corpus, monkeypatch):
+    """The flat corpus plus a document that fails, with Raw's normalizer and
+    the scorer each sleeping SLEEP seconds a call; also returns how many
+    normalizer calls each document makes."""
+    (flat_corpus / "doc_3.txt").write_text("The of and in. To is was it.", encoding="utf-8")
+    spec = CorpusSpec(root=flat_corpus)
+    stoplist = StopList.bundled("en")
+    calls = {}
+    for raw in load_corpus(spec):
+        normalized = []
+        preprocess_document(raw, stoplist, lambda token: normalized.append(token) or token)
+        calls[raw.id] = len(normalized)
+
+    def sleepy(token):
+        time.sleep(SLEEP)
+        return token
+
+    def slow_score(terms):
+        time.sleep(SLEEP)
+        return score(terms)
+
+    monkeypatch.setattr(artex.preprocess, "_unchanged", sleepy)
+    monkeypatch.setattr(artex.runner, "score", slow_score)
+    return spec, calls
+
+
+def test_batch_phase_seconds_hold_their_sleeps_and_fit_in_the_wall_time(slowed_corpus):
+    spec, calls = slowed_corpus
+    start = time.perf_counter()
+    results = run_corpus(spec, RunConfig(normalization=Raw(), systems=SYSTEMS))
+    wall = time.perf_counter() - start
+    assert {r.doc_id for r in results} == {"doc_0", "doc_1", "doc_2"}
+    for result in results:
+        assert result.timing.preprocess_seconds >= calls[result.doc_id] * SLEEP
+        if result.system == "artex":
+            assert result.timing.score_seconds >= SLEEP
+    # Each system's row repeats its document's preprocessing.
+    preprocessing = {r.doc_id: r.timing.preprocess_seconds for r in results}
+    assert sum(preprocessing.values()) + sum(r.timing.score_seconds for r in results) <= wall
+
+
+def test_benchmark_phase_seconds_hold_their_sleeps_and_fit_in_the_wall_time(slowed_corpus):
+    spec, calls = slowed_corpus
+    start = time.perf_counter()
+    records = benchmark(spec, [Raw()], repetitions=3)
+    wall = time.perf_counter() - start
+    for record in records:
+        # Three documents are scored: doc_3 fails in the first repetition,
+        # and later ones skip it.
+        assert record.preprocess_seconds >= sum(calls.values()) * SLEEP
+        assert record.score_seconds >= 3 * SLEEP
+    assert sum(record.total_seconds for record in records) <= wall

@@ -244,6 +244,14 @@ def test_select_clamps_oversized_budget(caplog):
     assert any("clamping" in record.message for record in caplog.records)
 
 
+def test_select_budget_of_every_sentence_does_not_warn(caplog):
+    sentences = _sentences_with_words([4, 4, 4])
+    with caplog.at_level(logging.WARNING, logger="artex.scorer"):
+        summary = select((0.2, 0.9, 0.5), sentences, SentenceCount(3))
+    assert summary.selected == (0, 1, 2)
+    assert caplog.records == []
+
+
 def test_select_requires_matching_lengths():
     scores = (0.5,)
     with pytest.raises(ValueError):

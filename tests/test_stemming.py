@@ -246,6 +246,27 @@ def test_french_kept_rule(rule):
         assert french.stem(word) == expected, (rule, word)
 
 
+# Words whose stems depend on a stemmer holding only Snowball's rules where
+# it once held others, one entry per rule: English leaves a word that steps 0
+# and 1a turn into a word of Snowball's second exception list, so the
+# possessives and plurals of those words stem to them; Spanish step 1
+# removes no unaccented acion.
+KEPT_SNOWBALL_RULE_VECTORS = {
+    "en-exception2": (english.stem, {
+        "inning's": "inning", "innings'": "inning", "'innings": "inning",
+        "proceed's": "proceed", "earring's": "earring", "herrings'": "herring",
+    }),
+    "es-acion": (spanish.stem, {"organizacion": "organizacion"}),
+}
+
+
+@pytest.mark.parametrize("rule", sorted(KEPT_SNOWBALL_RULE_VECTORS))
+def test_kept_snowball_rule(rule):
+    stem, vectors = KEPT_SNOWBALL_RULE_VECTORS[rule]
+    for word, expected in vectors.items():
+        assert stem(word) == expected, (rule, word)
+
+
 # One word per entry of the English step-2 and step-3 tables, of the
 # French STEP1_IN_R2 table and of the Spanish STEP1 table, with its stem:
 # each word reaches its entry, so a wrong entry fails under its own suffix.
@@ -318,7 +339,6 @@ ES_STEP1_RULE_VECTORS = {
     "imientos": {"conocimientos": "conoc"},
     "amiento": {"levantamiento": "levant"},
     "imiento": {"conocimiento": "conoc"},
-    "acion": {"organizacion": "organiz"},
     "aciones": {"organizaciones": "organiz"},
     "uciones": {"revoluciones": "revolu"},
     "adoras": {"trabajadoras": "trabaj"},
@@ -560,12 +580,28 @@ def _longest_suffix(word: str, suffixes) -> str | None:
 
 
 def _no_step_changes(word: str, *tables) -> bool:
-    """Whether no step of ``tables`` changes ``word``: it is no special word
-    and ends in no suffix of theirs, except step 1a's us and ss, which that
-    step leaves as they are."""
-    return word not in english.SPECIAL_WORDS and all(
+    """Whether no step of ``tables`` changes ``word``: it is in neither of
+    Snowball's exception lists, and ends in no suffix of theirs, except step
+    1a's us and ss, which that step leaves as they are."""
+    return word not in SNOWBALL_EN_EXCEPTIONS and all(
         _longest_suffix(word, table) in (None, "us", "ss") for table in tables
     )
+
+
+# Snowball's two English exception lists, written out from Snowball's
+# description and not taken from english.py. The first maps each word to its
+# stem before any rule runs; a word that steps 0 and 1a turn into a word of
+# the second is left as it is.
+SNOWBALL_EN_EXCEPTION1 = {
+    "skis": "ski", "skies": "sky", "dying": "die", "lying": "lie", "tying": "tie",
+    "idly": "idl", "gently": "gentl", "ugly": "ugli", "early": "earli", "only": "onli",
+    "singly": "singl", "sky": "sky", "news": "news", "howe": "howe", "atlas": "atlas",
+    "cosmos": "cosmos", "bias": "bias", "andes": "andes",
+}
+SNOWBALL_EN_EXCEPTION2 = (
+    "inning", "outing", "canning", "herring", "earring", "proceed", "exceed", "succeed",
+)
+SNOWBALL_EN_EXCEPTIONS = {*SNOWBALL_EN_EXCEPTION1, *SNOWBALL_EN_EXCEPTION2}
 
 
 # Snowball's English step-2 and step-3 rules, each suffix with its
@@ -800,6 +836,22 @@ SNOWBALL_ES_BEFORE_PRONOUN = (
 )
 
 
+# The stemmers' lists that Snowball writes out, each beside the test's copy
+# of Snowball's: a list read from its own module could not show a rule that
+# Snowball lacks.
+SNOWBALL_LISTS = {
+    "en-exception1": (english.SPECIAL_WORDS, SNOWBALL_EN_EXCEPTION1),
+    "en-exception2": (english.INVARIANT_AFTER_STEP1A, frozenset(SNOWBALL_EN_EXCEPTION2)),
+    "es-step1": (frozenset(spanish.STEP1_SUFFIXES), frozenset(SNOWBALL_ES_STEP1_SUFFIXES)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SNOWBALL_LISTS))
+def test_stemmer_lists_are_snowballs(name):
+    held, snowball = SNOWBALL_LISTS[name]
+    assert held == snowball
+
+
 def _spanish_conflations(x: str):
     """(rule, word, other) for each pair of suffixes of one Spanish step-1
     group that must give ``word`` and ``other`` one stem, wherever its
@@ -859,7 +911,7 @@ class SuffixWords:
 
 
 SUFFIX_WORDS = {
-    # English reaches the special words, the 'gener', 'commun' and 'arsen'
+    # English reaches both exception lists, the 'gener', 'commun' and 'arsen'
     # prefixes and the apostrophe and y handling.
     "en": SuffixWords(
         tables=(
@@ -874,7 +926,7 @@ SUFFIX_WORDS = {
         letters="aeiouyaeiouybcdfghjklmnpqrstvwxzbcdglmnrst",
         heads=("", "", "", "", "gener", "commun", "arsen", "y", "'", "’", "‘"),
         inserts="'’‘‛y",
-        specials=tuple(sorted(english.SPECIAL_WORDS)),
+        specials=tuple(sorted([*english.SPECIAL_WORDS, *english.INVARIANT_AFTER_STEP1A])),
     ),
     # Spanish reaches the attached pronouns after gerunds and infinitives,
     # the step 1 residues (iv, at, os, ic, ad, abil; long heads put them in
@@ -916,7 +968,7 @@ SUFFIX_WORDS = {
 def _suffix_combination_words(count: int, seed: int, language: str = "en") -> list[str]:
     """Seeded words built to reach every branch of a language's stemmer.
 
-    Each word is a special word (English only) or a short random stem,
+    Each word is an exception-list word (English only) or a short random stem,
     sometimes behind one of the language's heads, followed by up to three
     suffixes drawn from its suffix tables, with one of its insert
     characters sometimes inserted anywhere.
@@ -943,10 +995,10 @@ def _suffix_combination_words(count: int, seed: int, language: str = "en") -> li
 # sha256 of the newline-joined stems of those words: a change to any one of
 # the 200,000 stems changes it.
 EN_SUFFIX_COMBINATION_DIGEST = (
-    "1922cee9c80080ead211ac20f75fdce65d654d8302935e2d5498c0b2543903cf"
+    "84cfa630a3e6e1d3b1ad282a98ca67c4d2130dcdd245a1b02119d9a59f21415e"
 )
 ES_SUFFIX_COMBINATION_DIGEST = (
-    "f0bd8c49f77dfbfd090d051e6c1f85bb58c7be4db7f696fe71fd25a7241d531f"
+    "f35c4d7fbacabc068fe9e6389620cf2e2e9ca1a713be38d15fc310287b1c59d3"
 )
 FR_SUFFIX_COMBINATION_DIGEST = (
     "9735c478fda389c38646ab6dac6cf0336d8a2d837d852191235650c30e666011"
