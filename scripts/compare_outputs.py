@@ -21,12 +21,13 @@ depend on French step 1 following Snowball's regions, one whose words
 reach every entry of its ``STEP1_IN_R2`` table),
 two edge-case lemma dictionaries (one with every kind of line the loader
 reads, one that is not UTF-8), a text that is not UTF-8, a corpus of
-one good document and one that is not UTF-8 after a byte-order mark, and a
-corpus of every kind of entry the corpus loader tells apart (names such as
-``a.`` and ``b.tar.gz``, dotfiles, CRLF, CR and byte-order-mark texts,
-empty and blank files, broken, looping and followed symbolic links). Each
-side then runs the same list of calls in one fresh interpreter, in-process
-through ``artex.cli.main``:
+one good document and one that is not UTF-8 after a byte-order mark, a
+corpus of one good document and ``Sun. Moon.`` (no word that occurs twice
+and no bigram), and a corpus of every kind of entry the corpus loader
+tells apart (names such as ``a.`` and ``b.tar.gz``, dotfiles, CRLF, CR
+and byte-order-mark texts, empty and blank files, broken, looping and
+followed symbolic links). Each side then runs the same list of calls in
+one fresh interpreter, in-process through ``artex.cli.main``:
 
 - ``batch`` with all three systems over each English corpus and over the
   edge texts, in five normalization and budget settings, at 1 and at 2
@@ -44,6 +45,9 @@ through ``artex.cli.main``:
   stop-list, and ``eval`` with it as the summary;
 - ``batch`` with all three systems over the corpus with the non-UTF-8
   document, which it skips with a warning;
+- ``batch`` over the corpus with ``Sun. Moon.``, with all three systems
+  (which skip it because artex cannot score it) and with ``lead,random``
+  (which skip it because the evaluator finds no n-gram unit);
 - ``batch`` with all three systems over the loader corpus as a flat corpus
   (its root given with a trailing slash) and as clusters (its root given
   as a relative path), and over its cluster ``c1``, whose ``a.txt`` and
@@ -222,6 +226,15 @@ BAD_CORPUS = {
     "bom-bad.txt": b"\xef\xbb\xbf" + b"a" * 37 + b"\xff\n",
 }
 
+# A flat corpus of one good document and one with no word that occurs twice
+# and no bigram, batched with all three systems (skipped because artex cannot
+# score it) and with the baselines alone (skipped because the evaluator finds
+# no n-gram unit), so that the skip reasons are compared.
+SKIP_CORPUS = {
+    "good.txt": EDGE_TEXTS["bom"].encode("utf-8"),
+    "sun.txt": b"Sun. Moon.\n",
+}
+
 # A corpus of every kind of entry the corpus loader tells apart, batched as a
 # flat corpus (root given with a trailing slash), as clusters (root given as a
 # relative path) and, for its cluster c1, whose a.txt and a.md share a
@@ -274,9 +287,8 @@ def write_inputs(python: str, parent_src: Path, inputs: Path) -> dict[str, Path]
     for name, data in EDGE_DICTIONARIES.items():
         (inputs / name).write_bytes(data)
     (inputs / "bad.txt").write_bytes(BAD_TEXT)
-    (inputs / "bad-corpus").mkdir()
-    for name, data in BAD_CORPUS.items():
-        (inputs / "bad-corpus" / name).write_bytes(data)
+    write_tree(inputs / "bad-corpus", BAD_CORPUS)
+    write_tree(inputs / "skip-corpus", SKIP_CORPUS)
     write_tree(inputs / "loader", LOADER_CORPUS)
     texts = {}
     for directory, named in [("edge", EDGE_TEXTS), *LANGUAGE_TEXTS.items()]:
@@ -358,6 +370,11 @@ def plan(inputs: Path, texts: dict[str, Path], out: Path) -> list[dict]:
         {"argv": ["batch", str(inputs / "bad-corpus"), "--systems", "artex,lead,random",
                   "--out", str(out / "batch" / "bad-corpus")]},
     ]
+    for systems in ("artex,lead,random", "lead,random"):
+        calls.append(
+            {"argv": ["batch", str(inputs / "skip-corpus"), "--systems", systems,
+                      "--out", str(out / "batch" / f"skip-{systems.replace(',', '-')}")]}
+        )
     loader = inputs / "loader"
     for name, root, layout in [
         ("loader-flat", f"{loader}/", "flat"),

@@ -69,15 +69,14 @@ class TimingRecord(NamedTuple):
     The preprocessing phase covers splitting, filtering and normalization,
     plus stemming every word for the evaluator in batch mode and
     per-repetition resource loading in benchmark mode. The scoring phase
-    covers the system's sentence scoring (artex only) and its selection; a
-    batch scores before it prepares the source for evaluation, and adds that
-    time to artex's scoring phase. The total is the sum of both phases. In a
-    batch, ``corpus_id`` holds the document ID, and ``repetition`` and
-    ``vocabulary_size`` are None (empty in timings.csv). A batch
-    preprocesses a document once for all its systems, so each system's row
-    repeats the document's ``preprocess_seconds``: summing ``total_seconds``
-    over the systems counts that preprocessing once per system. Preparing
-    the source for evaluation and evaluating the summaries fall in no phase.
+    covers the system's selection, artex's including its sentence scoring.
+    The total is the sum of both phases. In a batch, ``corpus_id`` holds the
+    document ID, and ``repetition`` and ``vocabulary_size`` are None (empty
+    in timings.csv). A batch preprocesses a document once for all its
+    systems, so each system's row repeats the document's
+    ``preprocess_seconds``: summing ``total_seconds`` over the systems
+    counts that preprocessing once per system. Preparing the source for
+    evaluation and evaluating the summaries fall in no phase.
     """
 
     system: str
@@ -137,12 +136,14 @@ def _process_document(
     stoplist: StopList,
     normalize: Callable[[str], str] | None,
 ) -> list[RunResult]:
-    """Summarize one document with every configured system and evaluate.
+    """Summarize one document with every configured system, then evaluate.
 
-    The source is split and cleaned once, each distinct word is stemmed
-    once, and the source profiles are prepared once for every system's
-    evaluation. ``normalize`` is the mode's normalizer, or None in Stem
-    mode, where the summarizer takes the evaluator's stems.
+    The source is split and cleaned once, and each distinct word is stemmed
+    once. Every system selects its summary first, artex scoring inside its
+    own timed block; then the source profiles are prepared once for every
+    summary's evaluation, so that a document artex cannot score fails before
+    the costliest step. ``normalize`` is the mode's normalizer, or None in
+    Stem mode, where the summarizer takes the evaluator's stems.
     """
     label = cfg.normalization.label
     clock = time.perf_counter
@@ -151,46 +152,41 @@ def _process_document(
     cleaned = clean_document(raw, stoplist)
     stems = stem_types(cleaned)
     doc = normalize_document(cleaned, normalize or stems.__getitem__)
-    t1 = clock()
-    preprocess_seconds = t1 - t0
-    # Scored before the source is prepared, so that a document artex cannot
-    # summarize fails before the costliest step.
-    scores = score(doc.terms) if "artex" in cfg.systems else None
-    scoring_seconds = clock() - t1
+    preprocess_seconds = clock() - t0
 
-    source = prepare_source(cleaned, stems)
-    results = []
+    selections = []
     for system in SYSTEMS:
         if system not in cfg.systems:
             continue
         s0 = clock()
         if system == "artex":
-            s0 -= scoring_seconds  # artex's phase holds its scoring too
-            summary = select(scores, doc.sentences, cfg.budget)
+            summary = select(score(doc.terms), doc.sentences, cfg.budget)
         elif system == "lead":
             summary = lead_baseline(doc.sentences, cfg.budget)
         else:
             summary = random_baseline(
                 doc.sentences, cfg.budget, document_seed(cfg.seed, raw.id)
             )
-        s1 = clock()
-        results.append(
-            RunResult(
-                doc_id=raw.id,
+        selections.append((system, summary, clock() - s0))
+
+    source = prepare_source(cleaned, stems)
+    return [
+        RunResult(
+            doc_id=raw.id,
+            system=system,
+            normalization=label,
+            summary=summary,
+            report=source.evaluate(summary.selected),
+            timing=TimingRecord(
                 system=system,
                 normalization=label,
-                summary=summary,
-                report=source.evaluate(summary.selected),
-                timing=TimingRecord(
-                    system=system,
-                    normalization=label,
-                    corpus_id=raw.id,
-                    preprocess_seconds=preprocess_seconds,
-                    score_seconds=s1 - s0,
-                ),
-            )
+                corpus_id=raw.id,
+                preprocess_seconds=preprocess_seconds,
+                score_seconds=seconds,
+            ),
         )
-    return results
+        for system, summary, seconds in selections
+    ]
 
 
 _WORKER_STATE: tuple[RunConfig, StopList, Callable[[str], str] | None] | None = None
@@ -337,12 +333,11 @@ def benchmark(
     # Resolved first: the name of "." or ".." is "" or "..".
     corpus_id = Path(corpus.root).resolve().name
     records: list[TimingRecord] = []
-    failed: list[set[str]] = [set() for _ in modes]
     for repetition in range(repetitions):
         # The modes' resources are freed when this call returns, outside
         # the timed regions and before the next repetition loads them again.
         records += _timed_repetition(
-            documents, corpus.language, stoplist, modes, failed, corpus_id, repetition
+            documents, corpus.language, stoplist, modes, corpus_id, repetition
         )
     if out_dir is not None:
         out_dir = Path(out_dir)
@@ -356,17 +351,17 @@ def _timed_repetition(
     language: str,
     stoplist: StopList,
     modes: Sequence[NormalizationMode],
-    failed: list[set[str]],
     corpus_id: str,
     repetition: int,
 ) -> list[TimingRecord]:
     """Run every mode over every document once, document by document.
 
     Returns one record per mode: its preprocessing and scoring seconds and
-    its vocabulary size, summed over the documents it did not skip. A
-    document that fails in a mode is added to that mode's ``failed`` set
-    and skipped by it from then on, so every repetition sums the sizes of
-    the same documents.
+    its vocabulary size, summed over the documents that did not fail in it.
+    Every repetition attempts every document in every mode: splitting and
+    filtering do not depend on the repetition, and each repetition loads the
+    same resources, so a document fails in a mode in every repetition or in
+    none. Only repetition 0 logs the failure.
     """
     clock = time.perf_counter
     normalizers = []
@@ -379,8 +374,6 @@ def _timed_repetition(
     sizes = [0] * len(modes)
     for raw in documents:
         for position, normalize in enumerate(normalizers):
-            if raw.id in failed[position]:
-                continue
             t0 = clock()
             try:
                 doc = preprocess_document(raw, stoplist, normalize)
@@ -388,8 +381,8 @@ def _timed_repetition(
                 select(score(doc.terms), doc.sentences, DEFAULT_BUDGET)
             except ArtexError as exc:
                 preprocess_seconds[position] += clock() - t0
-                failed[position].add(raw.id)
-                warn(__name__, "benchmark skips document %s: %s", raw.id, exc)
+                if repetition == 0:
+                    warn(__name__, "benchmark skips document %s: %s", raw.id, exc)
                 continue
             t2 = clock()
             preprocess_seconds[position] += t1 - t0

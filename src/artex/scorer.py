@@ -178,14 +178,15 @@ def select(
 def score_table(scores: Sequence[float], summary: Summary | None = None) -> str:
     """Tab-separated per-sentence dump: index, raw, normalized, selected flag.
 
-    The normalized column divides each score by the maximum (all zeros when
-    every score is zero), which keeps ranks and puts values in [0, 1].
+    ``scores`` comes from :func:`score` or :func:`score_normalized`, so at
+    least one score is positive. The normalized column divides each score by
+    the maximum, which keeps ranks and puts values in [0, 1].
     """
     chosen = set(summary.selected) if summary is not None else set()
-    peak = max(scores, default=0.0)
+    peak = max(scores)
     lines = ["index\traw\tnormalized\tselected"]
     for i, raw in enumerate(scores):
-        norm = raw / peak if peak > 0.0 else 0.0
+        norm = raw / peak
         flag = "*" if i in chosen else "-"
         lines.append(f"{i}\t{raw!r}\t{norm!r}\t{flag}")
     return "\n".join(lines)

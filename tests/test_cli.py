@@ -323,6 +323,31 @@ def test_batch_baselines_summarize_a_document_artex_cannot(tmp_path, caplog):
     assert not list(out.glob("*/*/*.summary.txt"))
 
 
+@pytest.mark.parametrize(
+    "systems,error",
+    [
+        ("artex,lead,random", "EmptyVocabulary: no sentence retained any token"),
+        ("lead,random", "EmptySource: source profile has no n-gram units"),
+    ],
+)
+def test_batch_selects_with_every_system_before_it_prepares_the_source(
+    tmp_path, caplog, systems, error
+):
+    # No word occurs twice, so artex cannot score the text, and no sentence
+    # holds a bigram, so the evaluator cannot profile it. Every system
+    # selects before the source is prepared: with artex, the batch skips the
+    # document for the reason summarize reports.
+    root = tmp_path / "corpus"
+    root.mkdir()
+    (root / "sun.txt").write_text("Sun. Moon.", encoding="utf-8")
+    assert main(["summarize", str(root / "sun.txt")]) == 3
+    assert caplog.messages == ["no sentence retained any token"]
+    caplog.clear()
+    out = tmp_path / "out"
+    assert main(["batch", str(root), "--systems", systems, "--out", str(out)]) == 3
+    assert caplog.messages[0] == f"skipping document sun: {error}"
+
+
 def test_batch_summary_file_drops_byte_order_mark(tmp_path):
     root = tmp_path / "corpus"
     root.mkdir()

@@ -18,7 +18,7 @@ import artex.evaluation
 import artex.preprocess
 import artex.runner
 import artex.stemming
-from artex.errors import ArtexError, CorpusEmpty, CorpusError, EmptyDocument
+from artex.errors import ArtexError, CorpusEmpty, CorpusError
 from artex.preprocess import (
     Lemmatize,
     Raw,
@@ -685,30 +685,30 @@ def test_benchmark_timing_fields_consistent(flat_corpus):
         )
 
 
-def test_benchmark_reports_one_vocabulary_size_per_mode_when_a_document_fails(
-    flat_corpus, monkeypatch
+def test_benchmark_attempts_a_failing_document_in_every_repetition(
+    flat_corpus, monkeypatch, caplog
 ):
-    # doc_1 fails only on its first attempt in each mode. Skipping it in the
-    # later repetitions keeps every repetition's sum over the same documents.
+    # doc_3 is all stop words, so it fails in every mode and every repetition:
+    # each repetition attempts it, only the first warns, and every repetition
+    # sums the sizes of the other documents.
     spec = CorpusSpec(root=flat_corpus)
     modes = [UltraStem(1), Raw()]
     whole = {r.normalization: r.vocabulary_size for r in benchmark(spec, modes, repetitions=3)}
+    (flat_corpus / "doc_3.txt").write_text("The of and in. To is was it.", encoding="utf-8")
     attempts = Counter()
 
-    def fails_once(raw, stoplist, normalize):
+    def counting_preprocess(raw, stoplist, normalize):
         attempts[raw.id, normalize("word")] += 1
-        if raw.id == "doc_1" and attempts[raw.id, normalize("word")] == 1:
-            raise EmptyDocument("fails on its first attempt")
         return preprocess_document(raw, stoplist, normalize)
 
-    monkeypatch.setattr(artex.runner, "preprocess_document", fails_once)
+    monkeypatch.setattr(artex.runner, "preprocess_document", counting_preprocess)
     sizes = {}
     for record in benchmark(spec, modes, repetitions=3):
         sizes.setdefault(record.normalization, []).append(record.vocabulary_size)
-    assert [attempts["doc_1", word] for word in ("w", "word")] == [1, 1]
-    for label, seen in sizes.items():
-        assert len(seen) == 3 and len(set(seen)) == 1
-        assert 0 < seen[0] < whole[label]
+    assert [attempts["doc_3", word] for word in ("w", "word")] == [3, 3]
+    skips = [m for m in caplog.messages if m.startswith("benchmark skips document doc_3: ")]
+    assert len(skips) == len(modes)
+    assert sizes == {label: [size] * 3 for label, size in whole.items()}
 
 
 # --- phase seconds -------------------------------------------------------------
@@ -765,8 +765,7 @@ def test_benchmark_phase_seconds_hold_their_sleeps_and_fit_in_the_wall_time(slow
     records = benchmark(spec, [Raw()], repetitions=3)
     wall = time.perf_counter() - start
     for record in records:
-        # Three documents are scored: doc_3 fails in the first repetition,
-        # and later ones skip it.
+        # Three documents are scored: doc_3 fails in every repetition.
         assert record.preprocess_seconds >= sum(calls.values()) * SLEEP
         assert record.score_seconds >= 3 * SLEEP
     assert sum(record.total_seconds for record in records) <= wall
