@@ -315,8 +315,7 @@ def split_sentences(doc: RawDocument) -> list[Sentence]:
             continue
         pieces.append(text[start : pos + 1])
         start = pos + 1
-    if start < len(text):
-        pieces.append(text[start:])
+    pieces.append(text[start:])
 
     sentences = []
     for piece in pieces:

@@ -20,6 +20,7 @@ size, mirroring the load cost of a real large dictionary.
 
 from __future__ import annotations
 
+import functools
 import random
 from pathlib import Path
 
@@ -55,35 +56,23 @@ _TERMINATORS = (".", ".", ".", ".", ".", ".", "!", "?")
 STEM_POOL_SIZE = 4000
 
 
-def _make_stem(rng: random.Random) -> str:
-    syllables = rng.randint(2, 3)
-    return "".join(
-        rng.choice(_CONSONANTS) + rng.choice(_VOWELS) for _ in range(syllables)
-    )
+def _syllables(rng: random.Random, count: int) -> str:
+    return "".join(rng.choice(_CONSONANTS) + rng.choice(_VOWELS) for _ in range(count))
 
 
-def stem_pool(seed: int) -> list[str]:
-    """The shared list of pseudo-word stems for a given seed."""
+@functools.lru_cache(maxsize=None)
+def stem_pool(seed: int) -> tuple[str, ...]:
+    """The shared pseudo-word stems for a given seed, built once per process."""
     rng = random.Random(f"stems:{seed}")
-    pool: list[str] = []
-    seen = set()
+    pool: dict[str, None] = {}  # an insertion-ordered set
     while len(pool) < STEM_POOL_SIZE:
-        stem = _make_stem(rng)
-        if stem not in seen:
-            seen.add(stem)
-            pool.append(stem)
-    return pool
-
-
-def _inflect(stem: str, suffix: str) -> str:
-    return stem + suffix
+        pool[_syllables(rng, rng.randint(2, 3))] = None
+    return tuple(pool)
 
 
 def _fresh_word(rng: random.Random, used: set[str]) -> str:
     while True:
-        word = "".join(
-            rng.choice(_CONSONANTS) + rng.choice(_VOWELS) for _ in range(4)
-        )
+        word = _syllables(rng, 4)
         if word not in used:
             used.add(word)
             return word
@@ -100,7 +89,7 @@ def _distinct_inflections(
     for stem in stems:
         picked = 0
         for suffix in rng.sample(_SUFFIXES, len(_SUFFIXES)):
-            form = _inflect(stem, suffix)
+            form = stem + suffix
             stemmed = stem_english(form)
             if stemmed not in taken:
                 taken.add(stemmed)
@@ -207,7 +196,7 @@ def generate_lemma_dictionary(
             for suffix in _SUFFIXES:
                 if written >= entries:
                     break
-                handle.write(f"{_inflect(stem, suffix)}\t{stem}\n")
+                handle.write(f"{stem}{suffix}\t{stem}\n")
                 written += 1
         index = 0
         while written < entries:

@@ -240,7 +240,7 @@ NEVER_RUN = {
     **{
         f"artex.synthetic.{name}": "the corpus generator, kept for perfbench and the tests"
         for name in (
-            "_make_stem", "stem_pool", "_inflect", "_fresh_word", "_distinct_inflections",
+            "_syllables", "stem_pool", "_fresh_word", "_distinct_inflections",
             "_topical_sentence", "_junk_sentence", "generate_document", "generate_corpus",
             "generate_lemma_dictionary",
         )
