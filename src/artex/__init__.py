@@ -18,7 +18,6 @@ __version__ = "0.1.0"
 
 # Each public name, under the module that defines it.
 _EXPORTS = {
-    "baselines": ("lead_baseline", "random_baseline"),
     "corpus": ("CorpusSpec", "load_corpus"),
     "errors": (
         "ArtexError", "CorpusEmpty", "CorpusError", "EmptyDocument", "EmptySource",
@@ -39,7 +38,8 @@ _EXPORTS = {
     ),
     "scorer": (
         "DEFAULT_BUDGET", "CompressionSpec", "SentenceCount", "Summary", "WordRatio",
-        "score", "score_normalized", "score_table", "select",
+        "lead_baseline", "random_baseline", "score", "score_normalized", "score_table",
+        "select",
     ),
     "stemming": ("stemmer_for",),
 }

@@ -62,10 +62,16 @@ def parse_budget(text: str):
     if not sep:
         raise ValueError(f"budget must look like k:INT or ratio:FLOAT, got {text!r}")
     if kind == "k":
-        return SentenceCount(int(value))
-    if kind == "ratio":
-        return WordRatio(float(value))
-    raise ValueError(f"unknown budget kind {kind!r} (want k or ratio)")
+        convert, budget, what = int, SentenceCount, "sentence count"
+    elif kind == "ratio":
+        convert, budget, what = float, WordRatio, "word ratio"
+    else:
+        raise ValueError(f"unknown budget kind {kind!r} (want k or ratio)")
+    try:
+        number = convert(value)
+    except ValueError:
+        raise ValueError(f"bad {what} in {text!r}") from None
+    return budget(number)
 
 
 def build_parser() -> argparse.ArgumentParser:

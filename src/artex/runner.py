@@ -18,7 +18,6 @@ from itertools import chain
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
 
-from .baselines import lead_baseline, random_baseline
 # CorpusSpec, load_corpus and parse_mode are also artex.runner's own names,
 # and run_corpus and benchmark call load_corpus through this module's global.
 from .corpus import CLUSTERS, CorpusSpec, load_corpus
@@ -35,7 +34,15 @@ from .preprocess import (
     parse_mode,
     preprocess_document,
 )
-from .scorer import DEFAULT_BUDGET, CompressionSpec, Summary, score, select
+from .scorer import (
+    DEFAULT_BUDGET,
+    CompressionSpec,
+    Summary,
+    lead_baseline,
+    random_baseline,
+    score,
+    select,
+)
 
 SYSTEMS = ("artex", "lead", "random")
 
@@ -356,8 +363,10 @@ def _timed_repetition(
 ) -> list[TimingRecord]:
     """Run every mode over every document once, document by document.
 
-    Returns one record per mode: its preprocessing and scoring seconds and
-    its vocabulary size, summed over the documents that did not fail in it.
+    Returns one record per mode: its scoring seconds and vocabulary size,
+    summed over the documents that did not fail in it, and its preprocessing
+    seconds, which also hold the mode's normalizer set-up and each failing
+    document's time up to its failure (a failed scoring attempt included).
     Every repetition attempts every document in every mode: splitting and
     filtering do not depend on the repetition, and each repetition loads the
     same resources, so a document fails in a mode in every repetition or in

@@ -14,12 +14,15 @@ each term's count in the document, and its row total is its length. Each
 score is that exact integer numerator divided once, which makes the rank
 identity hold exactly in floating point; the two vectors themselves are
 computed only by the tests' matrix oracle. Summaries are the top-scoring
-sentences under a budget, re-ordered to source order.
+sentences under a budget, re-ordered to source order. The lead and
+seeded-random reference systems hand their own sentence orders to the same
+``extract`` step, so the three systems differ only in that order.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from collections import Counter
 from itertools import chain
 from typing import NamedTuple, Sequence
@@ -173,6 +176,27 @@ def select(
     if len(scores) != len(sentences):
         raise ValueError("score vector length does not match sentence count")
     return extract(ranked_indices(scores), sentences, budget)
+
+
+def lead_baseline(sentences: Sequence[Sentence], budget: CompressionSpec) -> Summary:
+    """Select the leading sentences until the budget is met."""
+    return extract(range(len(sentences)), sentences, budget)
+
+
+def random_baseline(
+    sentences: Sequence[Sentence],
+    budget: CompressionSpec,
+    seed: int,
+) -> Summary:
+    """Select uniformly random sentences until the budget is met.
+
+    The random order is the full permutation drawn by
+    ``random.Random(seed).sample`` (CPython's Mersenne Twister with its
+    partial Fisher-Yates sampling), truncated to the budget; this pins the
+    exact selection for a given seed so results replicate across machines.
+    """
+    p = len(sentences)
+    return extract(random.Random(seed).sample(range(p), p), sentences, budget)
 
 
 def score_table(scores: Sequence[float], summary: Summary | None = None) -> str:

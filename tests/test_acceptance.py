@@ -18,7 +18,6 @@ from statistics import mean
 import numpy as np
 import pytest
 
-from artex.baselines import random_baseline
 from artex.cli import main
 from artex.evaluation import (
     NgramProfile,
@@ -41,6 +40,7 @@ from artex.runner import CorpusSpec, benchmark, benchmark_summary, load_corpus
 from artex.scorer import (
     SentenceCount,
     WordRatio,
+    random_baseline,
     ranked_indices,
     score,
     score_normalized,

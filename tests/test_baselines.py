@@ -1,8 +1,14 @@
 from collections import Counter
 
-from artex.baselines import lead_baseline, random_baseline
 from artex.preprocess import Sentence
-from artex.scorer import SentenceCount, WordRatio, score, select
+from artex.scorer import (
+    SentenceCount,
+    WordRatio,
+    lead_baseline,
+    random_baseline,
+    score,
+    select,
+)
 
 
 def _sentences(word_counts):

@@ -42,6 +42,18 @@ def test_parse_budget_forms():
     for bad in ("3", "k=3", "pages:2", "k:x"):
         with pytest.raises(ValueError):
             parse_budget(bad)
+    # A number that does not parse is named with its budget, not by int or float.
+    for bad, message in [
+        ("k:2.5", r"bad sentence count in 'k:2\.5'"),
+        ("k:", r"bad sentence count in 'k:'"),
+        ("ratio:x", r"bad word ratio in 'ratio:x'"),
+        ("ratio:", r"bad word ratio in 'ratio:'"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            parse_budget(bad)
+    # A number that parses but is out of range keeps the budget's own check.
+    with pytest.raises(ValueError, match="must be >= 1"):
+        parse_budget("k:0")
 
 
 # --- summarize ----------------------------------------------------------------

@@ -7,7 +7,6 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import artex.evaluation
-from artex.baselines import lead_baseline, random_baseline
 from artex.errors import EmptySource
 from artex.evaluation import (
     DivergenceReport,
@@ -30,7 +29,14 @@ from artex.preprocess import (
     normalize_document,
     preprocess_document,
 )
-from artex.scorer import SentenceCount, WordRatio, score, select
+from artex.scorer import (
+    SentenceCount,
+    WordRatio,
+    lead_baseline,
+    random_baseline,
+    score,
+    select,
+)
 from artex.stemming import stemmer_for
 from artex.synthetic import generate_document
 
@@ -240,6 +246,17 @@ def test_report_values_clamped_to_unit_interval():
     report = fresa_report(source, summary)
     for value in (report.f1, report.f2, report.f_su4, report.f_avg):
         assert 0.0 <= value <= 1.0
+
+
+def test_report_clamps_an_extract_of_a_source_whose_bigrams_each_occur_once():
+    # A bigram seen once in a 1-sentence extract weighs ten times its share
+    # of the source, so keeping it costs more than leaving it out: the
+    # extract's d2 exceeds the empty summary's, and its f2 is clamped to 0.
+    source = [[f"w{sentence}x{position}" for position in range(4)] for sentence in range(10)]
+    report = fresa_report(source, source[:1])
+    d_empty = prepare_profile(ngram_profile(source, bigrams)).empty_divergence
+    assert report.d2 > d_empty
+    assert report.f2 == 0.0
 
 
 def test_report_deterministic():

@@ -4,6 +4,7 @@ import json
 import pickle
 import subprocess
 import sys
+from itertools import takewhile
 from pathlib import Path
 
 import pytest
@@ -188,8 +189,7 @@ def test_setup_loads_neither_runner_nor_logging(one_file_corpus):
     (one_file_corpus / "b.txt").write_text(
         "The grid stores power. The grid feeds homes.\n", encoding="utf-8"
     )
-    unloaded = ["logging", "artex.runner", "artex.scorer", "artex.evaluation",
-                "artex.baselines", "artex.cli"]
+    unloaded = ["logging", "artex.runner", "artex.scorer", "artex.evaluation", "artex.cli"]
     count_and_loaded, still_loaded = fresh(
         SETUP_PROBE, str(one_file_corpus), *unloaded
     ).stdout.splitlines()
@@ -212,8 +212,7 @@ def test_dir_lists_every_public_name():
 def test_import_cli_leaves_runner_unloaded():
     loaded = fresh(CLI_PROBE).stdout.split()
     assert "artex.cli" in loaded
-    assert [name for name in ("artex.runner", "artex.corpus", "artex.baselines")
-            if name in loaded] == []
+    assert [name for name in ("artex.runner", "artex.corpus") if name in loaded] == []
 
 
 def test_warnings_reach_stderr_when_nothing_configured_logging(one_file_corpus, tmp_path):
@@ -359,6 +358,21 @@ def test_readme_python_example_runs(monkeypatch, tmp_path, capsys):
     exec(compile(block, "README.md", "exec"), {})
     summary, f_avg = capsys.readouterr().out.splitlines()
     assert summary and 0.0 <= float(f_avg) <= 1.0
+
+
+def test_readme_layout_names_every_module_and_subpackage():
+    # The README's Layout block lists src/artex's entries, one per line
+    # indented by two spaces; a module or subpackage added, moved or
+    # removed without its Layout line fails here.
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Layout", 1)[1].split("```\n", 1)[1].split("\n```", 1)[0]
+    below_package = block.split("src/artex/\n", 1)[1].split("\n")
+    listing = takewhile(lambda line: line.startswith(" "), below_package)
+    named = [line.split()[0] for line in listing if not line.startswith("   ")]
+    package = Path(artex.__file__).parent
+    modules = [path.name for path in package.glob("*.py")]
+    subpackages = [f"{init.parent.name}/" for init in package.glob("*/__init__.py")]
+    assert sorted(named) == sorted(modules + subpackages)
 
 
 SENTENCE = Sentence(surface="Sun rose.", tokens=("Sun", "rose."))

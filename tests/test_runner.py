@@ -711,6 +711,28 @@ def test_benchmark_attempts_a_failing_document_in_every_repetition(
     assert sizes == {label: [size] * 3 for label, size in whole.items()}
 
 
+def test_benchmark_charges_a_failing_documents_preprocessing_to_its_mode(
+    flat_corpus, monkeypatch
+):
+    # The fake clock moves only while doc_3, all stop words, is preprocessed:
+    # 1000 s in fix1 and 10 s in raw, before the document fails in both.
+    now = [0.0]
+    sleeps = {"w": 1000.0, "word": 10.0}
+    (flat_corpus / "doc_3.txt").write_text("The of and in. To is was it.", encoding="utf-8")
+
+    def sleeping_preprocess(raw, stoplist, normalize):
+        if raw.id == "doc_3":
+            now[0] += sleeps[normalize("word")]
+        return preprocess_document(raw, stoplist, normalize)
+
+    monkeypatch.setattr(artex.runner, "preprocess_document", sleeping_preprocess)
+    monkeypatch.setattr(artex.runner, "time", SimpleNamespace(perf_counter=lambda: now[0]))
+    records = benchmark(CorpusSpec(root=flat_corpus), [UltraStem(1), Raw()], repetitions=3)
+    assert [(r.normalization, r.preprocess_seconds, r.score_seconds) for r in records] == [
+        ("fix1", 1000.0, 0.0), ("raw", 10.0, 0.0)
+    ] * 3
+
+
 # --- phase seconds -------------------------------------------------------------
 
 # The time each slowed call sleeps.
