@@ -35,13 +35,7 @@ from .preprocess import (
     preprocess_document,
 )
 from .scorer import (
-    DEFAULT_BUDGET,
-    CompressionSpec,
-    Summary,
-    lead_baseline,
-    random_baseline,
-    score,
-    select,
+    DEFAULT_BUDGET, CompressionSpec, Summary, lead_baseline, random_baseline, score, select,
 )
 
 SYSTEMS = ("artex", "lead", "random")
@@ -363,10 +357,9 @@ def _timed_repetition(
 ) -> list[TimingRecord]:
     """Run every mode over every document once, document by document.
 
-    Returns one record per mode: its scoring seconds and vocabulary size,
-    summed over the documents that did not fail in it, and its preprocessing
-    seconds, which also hold the mode's normalizer set-up and each failing
-    document's time up to its failure (a failed scoring attempt included).
+    Returns one record per mode: its scoring seconds and vocabulary size over
+    the documents that did not fail in it, and its preprocessing seconds, which
+    also count its set-up and each failing document's time up to the failure.
     Every repetition attempts every document in every mode: splitting and
     filtering do not depend on the repetition, and each repetition loads the
     same resources, so a document fails in a mode in every repetition or in

@@ -14,9 +14,8 @@ each term's count in the document, and its row total is its length. Each
 score is that exact integer numerator divided once, which makes the rank
 identity hold exactly in floating point; the two vectors themselves are
 computed only by the tests' matrix oracle. Summaries are the top-scoring
-sentences under a budget, re-ordered to source order. The lead and
-seeded-random reference systems hand their own sentence orders to the same
-``extract`` step, so the three systems differ only in that order.
+sentences under a budget, re-ordered to source order; the lead and random
+baselines hand their own sentence orders to the same ``extract``.
 """
 
 from __future__ import annotations
